@@ -20,7 +20,6 @@ from .engine import (
 from .qasm import export_circuit, replay_circuit, roundtrip_deviation
 from .schedules import (
     ParameterSequence,
-    Pi3Program,
     fixed_point_sequence,
     generate_qaao_sequence,
     k_star,
@@ -28,7 +27,8 @@ from .schedules import (
     optimal_sequence,
     pi3_failure_probability,
     pi3_matrix,
-    pi3_sequence,
+    pi3_queries,
+    pi3_series,
 )
 from .statevector import (
     OracleSpec,

@@ -9,8 +9,11 @@ Subcommands:
 
 All data outputs are deterministic for a fixed seed: CSV columns are
 printed with 6 decimal places, JSON carries full double precision.  A JSON
-config file may supply any flag; command-line values win.  The environment
-variable QAA_OUTPUT_DIR sets the default output directory.
+config file may supply any flag, converted as on the command line; keys
+that name no flag of the subcommand are ignored, and command-line values
+win.  With --m > 1 the targets are the basis strings 0..m-1, so --target
+needs m = 1.  The environment variable QAA_OUTPUT_DIR sets the default
+output directory.
 """
 
 from __future__ import annotations
@@ -23,17 +26,14 @@ import sys
 from pathlib import Path
 
 from . import engine, qasm, schedules, statevector as sv
-from .reference_tables import FIXED_POINT_N8_L21, MAIN_TABLE_ROWS
+from .reference_tables import MAIN_TABLE_ROWS
 from .subspace import (
     IterationParams,
     StateAngles,
     coefficients,
     increment,
     initial_angles,
-    qaao_region_fraction,
 )
-
-SEARCH_KINDS = ("random-qaao", "optimal", "noisy-optimal", "fixed-point", "pi3")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -70,74 +70,54 @@ def cmd_increment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(n: int, length: int, delta: float) -> list[dict]:
-    seq = schedules.fixed_point_sequence(length, delta)
-    oracle = sv.OracleSpec(n, frozenset({"0" * n}))
-    traj = engine.run_search(seq, oracle)
-    return [
-        {
-            "no": s.index,
-            "theta": s.state_before.theta,
-            "phi": s.state_before.phi,
-            "beta": s.params.beta,
-            "gamma": s.params.gamma,
-            "increment": s.increment,
-            "qaao": "O" if s.qaao_flag else "X",
-        }
-        for s in traj.steps
-    ]
+def _columns(traj: engine.Trajectory, **fields: str) -> list[dict]:
+    """Rows of a trajectory's steps: column name -> Trajectory.rows() field."""
+    return [{name: row[key] for name, key in fields.items()} for row in traj.rows()]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = _table_rows(args.n, args.L, args.delta)
+    seq = schedules.fixed_point_sequence(args.L, args.delta)
+    traj = engine.run_search(seq, sv.OracleSpec.standard(args.n, args.m))
+    rows = _columns(
+        traj, no="index", theta="theta_before", phi="phi_before", beta="beta",
+        gamma="gamma", increment="increment", qaao="qaao_flag",
+    )
+    header = list(rows[0])
+    for r in rows:
+        r["qaao"] = "O" if r["qaao"] else "X"
     if args.kind == "main":
         rows = [r for r in rows if r["no"] in MAIN_TABLE_ROWS]
-    if args.format == "json":
-        _write(json.dumps(rows, sort_keys=True) + "\n", args.out)
-        return 0
-    lines = ["no,theta,phi,beta,gamma,increment,qaao"]
-    for r in rows:
-        lines.append(
-            f"{r['no']},{r['theta']:.6f},{r['phi']:.6f},{r['beta']:.6f},"
-            f"{r['gamma']:.6f},{r['increment']:.6f},{r['qaao']}"
-        )
-    _write("\n".join(lines) + "\n", args.out)
+    _write(engine.format_rows(rows, args.format, header), args.out)
     return 0
 
 
-def _figure_fig1b(args) -> tuple[list[str], list]:
-    steps = schedules.k_star(args.n, args.m)
-    traj = engine.grover_baseline(args.n, args.m, steps)
-    rows = [
-        {"step": s.index, "probability": s.probability_after} for s in traj.steps
-    ]
-    return ["step", "probability"], rows
+def _figure_fig1b(args) -> list[dict]:
+    traj = engine.grover_baseline(args.n, args.m, schedules.k_star(args.n, args.m))
+    return _columns(traj, step="index", probability="probability_after")
 
 
-def _figure_fig3(args) -> tuple[list[str], list]:
+def _figure_fig3(args) -> list[dict]:
+    oracle = sv.OracleSpec.standard(args.n, args.m)
     rows = []
     for delta in (0.05 * math.pi, 0.2 * math.pi, 0.3 * math.pi):
         seq = schedules.noisy_optimal_sequence(args.n, delta, seed=args.seed, m=args.m)
-        oracle = sv.OracleSpec(args.n, frozenset({"0" * args.n}))
         traj = engine.run_search(seq, oracle)
-        for s in traj.steps:
-            rows.append(
-                {
-                    "delta": delta,
-                    "step": s.index,
-                    "queries": s.cumulative_queries,
-                    "probability": s.probability_after,
-                }
+        rows += [
+            {"delta": delta, **r}
+            for r in _columns(
+                traj, step="index", queries="cumulative_queries",
+                probability="probability_after",
             )
-    return ["delta", "step", "queries", "probability"], rows
+        ]
+    return rows
 
 
 def _figure_fig4(args) -> dict:
     return engine.compare(
         [
-            ("fixed-point", {"length": args.L, "delta": 0.316}),
-            ("pi3", {}),
-            ("random-qaao", {"seed": args.seed, "c": args.c}),
+            (schedules.FIXED_POINT, {"length": args.L}),
+            (schedules.PI3, {}),
+            (schedules.RANDOM_QAAO, {"seed": args.seed, "c": args.c}),
         ],
         n=args.n,
         m=args.m,
@@ -170,80 +150,42 @@ def _figure_region(args) -> dict:
     }
 
 
-def _figure_fig7(args) -> tuple[list[str], list]:
-    seq = schedules.fixed_point_sequence(args.L, 0.316)
-    oracle = sv.OracleSpec(args.n, frozenset({"0" * args.n}))
-    traj = engine.run_search(seq, oracle)
-    rows = [
-        {
-            "step": s.index,
-            "queries": s.cumulative_queries,
-            "probability": s.probability_after,
-        }
-        for s in traj.steps
-    ]
-    return ["step", "queries", "probability"], rows
+def _figure_fig7(args) -> list[dict]:
+    seq = schedules.fixed_point_sequence(args.L, schedules.FIXED_POINT_DELTA)
+    traj = engine.run_search(seq, sv.OracleSpec.standard(args.n, args.m))
+    return _columns(
+        traj, step="index", queries="cumulative_queries", probability="probability_after"
+    )
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.id in ("fig4", "region"):
         payload = _figure_fig4(args) if args.id == "fig4" else _figure_region(args)
-        _write(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        _write(engine.format_rows(payload, "json"), args.out)
         return 0
-    header, rows = {
+    # The generators reject empty schedules, so every series has a first row.
+    rows = {
         "fig1b": _figure_fig1b,
         "fig3": _figure_fig3,
         "fig7": _figure_fig7,
     }[args.id](args)
-    if args.format == "json":
-        _write(json.dumps(rows, sort_keys=True) + "\n", args.out)
-        return 0
-    lines = [",".join(header)]
-    for r in rows:
-        cells = [
-            f"{r[k]:.6f}" if isinstance(r[k], float) else str(r[k]) for k in header
-        ]
-        lines.append(",".join(cells))
-    _write("\n".join(lines) + "\n", args.out)
+    _write(engine.format_rows(rows, args.format, list(rows[0])), args.out)
     return 0
 
 
-def _build_sequence(args) -> schedules.ParameterSequence:
-    if args.kind == "random-qaao":
-        return schedules.generate_qaao_sequence(args.n, args.m, c=args.c, seed=args.seed)
-    if args.kind == "optimal":
-        return schedules.optimal_sequence(args.n, args.m)
-    if args.kind == "noisy-optimal":
-        return schedules.noisy_optimal_sequence(args.n, args.delta, seed=args.seed, m=args.m)
-    if args.kind == "fixed-point":
-        return schedules.fixed_point_sequence(args.L, args.delta if args.delta else 0.316)
-    raise ValueError(f"unknown kind {args.kind!r}")
+def _build_sequence(args, steps: int = 1) -> schedules.ParameterSequence:
+    return schedules.build(
+        args.kind, args.n, args.m,
+        seed=args.seed, c=args.c, delta=args.delta, length=args.L, steps=steps,
+    )
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    target = args.target or "0" * args.n
-    oracle = (
-        sv.OracleSpec.single(target)
-        if args.m == 1
-        else sv.OracleSpec(args.n, frozenset(format(i, f"0{args.n}b") for i in range(args.m)))
-    )
-    if args.kind == "pi3":
-        theta0 = initial_angles(args.n, args.m).theta
-        rows = []
-        for depth in range(schedules.MAX_PI3_DEPTH + 1):
-            rows.append(
-                {
-                    "depth": depth,
-                    "queries": schedules.pi3_sequence(depth).oracle_queries,
-                    "probability": 1.0 - schedules.pi3_failure_probability(depth, theta0),
-                }
-            )
-        if args.format == "json":
-            _write(json.dumps(rows, sort_keys=True) + "\n", args.out)
-        else:
-            lines = ["depth,queries,probability"]
-            lines += [f"{r['depth']},{r['queries']},{r['probability']:.6f}" for r in rows]
-            _write("\n".join(lines) + "\n", args.out)
+    oracle = sv.OracleSpec.standard(args.n, args.m, args.target)
+    if args.kind == schedules.PI3:
+        rows = schedules.pi3_series(initial_angles(args.n, args.m).theta)
+        header = ("depth", "queries", "probability")
+        _write(engine.format_rows(rows, args.format, header), args.out)
         return 0
     seq = _build_sequence(args)
     traj = engine.run_search(seq, oracle, backend=args.backend)
@@ -251,24 +193,17 @@ def cmd_search(args: argparse.Namespace) -> int:
     _write(text, args.out)
     if args.shots:
         state = sv.uniform_state(args.n)
-        for p in seq.params:
+        for p in seq:
             state = sv.apply_iteration(state, p, oracle)
         histogram = sv.sample_measurements(state, args.shots, args.seed)
-        hist_text = json.dumps(histogram, sort_keys=True) + "\n"
+        hist_text = engine.format_rows(histogram, "json")
         _write(hist_text, args.out + ".hist.json" if args.out else None)
     return 0
 
 
 def cmd_export_qasm(args: argparse.Namespace) -> int:
-    target = args.target or "0" * args.n
-    oracle = sv.OracleSpec.single(target)
-    if args.kind == "grover":
-        params = [IterationParams(math.pi, math.pi) for _ in range(args.steps)]
-        seq = schedules.ParameterSequence(
-            params=tuple(params), kind="optimal", n=args.n
-        )
-    else:
-        seq = _build_sequence(args)
+    oracle = sv.OracleSpec.standard(args.n, args.m, args.target)
+    seq = _build_sequence(args, args.steps)
     source = qasm.export_circuit(seq, oracle)
     _write(source, args.out)
     if args.verify:
@@ -311,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="emit the fixed-point trajectory table")
     _add_common(p)
     p.add_argument("kind", choices=("main", "appendix"), nargs="?", default="appendix")
-    p.set_defaults(func=cmd_table, delta=0.316)
+    p.set_defaults(func=cmd_table, delta=schedules.FIXED_POINT_DELTA)
 
     p = sub.add_parser("figure", help="emit a figure data series")
     _add_common(p)
@@ -321,12 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="generate and run a schedule")
     _add_common(p)
-    p.add_argument("kind", choices=SEARCH_KINDS)
+    search_kinds = [k for k in schedules.BUILDERS if k != schedules.GROVER]
+    p.add_argument("kind", choices=search_kinds + [schedules.PI3])
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("export-qasm", help="write an OpenQASM 3 circuit")
     _add_common(p)
-    p.add_argument("kind", choices=("grover",) + SEARCH_KINDS[:-1])
+    p.add_argument("kind", choices=list(schedules.BUILDERS))
     p.add_argument("--steps", type=int, default=1, help="iterations for kind=grover")
     p.add_argument("--verify", action="store_true", help="replay and report deviation")
     p.set_defaults(func=cmd_export_qasm)
@@ -335,21 +271,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the --config file's flags placed before the subcommand's own.
+
+    Config values are parsed as the text of their flags, so they get the
+    same type checks; later (command-line) flags win.
+    """
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config is None:
+        return args
+    try:
         overrides = json.loads(Path(args.config).read_text())
-        filtered = [a for a in argv if a != "--config" and a != args.config]
-        explicit = {a.lstrip("-").split("=")[0] for a in filtered if a.startswith("--")}
-        for key, value in overrides.items():
-            if key not in explicit and hasattr(args, key):
-                setattr(args, key, value)
-    return args
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    flags = [
+        f"--{key}" if value is True else f"--{key}={value}"
+        for key, value in overrides.items()
+        if value is not None
+    ]
+    return parser.parse_known_args(argv[:1] + flags + argv[1:])[0]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
     try:
+        args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))

@@ -8,15 +8,13 @@ analytic prediction at every step and flags any disagreement as a defect.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
-from . import statevector as sv
-from .schedules import ParameterSequence, k_star, pi3_failure_probability, pi3_sequence
+from . import schedules, statevector as sv
+from .schedules import ParameterSequence
 from .subspace import (
     IterationParams,
     StateAngles,
@@ -24,7 +22,6 @@ from .subspace import (
     coefficients,
     increment,
     initial_angles,
-    wrap_pi,
 )
 
 BACKENDS = ("analytic", "statevector")
@@ -34,10 +31,36 @@ SEQUENCE_TOL = 1e-10
 
 LEAKAGE_TOL = 1e-12
 
-CSV_HEADER = (
-    "index,theta_before,phi_before,beta,gamma,"
-    "probability_after,increment,qaao_flag,cumulative_queries"
+_STEP_FIELDS = (
+    "index", "theta_before", "phi_before", "beta", "gamma",
+    "probability_after", "increment", "qaao_flag", "cumulative_queries",
 )
+CSV_HEADER = ",".join(_STEP_FIELDS)
+
+#: Decimal places of every float in CSV output.
+CSV_DECIMALS = 6
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.{CSV_DECIMALS}f}"
+    if isinstance(value, bool):
+        return "O" if value else "X"
+    return str(value)
+
+
+def format_rows(rows, fmt: str, header: Sequence[str] = ()) -> str:
+    """Newline-terminated CSV or JSON text of a list of row dicts.
+
+    JSON keeps full double precision with sorted keys, and `rows` may be any
+    JSON value.  CSV prints `header`, then the header's fields of each row:
+    floats with CSV_DECIMALS places, booleans as the O/X amplification flag.
+    """
+    if fmt == "json":
+        return json.dumps(rows, sort_keys=True) + "\n"
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(row[key]) for key in header) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class BackendMismatchError(RuntimeError):
@@ -83,25 +106,25 @@ class Trajectory:
     def negative_steps(self) -> list[int]:
         return [s.index for s in self.steps if s.increment < 0.0]
 
-    def to_csv(self, precision: int = 6) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for s in self.steps:
-            writer.writerow(
-                [
-                    s.index,
-                    f"{s.state_before.theta:.{precision}f}",
-                    f"{s.state_before.phi:.{precision}f}",
-                    f"{s.params.beta:.{precision}f}",
-                    f"{s.params.gamma:.{precision}f}",
-                    f"{s.probability_after:.{precision}f}",
-                    f"{s.increment:.{precision}f}",
-                    "O" if s.qaao_flag else "X",
-                    s.cumulative_queries,
-                ]
-            )
-        return buf.getvalue()
+    def rows(self) -> list[dict]:
+        """One dict per step, keyed by the CSV_HEADER fields."""
+        return [
+            {
+                "index": s.index,
+                "theta_before": s.state_before.theta,
+                "phi_before": s.state_before.phi,
+                "beta": s.params.beta,
+                "gamma": s.params.gamma,
+                "probability_after": s.probability_after,
+                "increment": s.increment,
+                "qaao_flag": s.qaao_flag,
+                "cumulative_queries": s.cumulative_queries,
+            }
+            for s in self.steps
+        ]
+
+    def to_csv(self) -> str:
+        return format_rows(self.rows(), "csv", _STEP_FIELDS)
 
     def to_json(self) -> str:
         payload = {
@@ -110,22 +133,9 @@ class Trajectory:
             "kind": self.kind,
             "final_probability": self.final_probability,
             "turning_index": self.turning_index,
-            "steps": [
-                {
-                    "index": s.index,
-                    "theta_before": s.state_before.theta,
-                    "phi_before": s.state_before.phi,
-                    "beta": s.params.beta,
-                    "gamma": s.params.gamma,
-                    "probability_after": s.probability_after,
-                    "increment": s.increment,
-                    "qaao_flag": s.qaao_flag,
-                    "cumulative_queries": s.cumulative_queries,
-                }
-                for s in self.steps
-            ],
+            "steps": self.rows(),
         }
-        return json.dumps(payload, sort_keys=True)
+        return format_rows(payload, "json").rstrip("\n")
 
 
 def _turning_index(steps: tuple[StepRecord, ...]) -> Optional[int]:
@@ -150,8 +160,12 @@ def run_search(
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
+    # Fixed-point schedules (n=None) do not depend on the register, so they
+    # run against any oracle.
     if seq.n is not None and seq.n != oracle.n:
         raise ValueError(f"schedule n={seq.n} does not match oracle n={oracle.n}")
+    if seq.n is not None and seq.m != oracle.m:
+        raise ValueError(f"schedule m={seq.m} does not match oracle m={oracle.m}")
     n, m = oracle.n, oracle.m
     angles = initial_angles(n, m)
     theta0 = angles.theta
@@ -225,16 +239,11 @@ def classify(traj: Trajectory, c: Optional[float] = None) -> Trajectory:
 
 
 def grover_baseline(n: int, m: int = 1, steps: int = 1) -> Trajectory:
-    """Repeated standard iterations G(pi, -pi): monotone up to the turning point."""
+    """Repeated standard iterations G(pi, pi): monotone up to the turning point."""
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-    params = tuple(IterationParams(math.pi, wrap_pi(-math.pi)) for _ in range(steps))
-    seq = ParameterSequence(params=params, kind="optimal", n=n, m=m)
-    oracle = sv.OracleSpec(n, frozenset({format(0, f"0{n}b")} if m == 1 else {
-        format(i, f"0{n}b") for i in range(m)
-    }))
-    traj = run_search(seq, oracle)
-    return replace(traj, kind="grover")
+    seq = schedules.build(schedules.GROVER, n, m, steps=steps)
+    return run_search(seq, sv.OracleSpec.standard(n, m))
 
 
 def _queries_to_threshold(traj: Trajectory, threshold: float) -> Optional[dict]:
@@ -258,49 +267,31 @@ def compare(
 ) -> dict:
     """Run several schedule families and report queries-to-threshold data.
 
-    Each spec is (kind, settings); settings are passed to the matching
-    generator.  Because the query-accounting convention differs between
-    published figures, both the 1-per-iteration and 2-per-iteration counts
-    are reported alongside each schedule's own declared convention.
+    Each spec is (kind, settings): a schedule kind with settings for
+    `schedules.build` (`seed` defaults to the seed given here), or "pi3"
+    with an optional `max_depth`.  Every schedule runs against the oracle
+    marking the basis strings 0..m-1.  Because the query-accounting
+    convention differs between published figures, both the 1-per-iteration
+    and 2-per-iteration counts are reported alongside each schedule's own
+    declared convention.
     """
-    from . import schedules
-
     if not specs:
         raise ValueError("need at least one algorithm spec")
-    oracle = sv.OracleSpec(n, frozenset({format(0, f"0{n}b")}))
+    oracle = sv.OracleSpec.standard(n, m)
     theta0 = initial_angles(n, m).theta
     report: dict = {"n": n, "m": m, "threshold": threshold, "algorithms": []}
     for kind, settings in specs:
-        if kind == "pi3":
-            max_depth = settings.get("max_depth", schedules.MAX_PI3_DEPTH)
-            series = []
-            reached = None
-            for depth in range(max_depth + 1):
-                success = 1.0 - pi3_failure_probability(depth, theta0)
-                queries = pi3_sequence(depth).oracle_queries
-                series.append({"depth": depth, "queries": queries, "probability": success})
-                if reached is None and success >= threshold:
-                    reached = {"depth": depth, "queries": queries}
+        if kind == schedules.PI3:
+            series = schedules.pi3_series(
+                theta0, settings.get("max_depth", schedules.MAX_PI3_DEPTH)
+            )
+            hit = next((r for r in series if r["probability"] >= threshold), None)
+            reached = hit and {"depth": hit["depth"], "queries": hit["queries"]}
             report["algorithms"].append(
-                {"kind": "pi3", "series": series, "to_threshold": reached, "monotone": True}
+                {"kind": kind, "series": series, "to_threshold": reached, "monotone": True}
             )
             continue
-        if kind == "random-qaao":
-            seq = schedules.generate_qaao_sequence(
-                n, m, c=settings.get("c", 1.5), seed=settings.get("seed", seed)
-            )
-        elif kind == "optimal":
-            seq = schedules.optimal_sequence(n, m)
-        elif kind == "noisy-optimal":
-            seq = schedules.noisy_optimal_sequence(
-                n, settings["delta"], seed=settings.get("seed", seed), m=m
-            )
-        elif kind == "fixed-point":
-            seq = schedules.fixed_point_sequence(
-                settings.get("length", 21), settings.get("delta", 0.316)
-            )
-        else:
-            raise ValueError(f"unknown algorithm kind {kind!r}")
+        seq = schedules.build(kind, n, m, **{"seed": seed, **settings})
         traj = run_search(seq, oracle)
         report["algorithms"].append(
             {

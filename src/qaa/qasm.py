@@ -15,16 +15,11 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .statevector import OracleSpec, StateVector
-from .subspace import IterationParams
-
-
-def _params_of(seq) -> Sequence[IterationParams]:
-    return seq.params if hasattr(seq, "params") else list(seq)
 
 
 def export_circuit(seq, oracle: OracleSpec) -> str:
@@ -44,7 +39,7 @@ def export_circuit(seq, oracle: OracleSpec) -> str:
         f"qubit[{n}] q;",
     ]
     lines.extend(f"h q[{i}];" for i in range(n))
-    for k, p in enumerate(_params_of(seq), start=1):
+    for k, p in enumerate(seq, start=1):
         lines.append(f"// iteration {k}: beta={p.beta!r}, gamma={p.gamma!r}")
         lines.extend(_oracle_gate(target, p.gamma))
         lines.extend(_diffusion_gate(n, p.beta))
@@ -134,7 +129,7 @@ def roundtrip_deviation(seq, oracle: OracleSpec) -> float:
     from .statevector import apply_iteration, uniform_state
 
     state = uniform_state(oracle.n)
-    for p in _params_of(seq):
+    for p in seq:
         state = apply_iteration(state, p, oracle)
     replayed = replay_circuit(export_circuit(seq, oracle))
     direct = state.amplitudes

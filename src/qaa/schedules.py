@@ -1,17 +1,23 @@
 """Parameter-schedule generators.
 
-Produces the (beta, gamma) sequences this package can run: rejection-sampled
-random amplification schedules, the optimal exact-search schedule, its
-delta-perturbed variants, Chebyshev fixed-point schedules, and the recursive
-pi/3 fixed-point program.
+Produces the (beta, gamma) sequences this package can run: repeated Grover
+steps, rejection-sampled random amplification schedules, the optimal
+exact-search schedule, its delta-perturbed variants and Chebyshev
+fixed-point schedules.  `build(kind, n, m, **settings)` reaches each of
+them by kind name; the kind names are defined here and nowhere else.
+
+The pi/3 fixed-point recursion is not a (beta, gamma) schedule.  It is
+evaluated in closed form on the target plane: `pi3_matrix` builds its 2x2
+unitary level by level, `pi3_queries` counts its oracle calls and
+`pi3_series` tabulates both per depth.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -19,13 +25,23 @@ from .subspace import (
     IterationParams,
     StateAngles,
     apply_iteration,
+    diffusion_matrix,
     initial_angles,
     is_qaao,
     optimal_params,
     wrap_pi,
 )
 
-KINDS = ("random-qaao", "optimal", "noisy-optimal", "fixed-point", "pi3")
+GROVER = "grover"
+RANDOM_QAAO = "random-qaao"
+OPTIMAL = "optimal"
+NOISY_OPTIMAL = "noisy-optimal"
+FIXED_POINT = "fixed-point"
+#: The pi/3 recursion's name in comparisons and on the command line.
+PI3 = "pi3"
+
+#: Error budget of a fixed-point schedule built without one (the reference table's).
+FIXED_POINT_DELTA = 0.316
 
 
 @dataclass(frozen=True)
@@ -47,7 +63,7 @@ class ParameterSequence:
     queries_per_iteration: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in BUILDERS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.queries_per_iteration < 1:
             raise ValueError("queries_per_iteration must be positive")
@@ -55,6 +71,9 @@ class ParameterSequence:
 
     def __len__(self) -> int:
         return len(self.params)
+
+    def __iter__(self) -> Iterator[IterationParams]:
+        return iter(self.params)
 
     def to_json(self) -> str:
         payload = {
@@ -137,7 +156,7 @@ def generate_qaao_sequence(
         params.append(candidate)
         state = apply_iteration(candidate, state, theta0)
     return ParameterSequence(
-        params=tuple(params), kind="random-qaao", n=n, m=m, seed=seed, c=c
+        params=tuple(params), kind=RANDOM_QAAO, n=n, m=m, seed=seed, c=c
     )
 
 
@@ -158,7 +177,7 @@ def optimal_sequence(n: int, m: int = 1) -> ParameterSequence:
         state = apply_iteration(step, state, theta0)
     closing = optimal_params(state, theta0)
     params.append(closing)
-    return ParameterSequence(params=tuple(params), kind="optimal", n=n, m=m)
+    return ParameterSequence(params=tuple(params), kind=OPTIMAL, n=n, m=m)
 
 
 def noisy_optimal_sequence(
@@ -191,7 +210,7 @@ def noisy_optimal_sequence(
         params.append(step)
         state = apply_iteration(step, state, theta0)
     return ParameterSequence(
-        params=tuple(params), kind="noisy-optimal", n=n, m=m, seed=seed, delta=delta
+        params=tuple(params), kind=NOISY_OPTIMAL, n=n, m=m, seed=seed, delta=delta
     )
 
 
@@ -224,77 +243,102 @@ def fixed_point_sequence(length: int, delta: float) -> ParameterSequence:
     )
     return ParameterSequence(
         params=params,
-        kind="fixed-point",
+        kind=FIXED_POINT,
         delta=delta,
         queries_per_iteration=2,
     )
 
 
-# --- pi/3 fixed-point recursion -------------------------------------------
+def grover_sequence(n: int, m: int = 1, steps: int = 1) -> ParameterSequence:
+    """`steps` standard Grover iterations G(pi, pi)."""
+    params = (IterationParams(math.pi, math.pi),) * steps
+    return ParameterSequence(params=params, kind=GROVER, n=n, m=m)
 
-#: Primitive phase rotations of the pi/3 program: about the initial state
-#: ("initial", angle) or about the target ("target", angle), each meaning
-#: e^{-i * angle * projector}.  A "target" primitive costs one oracle query.
-Pi3Op = tuple[str, float]
+
+#: Every schedule kind, in the order the command line lists them, with its
+#: builder(n, m, **settings).  Builders ignore settings they do not use, so
+#: one settings set drives every kind; a fixed-point delta of 0 (no budget
+#: given) means FIXED_POINT_DELTA.
+BUILDERS = {
+    GROVER: lambda n, m, steps=1, **_: grover_sequence(n, m, steps),
+    RANDOM_QAAO: lambda n, m, c=1.5, seed=0, **_: generate_qaao_sequence(
+        n, m, c=c, seed=seed
+    ),
+    OPTIMAL: lambda n, m, **_: optimal_sequence(n, m),
+    NOISY_OPTIMAL: lambda n, m, delta=0.0, seed=0, **_: noisy_optimal_sequence(
+        n, delta, seed=seed, m=m
+    ),
+    FIXED_POINT: lambda n, m, length=21, delta=0.0, **_: fixed_point_sequence(
+        length, delta or FIXED_POINT_DELTA
+    ),
+}
+
+
+def build(kind: str, n: int, m: int = 1, **settings) -> ParameterSequence:
+    """The schedule of a registered kind for n qubits and m targets.
+
+    Settings: `seed`, `c` (random-qaao), `delta` (noisy-optimal,
+    fixed-point), `length` (fixed-point) and `steps` (grover).
+    """
+    if kind not in BUILDERS:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    return BUILDERS[kind](n, m, **settings)
+
+
+# --- pi/3 fixed-point recursion -------------------------------------------
+#
+# Level d+1 wraps level d as U_{d+1} = U_d S_s U_d^dag S_t U_d, with U_0 = 1.
+# S_t = e^{i pi/3 |t><t|} costs one oracle query and S_s = e^{i pi/3 |s0><s0|}
+# is the diffusion D(-pi/3).  Each level calls the previous one three times,
+# so depth d makes (3^d - 1) / 2 queries and fails with probability
+# epsilon^(3^d), epsilon the initial failure probability.
 
 _PI3 = -math.pi / 3.0  # e^{+i pi/3} phases give the cubic error reduction
 
 MAX_PI3_DEPTH = 8
 
 
-@dataclass(frozen=True)
-class Pi3Program:
-    """Recursively expanded pi/3 fixed-point program.
-
-    Level m+1 wraps level m as  U_{m+1} = U_m S(initial) U_m^dag S(target) U_m,
-    written out as a flat primitive list in application order.  Depth 0 is
-    the empty (identity) program.
-    """
-
-    depth: int
-    ops: tuple[Pi3Op, ...] = field(default_factory=tuple)
-
-    @property
-    def oracle_queries(self) -> int:
-        return sum(1 for kind, _ in self.ops if kind == "target")
-
-
-def pi3_sequence(depth: int) -> Pi3Program:
-    """Build the pi/3 program of a given recursion depth.
-
-    The primitive count is 3x the previous level plus the two pi/3 phase
-    rotations, so the oracle-query count is (3^depth - 1) / 2.
-    """
+def _check_pi3_depth(depth: int) -> None:
     if not 0 <= depth <= MAX_PI3_DEPTH:
         raise ValueError(f"depth must lie in [0, {MAX_PI3_DEPTH}], got {depth}")
-    ops: tuple[Pi3Op, ...] = ()
-    for _ in range(depth):
-        adjoint = tuple((kind, -angle) for kind, angle in reversed(ops))
-        ops = ops + (("target", _PI3),) + adjoint + (("initial", _PI3),) + ops
-    return Pi3Program(depth=depth, ops=ops)
 
 
-def pi3_matrix(program: Pi3Program, theta0: float) -> np.ndarray:
-    """2x2 unitary of the expanded program on the (|t>, |t_perp>) basis."""
-    s0 = np.array([math.sin(0.5 * theta0), math.cos(0.5 * theta0)])
+def pi3_queries(depth: int) -> int:
+    """Oracle queries of the depth-d pi/3 program: (3^d - 1) / 2."""
+    _check_pi3_depth(depth)
+    return (3**depth - 1) // 2
+
+
+def pi3_matrix(depth: int, theta0: float) -> np.ndarray:
+    """2x2 unitary U_depth of the pi/3 program on the (|t>, |t_perp>) basis.
+
+    Built from U_0 = 1 by the recursion, four 2x2 products per level.
+    """
+    _check_pi3_depth(depth)
+    s_t = np.diag([np.exp(-1j * _PI3), 1.0])
+    s_s = diffusion_matrix(_PI3, theta0)
     u = np.eye(2, dtype=complex)
-    for kind, angle in program.ops:
-        if kind == "target":
-            prim = np.diag([np.exp(-1j * angle), 1.0])
-        else:
-            prim = np.eye(2, dtype=complex) - (1.0 - np.exp(-1j * angle)) * np.outer(
-                s0, s0
-            )
-        u = prim @ u
+    for _ in range(depth):
+        u = u @ s_s @ u.conj().T @ s_t @ u
     return u
 
 
 def pi3_failure_probability(depth: int, theta0: float) -> float:
-    """1 - (target probability) after running the depth-m program from |s0>.
+    """1 - (target probability) after running the depth-d program from |s0>.
 
-    Equals epsilon^(3^m) with epsilon the initial failure probability.
+    Equals epsilon^(3^d) with epsilon the initial failure probability.
     """
-    program = pi3_sequence(depth)
-    s0 = np.array([math.sin(0.5 * theta0), math.cos(0.5 * theta0)], dtype=complex)
-    final = pi3_matrix(program, theta0) @ s0
+    final = pi3_matrix(depth, theta0) @ StateAngles(theta0).amplitudes()
     return 1.0 - float(abs(final[0]) ** 2)
+
+
+def pi3_series(theta0: float, max_depth: int = MAX_PI3_DEPTH) -> list[dict]:
+    """Oracle queries and success probability of every depth 0..max_depth."""
+    return [
+        {
+            "depth": depth,
+            "queries": pi3_queries(depth),
+            "probability": 1.0 - pi3_failure_probability(depth, theta0),
+        }
+        for depth in range(max_depth + 1)
+    ]

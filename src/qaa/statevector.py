@@ -45,6 +45,19 @@ class OracleSpec:
     def single(cls, target: str) -> "OracleSpec":
         return cls(n=len(target), targets=frozenset({target}))
 
+    @classmethod
+    def standard(cls, n: int, m: int = 1, target: str | None = None) -> "OracleSpec":
+        """`single(target)` when a target is given, else the basis strings 0..m-1.
+
+        A target string marks exactly one state, so giving one with m > 1
+        is an error rather than a silent single-target oracle.
+        """
+        if target is None:
+            return cls(n, frozenset(format(i, f"0{n}b") for i in range(m)))
+        if m != 1:
+            raise ValueError(f"a target string marks one state, but m={m}")
+        return cls.single(target)
+
     @property
     def m(self) -> int:
         return len(self.targets)

@@ -171,18 +171,23 @@ def closed_form_increment(
     return a * math.cos(theta) + b * math.sin(theta)
 
 
+def diffusion_matrix(beta: float, theta0: float) -> np.ndarray:
+    """2x2 phase rotation D(beta) about |s0> on the ordered basis (|t>, |t_perp>).
+
+    D(beta) = 1 - (1 - e^{-i*beta}) |s0><s0| with |s0> = (sin(theta0/2), cos(theta0/2)).
+    """
+    s0 = np.array([math.sin(0.5 * theta0), math.cos(0.5 * theta0)])
+    return np.eye(2, dtype=complex) - (1.0 - np.exp(-1j * beta)) * np.outer(s0, s0)
+
+
 def iteration_matrix(params: IterationParams, theta0: float) -> np.ndarray:
     """2x2 unitary of G(beta, gamma) on the ordered basis (|t>, |t_perp>).
 
-    R(gamma) multiplies the target amplitude by e^{-i*gamma}; D(beta) is
-    1 - (1 - e^{-i*beta}) |s0><s0| with |s0> = (sin(theta0/2), cos(theta0/2)).
+    R(gamma) multiplies the target amplitude by e^{-i*gamma}, then D(beta)
+    rotates about the initial state (see diffusion_matrix).
     """
-    s0 = np.array([math.sin(0.5 * theta0), math.cos(0.5 * theta0)])
-    diffusion = np.eye(2, dtype=complex) - (1.0 - np.exp(-1j * params.beta)) * np.outer(
-        s0, s0
-    )
     oracle = np.diag([np.exp(-1j * params.gamma), 1.0])
-    return diffusion @ oracle
+    return diffusion_matrix(params.beta, theta0) @ oracle
 
 
 def increment(params: IterationParams, state: StateAngles, theta0: float) -> float:

@@ -22,7 +22,7 @@ from qaa.schedules import (
     noisy_optimal_sequence,
     optimal_sequence,
     pi3_failure_probability,
-    pi3_sequence,
+    pi3_queries,
 )
 from qaa.statevector import (
     OracleSpec,
@@ -246,9 +246,8 @@ def test_pi3_convergence():
     depth = next(
         d for d in range(9) if 1.0 - pi3_failure_probability(d, theta0) >= 0.9
     )
-    pi3_queries = pi3_sequence(depth).oracle_queries
     exact_queries = len(optimal_sequence(8))
-    assert pi3_queries >= 10 * exact_queries
+    assert pi3_queries(depth) >= 10 * exact_queries
 
 
 @check(10, "simulator: Grover 25/32, norm preservation, QASM round trips")

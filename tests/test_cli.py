@@ -122,6 +122,16 @@ class TestSearch:
         assert (tmp_path / "t.csv").exists()
 
 
+    @pytest.mark.parametrize("command", ["search", "export-qasm"])
+    def test_target_needs_single_target(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "optimal", "--m", "4", "--target", "00000001"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestFigure:
     def test_fig1b(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "fig1b", "--n", "8")
@@ -149,6 +159,16 @@ class TestFigure:
         assert code == 0
         kinds = [a["kind"] for a in payload["algorithms"]]
         assert "fixed-point" in kinds and "pi3" in kinds
+
+    def test_fig4_multi_target(self, capsys):
+        code, out, _ = run_cli(capsys, "figure", "fig4", "--n", "10", "--m", "4")
+        finals = {
+            a["kind"]: a.get("final_probability")
+            for a in json.loads(out)["algorithms"]
+        }
+        assert code == 0
+        assert finals["fixed-point"] >= 0.9
+        assert finals["random-qaao"] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestExportQasm:
@@ -191,6 +211,34 @@ class TestConfig:
         cfg.write_text(json.dumps({"n": 4}))
         _, out, _ = run_cli(capsys, "search", "optimal", "--n", "6", "--config", str(cfg))
         _, want, _ = run_cli(capsys, "search", "optimal", "--n", "6")
+        assert out == want
+
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, '{"n": 4', '{"n": 8.5}'],
+        ids=["missing-file", "invalid-json", "wrong-type"],
+    )
+    def test_bad_config_is_a_cli_error(self, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qaa.cli", "search", "optimal", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_config_values_convert_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "4", "delta": 0.2, "seed": 3}))
+        args = ("search", "noisy-optimal")
+        _, out, _ = run_cli(capsys, *args, "--config", str(cfg))
+        _, want, _ = run_cli(capsys, *args, "--n", "4", "--delta", "0.2", "--seed", "3")
         assert out == want
 
 

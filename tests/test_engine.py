@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaa.engine import (
     CSV_HEADER,
@@ -49,6 +51,36 @@ class TestRunSearch:
     def test_rejects_mismatched_n(self):
         with pytest.raises(ValueError):
             run_search(optimal_sequence(5), OracleSpec.single("110"))
+
+    def test_rejects_mismatched_m(self):
+        with pytest.raises(ValueError):
+            run_search(optimal_sequence(8, 4), OracleSpec.single("0" * 8))
+
+    def test_fixed_point_runs_on_any_m(self):
+        traj = run_search(fixed_point_sequence(12, 0.316), OracleSpec.standard(6, 4))
+        assert traj.m == 4
+        assert traj.final_probability >= 0.9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.data(),
+        st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+                 min_size=1, max_size=12),
+    )
+    def test_backends_agree_for_any_oracle(self, n, data, pairs):
+        m = data.draw(st.integers(1, 2**n - 1), label="m")
+        target = None
+        if m == 1:
+            bits = data.draw(st.integers(0, 2**n - 1), label="target")
+            target = format(bits, f"0{n}b")
+        oracle = OracleSpec.standard(n, m, target)
+        params = tuple(IterationParams(b, g) for b, g in pairs)
+        seq = ParameterSequence(params=params, kind="random-qaao", n=n, m=m)
+        analytic = run_search(seq, oracle)
+        dense = run_search(seq, oracle, backend="statevector")
+        for a, b in zip(analytic.probabilities, dense.probabilities):
+            assert a == pytest.approx(b, abs=1e-10)
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -161,6 +193,11 @@ class TestCompare:
         report = compare([("optimal", {}), ("pi3", {"max_depth": 7})], n=8)
         optimal, pi3 = report["algorithms"]
         assert pi3["to_threshold"]["queries"] >= 10 * optimal["to_threshold"]["queries_single"]
+
+    def test_multi_target_runs_on_m_targets(self):
+        report = compare([("optimal", {}), ("random-qaao", {"seed": 3})], n=8, m=4)
+        for algorithm in report["algorithms"]:
+            assert algorithm["final_probability"] == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_empty_spec_list(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from qaa.reference_tables import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS
 from qaa.schedules import (
+    BUILDERS,
     MAX_PI3_DEPTH,
     ParameterSequence,
+    build,
     fixed_point_sequence,
     generate_qaao_sequence,
     k_star,
@@ -16,7 +18,8 @@ from qaa.schedules import (
     optimal_sequence,
     pi3_failure_probability,
     pi3_matrix,
-    pi3_sequence,
+    pi3_queries,
+    pi3_series,
 )
 from qaa.subspace import (
     IterationParams,
@@ -59,6 +62,33 @@ class TestParameterSequence:
 
     def test_len(self):
         assert len(optimal_sequence(8)) == 13
+
+    def test_iterates_over_params(self):
+        seq = optimal_sequence(6)
+        assert list(seq) == list(seq.params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(BUILDERS)),
+        st.integers(4, 10),
+        st.integers(0, 2),
+        st.integers(0, 2**31 - 1),
+        st.floats(0.01, 0.99),
+        st.integers(1, 30),
+        st.integers(0, 4),
+    )
+    def test_json_roundtrip_every_kind(self, kind, n, log_m, seed, delta, length, steps):
+        seq = build(
+            kind, n, 2**log_m, seed=seed, delta=delta, length=length, steps=steps
+        )
+        assert seq.kind == kind
+        back = ParameterSequence.from_json(seq.to_json())
+        assert back == seq
+        assert back.to_json() == seq.to_json()
+
+    def test_build_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            build("pi3", 8)
 
 
 class TestOptimalSequence:
@@ -244,20 +274,47 @@ class TestFixedPoint:
             fixed_point_sequence(0, 0.1)
 
 
+def expand_pi3(depth: int) -> list[tuple[str, float]]:
+    """Reference pi/3 program: the flat primitive list in application order.
+
+    Level d+1 is level d, a pi/3 phase on the target, the adjoint of level d
+    (reversed, angles negated), a pi/3 phase about the initial state, and
+    level d again: 3^d - 1 primitives in all.
+    """
+    third = -math.pi / 3.0
+    ops: list[tuple[str, float]] = []
+    for _ in range(depth):
+        adjoint = [(kind, -angle) for kind, angle in reversed(ops)]
+        ops = ops + [("target", third)] + adjoint + [("initial", third)] + ops
+    return ops
+
+
+def expanded_matrix(ops: list[tuple[str, float]], theta0: float) -> np.ndarray:
+    s0 = np.array([math.sin(0.5 * theta0), math.cos(0.5 * theta0)])
+    u = np.eye(2, dtype=complex)
+    for kind, angle in ops:
+        if kind == "target":
+            prim = np.diag([np.exp(-1j * angle), 1.0])
+        else:
+            prim = np.eye(2, dtype=complex) - (1.0 - np.exp(-1j * angle)) * np.outer(s0, s0)
+        u = prim @ u
+    return u
+
+
 class TestPi3:
     def test_query_counts(self):
         for depth in range(0, 7):
-            assert pi3_sequence(depth).oracle_queries == (3**depth - 1) // 2
+            assert pi3_queries(depth) == (3**depth - 1) // 2
+            targets = sum(1 for kind, _ in expand_pi3(depth) if kind == "target")
+            assert pi3_queries(depth) == targets
 
     def test_depth_zero_is_identity(self):
-        program = pi3_sequence(0)
-        assert program.ops == ()
-        np.testing.assert_allclose(pi3_matrix(program, 0.3), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(pi3_matrix(0, 0.3), np.eye(2), atol=1e-15)
 
     def test_unitarity(self):
         theta0 = initial_angles(8).theta
         for depth in range(0, 6):
-            u = pi3_matrix(pi3_sequence(depth), theta0)
+            u = pi3_matrix(depth, theta0)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("n", [4, 8, 12])
@@ -275,20 +332,36 @@ class TestPi3:
         probs = [1.0 - pi3_failure_probability(d, theta0) for d in range(0, 8)]
         first = next(d for d, p in enumerate(probs) if p >= 0.9)
         assert first == 6
-        assert pi3_sequence(6).oracle_queries == 364
+        assert pi3_queries(6) == 364
+
+    def test_series_rows(self):
+        theta0 = initial_angles(8).theta
+        series = pi3_series(theta0, 7)
+        assert [r["depth"] for r in series] == list(range(8))
+        for r in series:
+            assert r["queries"] == pi3_queries(r["depth"])
+            assert r["probability"] == 1.0 - pi3_failure_probability(r["depth"], theta0)
+        assert len(pi3_series(theta0)) == MAX_PI3_DEPTH + 1
 
     def test_rejects_out_of_range_depth(self):
-        with pytest.raises(ValueError):
-            pi3_sequence(-1)
-        with pytest.raises(ValueError):
-            pi3_sequence(MAX_PI3_DEPTH + 1)
+        for bad in (-1, MAX_PI3_DEPTH + 1):
+            with pytest.raises(ValueError):
+                pi3_queries(bad)
+            with pytest.raises(ValueError):
+                pi3_matrix(bad, 0.3)
+
+    @pytest.mark.parametrize("depth", range(0, 6))
+    def test_matches_flat_expansion(self, depth):
+        for theta0 in (0.05, initial_angles(8).theta, 0.7, 1.5):
+            want = expanded_matrix(expand_pi3(depth), theta0)
+            np.testing.assert_allclose(pi3_matrix(depth, theta0), want, atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 4), st.floats(0.05, 1.5))
     def test_recursion_structure(self, depth, theta0):
-        # U_{m} = U_{m-1} S_t U_{m-1}^dagger S_s U_{m-1} as matrices
-        prev = pi3_matrix(pi3_sequence(depth - 1), theta0)
-        got = pi3_matrix(pi3_sequence(depth), theta0)
+        # U_{m} = U_{m-1} S_s U_{m-1}^dagger S_t U_{m-1} as matrices
+        prev = pi3_matrix(depth - 1, theta0)
+        got = pi3_matrix(depth, theta0)
         s0 = np.array([math.sin(0.5 * theta0), math.cos(0.5 * theta0)])
         phase = np.exp(1j * math.pi / 3.0)
         s_t = np.diag([phase, 1.0])

@@ -50,6 +50,13 @@ class TestOracleSpec:
         with pytest.raises(ValueError):
             OracleSpec(3, frozenset({bad}))
 
+    def test_standard(self):
+        assert OracleSpec.standard(3) == OracleSpec.single("000")
+        assert OracleSpec.standard(3, target="101") == OracleSpec.single("101")
+        assert OracleSpec.standard(3, 3).targets == {"000", "001", "010"}
+        with pytest.raises(ValueError):
+            OracleSpec.standard(3, 2, target="101")
+
     def test_big_endian(self):
         # leftmost character is qubit 0, the most significant bit
         assert OracleSpec.single("100").target_indices().tolist() == [4]
