@@ -33,8 +33,7 @@ from .schedules import (
 from .statevector import (
     OracleSpec,
     StateVector,
-    apply_diffusion,
-    apply_oracle_phase,
+    iterate_in_place,
     project_to_angles,
     sample_measurements,
     target_probability,

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from . import schedules, statevector as sv
 from .schedules import ParameterSequence
-from .subspace import (
-    IterationParams,
-    StateAngles,
-    apply_iteration,
-    coefficients,
-    increment,
-    initial_angles,
-)
+from .subspace import IterationParams, StateAngles, coefficients, initial_angles, step
 
 BACKENDS = ("analytic", "statevector")
 
@@ -93,6 +86,8 @@ class Trajectory:
     steps: tuple[StepRecord, ...]
     final_probability: float
     turning_index: Optional[int] = None
+    # The state a statevector run ended in; left out of eq, repr and serialization.
+    final_state: Optional[sv.StateVector] = field(default=None, repr=False, compare=False)
 
     @property
     def probabilities(self) -> list[float]:
@@ -171,14 +166,12 @@ def run_search(
     theta0 = angles.theta
     state = sv.uniform_state(n) if backend == "statevector" else None
     steps: list[StepRecord] = []
-    queries = 0
     for index, params in enumerate(seq.params, start=1):
-        delta = increment(params, angles, theta0)
         before = angles
-        angles = apply_iteration(params, angles, theta0)
+        angles, delta = step(params, angles, theta0)
         probability = angles.target_probability
         if state is not None:
-            state = sv.apply_iteration(state, params, oracle)
+            sv.iterate_in_place(state, params, oracle)
             measured = sv.target_probability(state, oracle)
             _, leakage = sv.project_to_angles(state, oracle)
             if leakage > LEAKAGE_TOL:
@@ -191,7 +184,6 @@ def run_search(
                     f"statevector {measured} vs analytic {probability}"
                 )
             probability = measured
-        queries += seq.queries_per_iteration
         steps.append(
             StepRecord(
                 index=index,
@@ -200,7 +192,7 @@ def run_search(
                 probability_after=probability,
                 increment=delta,
                 qaao_flag=delta > 0.0,
-                cumulative_queries=queries,
+                cumulative_queries=index * seq.queries_per_iteration,
             )
         )
     final = steps[-1].probability_after if steps else initial_angles(n, m).target_probability
@@ -211,6 +203,7 @@ def run_search(
         steps=tuple(steps),
         final_probability=final,
         turning_index=_turning_index(tuple(steps)),
+        final_state=state,
     )
 
 

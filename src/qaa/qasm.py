@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .statevector import OracleSpec, StateVector
+from .statevector import MAX_QUBITS, OracleSpec, StateVector, evolve
 
 
 def export_circuit(seq, oracle: OracleSpec) -> str:
@@ -70,7 +70,7 @@ def _diffusion_gate(n: int, beta: float) -> Iterable[str]:
 
 _QUBIT_RE = re.compile(r"^qubit\[(\d+)\] q;$")
 _ONE_Q_RE = re.compile(r"^(h|x) q\[(\d+)\];$")
-_P_RE = re.compile(r"^p\(([^)]+)\) q\[(\d+)\];$")
+_P_RE = re.compile(r"^p\(([^)]+)\) (q\[\d+\]);$")
 _MCP_RE = re.compile(r"^ctrl\(\d+\) @ p\(([^)]+)\) (.+);$")
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -97,26 +97,23 @@ def replay_circuit(source: str) -> StateVector:
             continue
         if (m := _QUBIT_RE.match(line)) is not None:
             n = int(m.group(1))
+            if n > MAX_QUBITS:
+                raise ValueError(f"qubit count must be at most {MAX_QUBITS}, got {n}")
             amps = np.zeros(2**n, dtype=complex)
             amps[0] = 1.0
+            index = np.arange(2**n)
             continue
         if amps is None or n is None:
             raise ValueError(f"gate before qubit declaration: {line!r}")
         if (m := _ONE_Q_RE.match(line)) is not None:
             gate = _H if m.group(1) == "h" else _X
             amps = _apply_one_qubit(amps, n, gate.astype(complex), int(m.group(2)))
-        elif (m := _P_RE.match(line)) is not None:
-            angle, qubit = float(m.group(1)), int(m.group(2))
-            mask = (np.arange(2**n) >> (n - 1 - qubit)) & 1
-            amps = np.where(mask == 1, amps * np.exp(1j * angle), amps)
-        elif (m := _MCP_RE.match(line)) is not None:
-            angle = float(m.group(1))
-            qubits = [int(q) for q in re.findall(r"q\[(\d+)\]", m.group(2))]
-            index = np.arange(2**n)
+        elif (m := _P_RE.match(line) or _MCP_RE.match(line)) is not None:
+            # The phase acts on the basis states whose listed qubits are all 1.
             selected = np.ones(2**n, dtype=bool)
-            for q in qubits:
-                selected &= ((index >> (n - 1 - q)) & 1) == 1
-            amps = np.where(selected, amps * np.exp(1j * angle), amps)
+            for q in re.findall(r"q\[(\d+)\]", m.group(2)):
+                selected &= ((index >> (n - 1 - int(q))) & 1) == 1
+            amps = np.where(selected, amps * np.exp(1j * float(m.group(1))), amps)
         else:
             raise ValueError(f"unsupported statement: {line!r}")
     if amps is None or n is None:
@@ -126,14 +123,8 @@ def replay_circuit(source: str) -> StateVector:
 
 def roundtrip_deviation(seq, oracle: OracleSpec) -> float:
     """Max amplitude deviation, up to global phase, between export-replay and direct simulation."""
-    from .statevector import apply_iteration, uniform_state
-
-    state = uniform_state(oracle.n)
-    for p in seq:
-        state = apply_iteration(state, p, oracle)
-    replayed = replay_circuit(export_circuit(seq, oracle))
-    direct = state.amplitudes
-    other = replayed.amplitudes
+    direct = evolve(seq, oracle).amplitudes
+    other = replay_circuit(export_circuit(seq, oracle)).amplitudes
     k = int(np.argmax(np.abs(direct)))
     phase = other[k] / direct[k] if abs(direct[k]) > 0 else 1.0
     phase /= abs(phase)

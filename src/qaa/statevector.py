@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +28,7 @@ class OracleSpec:
 
     n: int
     targets: frozenset[str] = field(default_factory=frozenset)
+    _indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -40,6 +42,9 @@ class OracleSpec:
         for t in targets:
             if len(t) != self.n or set(t) - {"0", "1"}:
                 raise ValueError(f"target {t!r} is not an {self.n}-bit string")
+        indices = np.array(sorted(int(t, 2) for t in targets), dtype=np.intp)
+        indices.flags.writeable = False
+        object.__setattr__(self, "_indices", indices)
 
     @classmethod
     def single(cls, target: str) -> "OracleSpec":
@@ -63,7 +68,7 @@ class OracleSpec:
         return len(self.targets)
 
     def target_indices(self) -> np.ndarray:
-        return np.array(sorted(int(t, 2) for t in self.targets), dtype=np.intp)
+        return self._indices
 
 
 @dataclass(frozen=True)
@@ -99,29 +104,33 @@ def uniform_state(n: int) -> StateVector:
     return StateVector(n, np.full(big_n, big_n**-0.5, dtype=complex))
 
 
-def apply_oracle_phase(state: StateVector, oracle: OracleSpec, gamma: float) -> StateVector:
-    """Multiply every target amplitude by e^{-i*gamma}."""
-    _check_dims(state, oracle)
-    amps = state.amplitudes.copy()
-    amps[oracle.target_indices()] *= np.exp(-1j * gamma)
-    return StateVector(state.n, amps)
+def iterate_in_place(state: StateVector, params: IterationParams, oracle: OracleSpec) -> None:
+    """Apply G(beta, gamma) to the amplitudes of `state`, overwriting them.
 
-
-def apply_diffusion(state: StateVector, beta: float) -> StateVector:
-    """Phase rotation e^{-i*beta} about the uniform state.
-
-    Rank-1 update via the mean amplitude: a -> a - (1 - e^{-i*beta}) * mean,
-    exact and O(2^n).
+    R(gamma) multiplies every target amplitude by e^{-i*gamma}; D(beta), the phase
+    rotation about the uniform state, is the exact rank-1 update a -= (1 - e^{-i*beta}) * mean.
     """
-    mean = state.amplitudes.mean()
-    return StateVector(state.n, state.amplitudes - (1.0 - np.exp(-1j * beta)) * mean)
+    _check_dims(state, oracle)
+    amps = state.amplitudes
+    amps[oracle.target_indices()] *= np.exp(-1j * params.gamma)
+    amps -= (1.0 - np.exp(-1j * params.beta)) * amps.mean()
 
 
 def apply_iteration(
     state: StateVector, params: IterationParams, oracle: OracleSpec
 ) -> StateVector:
-    """One full iteration: oracle phase R(gamma) first, then diffusion D(beta)."""
-    return apply_diffusion(apply_oracle_phase(state, oracle, params.gamma), params.beta)
+    """One iteration G(beta, gamma) on a copy of `state`."""
+    out = StateVector(state.n, state.amplitudes.copy())
+    iterate_in_place(out, params, oracle)
+    return out
+
+
+def evolve(seq: Iterable[IterationParams], oracle: OracleSpec) -> StateVector:
+    """The uniform state after every iteration of `seq`, in order."""
+    state = uniform_state(oracle.n)
+    for params in seq:
+        iterate_in_place(state, params, oracle)
+    return state
 
 
 def target_probability(state: StateVector, oracle: OracleSpec) -> float:

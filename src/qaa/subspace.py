@@ -11,6 +11,7 @@ optimal parameters, and the geometry of the positive-increment region.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -81,7 +82,7 @@ class StateAngles:
         theta = 2.0 * math.atan2(r_t, r_p)
         if r_t * r_t < _POLE_EPS or r_p * r_p < _POLE_EPS:
             return cls(theta, 0.0)
-        phi = np.angle(a_target) - np.angle(a_perp)
+        phi = cmath.phase(a_target) - cmath.phase(a_perp)
         return cls(theta, wrap_2pi(phi))
 
 
@@ -190,31 +191,39 @@ def iteration_matrix(params: IterationParams, theta0: float) -> np.ndarray:
     return diffusion_matrix(params.beta, theta0) @ oracle
 
 
-def increment(params: IterationParams, state: StateAngles, theta0: float) -> float:
-    """Change in target probability caused by one iteration.
+def step(params: IterationParams, state: StateAngles, theta0: float) -> tuple[StateAngles, float]:
+    """Angles of G(beta, gamma)|s> (global phase discarded) and the increment.
 
-    Computed both from the closed form and from the 2x2 matrix action; the
-    two must agree to ALGEBRAIC_TOL or a ModelConsistencyError is raised.
-    Returns the matrix-product value.
+    Applies the factors of iteration_matrix to the amplitude pair (a_t,
+    a_perp).  The increment, the change in target probability, must agree
+    with the closed form to ALGEBRAIC_TOL or a ModelConsistencyError is raised.
     """
+    half = 0.5 * state.theta
+    a_t = cmath.exp(-1j * params.gamma) * (cmath.exp(1j * state.phi) * math.sin(half))
+    a_perp = math.cos(half)
+    s_t, s_perp = math.sin(0.5 * theta0), math.cos(0.5 * theta0)
+    overlap = (1.0 - cmath.exp(-1j * params.beta)) * (s_t * a_t + s_perp * a_perp)
+    a_t -= overlap * s_t
+    a_perp -= overlap * s_perp
+    matrix = abs(a_t) ** 2 - state.target_probability
     coef = coefficients(params, state, theta0)
     closed = coef.a * math.cos(state.theta) + coef.b * math.sin(state.theta)
-    after = iteration_matrix(params, theta0) @ state.amplitudes()
-    matrix = float(abs(after[0]) ** 2) - state.target_probability
-    if abs(matrix - closed) > 1e-12:
+    if abs(matrix - closed) > ALGEBRAIC_TOL:
         raise ModelConsistencyError(
             f"closed-form increment {closed!r} deviates from matrix value "
             f"{matrix!r} at params={params}, state={state}, theta0={theta0}"
         )
-    return matrix
+    return StateAngles.from_amplitudes(a_t, a_perp), matrix
 
 
-def apply_iteration(
-    params: IterationParams, state: StateAngles, theta0: float
-) -> StateAngles:
-    """Angles of G(beta, gamma)|s>, global phase discarded."""
-    after = iteration_matrix(params, theta0) @ state.amplitudes()
-    return StateAngles.from_amplitudes(after[0], after[1])
+def increment(params: IterationParams, state: StateAngles, theta0: float) -> float:
+    """Change in target probability caused by one iteration (see step)."""
+    return step(params, state, theta0)[1]
+
+
+def apply_iteration(params: IterationParams, state: StateAngles, theta0: float) -> StateAngles:
+    """Angles of G(beta, gamma)|s>, global phase discarded (see step)."""
+    return step(params, state, theta0)[0]
 
 
 def is_qaao(

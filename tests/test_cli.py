@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qaa import statevector as sv
 from qaa.cli import main
 
 
@@ -107,6 +108,19 @@ class TestSearch:
         assert code == 0
         hist = json.loads((tmp_path / "traj.csv.hist.json").read_text())
         assert hist == {"1010": 100}
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
+    def test_shots_evolve_the_state_once(self, capsys, monkeypatch, backend):
+        # 201 iterations: the statevector run's final state is sampled, the
+        # analytic run evolves a dense state once.
+        calls = []
+        kernel = sv.iterate_in_place
+        monkeypatch.setattr(sv, "iterate_in_place", lambda *a: calls.append(a) or kernel(*a))
+        code, _, _ = run_cli(
+            capsys, "search", "optimal", "--n", "16", "--backend", backend, "--shots", "10"
+        )
+        assert code == 0
+        assert len(calls) == 201
 
     def test_deterministic_byte_identical(self, capsys):
         outputs = [

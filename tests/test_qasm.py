@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from qaa.qasm import export_circuit, replay_circuit, roundtrip_deviation
 from qaa.schedules import fixed_point_sequence, optimal_sequence
-from qaa.statevector import OracleSpec, apply_iteration, uniform_state
+from qaa.statevector import MAX_QUBITS, OracleSpec, apply_iteration, uniform_state
 from qaa.subspace import IterationParams
 
 ANGLE = st.floats(-math.pi, math.pi)
+TARGET = st.integers(1, 5).flatmap(
+    lambda n: st.integers(0, 2**n - 1).map(lambda i: format(i, f"0{n}b"))
+)
 
 
 class TestExport:
@@ -64,13 +67,17 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay_circuit("OPENQASM 3.0;\nqubit[1] q;\ncz q[0], q[1];\n")
 
+    def test_rejects_register_above_cap(self):
+        with pytest.raises(ValueError, match="at most"):
+            replay_circuit(f"OPENQASM 3.0;\nqubit[{MAX_QUBITS + 1}] q;\n")
+
 
 class TestRoundTrip:
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.tuples(ANGLE, ANGLE), max_size=3))
-    def test_random_sequences(self, pairs):
+    @given(TARGET, st.lists(st.tuples(ANGLE, ANGLE), max_size=3))
+    def test_random_sequences(self, target, pairs):
         seq = [IterationParams(b, g) for b, g in pairs]
-        assert roundtrip_deviation(seq, OracleSpec.single("101")) < 1e-9
+        assert roundtrip_deviation(seq, OracleSpec.single(target)) < 1e-9
 
     def test_optimal_schedule_n5(self):
         assert roundtrip_deviation(optimal_sequence(5), OracleSpec.single("10110")) < 1e-9

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qaa.engine import run_search
+from qaa.schedules import optimal_sequence
 from qaa.statevector import (
     OracleSpec,
-    apply_diffusion,
+    StateVector,
     apply_iteration,
-    apply_oracle_phase,
+    evolve,
+    iterate_in_place,
     project_to_angles,
     sample_measurements,
     target_probability,
@@ -75,26 +78,27 @@ class TestUniformState:
 
 
 class TestAgainstDenseExponentials:
+    # D(0) and R(0) are exact identities, so beta=0 isolates the oracle
+    # phase and gamma=0 the diffusion.
     @settings(max_examples=30, deadline=None)
     @given(ANGLE)
     def test_oracle_matches_expm(self, gamma):
         spec = OracleSpec(3, frozenset({"101", "010"}))
         sv = uniform_state(3)
-        got = apply_oracle_phase(sv, spec, gamma)
         want = dense_oracle(3, spec.targets, gamma) @ sv.amplitudes
-        np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+        iterate_in_place(sv, IterationParams(0.0, gamma), spec)
+        np.testing.assert_allclose(sv.amplitudes, want, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(ANGLE)
     def test_diffusion_matches_expm(self, beta):
-        sv = uniform_state(3)
         rng = np.random.default_rng(0)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        sv = type(sv)(3, amps)
-        got = apply_diffusion(sv, beta)
+        sv = StateVector(3, amps.copy())
+        iterate_in_place(sv, IterationParams(beta, 0.0), OracleSpec.single("011"))
         want = dense_diffusion(3, beta) @ amps
-        np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+        np.testing.assert_allclose(sv.amplitudes, want, atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(ANGLE, ANGLE)
@@ -104,6 +108,41 @@ class TestAgainstDenseExponentials:
         got = apply_iteration(sv, IterationParams(beta, gamma), spec)
         want = dense_diffusion(3, beta) @ dense_oracle(3, spec.targets, gamma) @ sv.amplitudes
         np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+
+
+class TestInPlace:
+    def test_apply_iteration_leaves_its_input(self):
+        spec = OracleSpec.single("110")
+        sv = uniform_state(3)
+        out = apply_iteration(sv, IterationParams(math.pi, math.pi), spec)
+        np.testing.assert_array_equal(sv.amplitudes, np.full(8, 8**-0.5))
+        iterate_in_place(sv, IterationParams(math.pi, math.pi), spec)
+        np.testing.assert_array_equal(sv.amplitudes, out.amplitudes)
+
+    def test_evolve_matches_repeated_iterations(self):
+        spec = OracleSpec.single("0110")
+        seq = [IterationParams(2.1, -0.7), IterationParams(-1.3, 0.4)]
+        want = uniform_state(4)
+        for p in seq:
+            want = apply_iteration(want, p, spec)
+        np.testing.assert_array_equal(evolve(seq, spec).amplitudes, want.amplitudes)
+        np.testing.assert_array_equal(evolve([], spec).amplitudes, uniform_state(4).amplitudes)
+
+    def test_rejects_mismatched_oracle(self):
+        with pytest.raises(ValueError):
+            iterate_in_place(uniform_state(3), IterationParams(1.0, 1.0), OracleSpec.single("10"))
+
+    def test_target_indices_are_read_only(self):
+        with pytest.raises(ValueError):
+            OracleSpec.single("110").target_indices()[0] = 0
+
+
+class TestLargeDense:
+    def test_optimal_n18_m64(self):
+        # run_search raises unless the leakage (1e-12) and backend agreement
+        # (1e-10) checks hold on every one of the 50 steps.
+        traj = run_search(optimal_sequence(18, 64), OracleSpec.standard(18, 64), "statevector")
+        assert traj.final_probability == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGrover:

@@ -18,6 +18,7 @@ from qaa.subspace import (
     optimal_params,
     qaao_region_fraction,
     region_boundary,
+    step,
     wrap_pi,
 )
 
@@ -160,6 +161,17 @@ class TestIterationMatrix:
         phase = got[0, 0] / grover[0, 0]
         assert abs(abs(phase) - 1.0) < 1e-12
         np.testing.assert_allclose(got, phase * grover, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANGLE, ANGLE, THETA, PHI, st.floats(0.05, 1.5))
+    def test_step_matches_matrix(self, beta, gamma, theta, phi, theta0):
+        p = IterationParams(beta, gamma)
+        s = StateAngles(theta, phi)
+        after = iteration_matrix(p, theta0) @ s.amplitudes()
+        got, delta = step(p, s, theta0)
+        want = StateAngles.from_amplitudes(after[0], after[1])
+        np.testing.assert_allclose(got.amplitudes(), want.amplitudes(), rtol=0, atol=1e-12)
+        assert delta == pytest.approx(abs(after[0]) ** 2 - s.target_probability, abs=1e-12)
 
     @settings(max_examples=500, deadline=None)
     @given(ANGLE, ANGLE, st.floats(1e-3, math.pi - 1e-3))
