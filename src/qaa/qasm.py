@@ -70,23 +70,28 @@ def _diffusion_gate(n: int, beta: float) -> Iterable[str]:
 
 _QUBIT_RE = re.compile(r"^qubit\[(\d+)\] q;$")
 _ONE_Q_RE = re.compile(r"^(h|x) q\[(\d+)\];$")
-_P_RE = re.compile(r"^p\(([^)]+)\) (q\[\d+\]);$")
-_MCP_RE = re.compile(r"^ctrl\(\d+\) @ p\(([^)]+)\) (.+);$")
+_PHASE_RE = re.compile(r"^(?:ctrl\((\d+)\) @ )?p\(([^)]+)\) (q\[\d+\](?:, q\[\d+\])*);$")
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_R = 1.0 / math.sqrt(2.0)
 
 
-def _apply_one_qubit(amps: np.ndarray, n: int, gate: np.ndarray, qubit: int) -> np.ndarray:
-    # Big-endian: qubit 0 is the leading tensor axis.
-    shaped = amps.reshape((2,) * n)
-    shaped = np.moveaxis(shaped, qubit, 0)
-    shaped = np.tensordot(gate, shaped, axes=([1], [0]))
-    return np.moveaxis(shaped, 0, qubit).reshape(-1)
+def _qubit(text: str, n: int, line: str) -> int:
+    q = int(text)
+    if q >= n:
+        raise ValueError(f"qubit q[{q}] outside the register qubit[{n}]: {line!r}")
+    return q
 
 
 def replay_circuit(source: str) -> StateVector:
-    """Simulate a program emitted by export_circuit, starting from |0...0>."""
+    """Simulate a program emitted by export_circuit, starting from |0...0>.
+
+    Every gate updates one amplitude buffer in place through reshaped views.
+    An `x` moves no amplitudes: it toggles the qubit's pending flip bit, so
+    that the true amplitude at basis index i is the stored one at i XOR the
+    flips.  An `h` on a flipped qubit uses H X = Z H and clears the bit; a
+    phase selects the stored slice where each listed qubit equals 1 XOR its
+    flip.  Flips still pending at the end are applied once.
+    """
     n = None
     amps = None
     for raw in source.splitlines():
@@ -96,28 +101,54 @@ def replay_circuit(source: str) -> StateVector:
         if line in ("OPENQASM 3.0;", 'include "stdgates.inc";'):
             continue
         if (m := _QUBIT_RE.match(line)) is not None:
+            if amps is not None:
+                raise ValueError(f"second qubit declaration: {line!r}")
             n = int(m.group(1))
             if n > MAX_QUBITS:
                 raise ValueError(f"qubit count must be at most {MAX_QUBITS}, got {n}")
             amps = np.zeros(2**n, dtype=complex)
             amps[0] = 1.0
-            index = np.arange(2**n)
+            scratch = np.empty(2**n // 2, dtype=complex)
+            flips = [0] * n
             continue
         if amps is None or n is None:
             raise ValueError(f"gate before qubit declaration: {line!r}")
         if (m := _ONE_Q_RE.match(line)) is not None:
-            gate = _H if m.group(1) == "h" else _X
-            amps = _apply_one_qubit(amps, n, gate.astype(complex), int(m.group(2)))
-        elif (m := _P_RE.match(line) or _MCP_RE.match(line)) is not None:
+            q = _qubit(m.group(2), n, line)
+            if m.group(1) == "x":
+                flips[q] ^= 1
+                continue
+            # Big-endian: qubit q splits the index into (2^q, 2, rest).
+            pairs = amps.reshape(2**q, 2, -1)
+            lo, hi = pairs[:, 0], pairs[:, 1]
+            diff = scratch.reshape(lo.shape)
+            if flips[q]:  # H X = Z H: the |1> half takes the opposite sign
+                np.subtract(hi, lo, out=diff)
+            else:
+                np.subtract(lo, hi, out=diff)
+            lo += hi
+            hi[...] = diff
+            pairs *= _R
+            flips[q] = 0
+        elif (m := _PHASE_RE.match(line)) is not None:
+            qubits = [_qubit(q, n, line) for q in re.findall(r"q\[(\d+)\]", m.group(3))]
+            if len(qubits) != int(m.group(1) or 0) + 1:
+                raise ValueError(f"control count does not match the qubit list: {line!r}")
+            if len(set(qubits)) != len(qubits):
+                raise ValueError(f"repeated qubit in a phase gate: {line!r}")
             # The phase acts on the basis states whose listed qubits are all 1.
-            selected = np.ones(2**n, dtype=bool)
-            for q in re.findall(r"q\[(\d+)\]", m.group(2)):
-                selected &= ((index >> (n - 1 - int(q))) & 1) == 1
-            amps = np.where(selected, amps * np.exp(1j * float(m.group(1))), amps)
+            where = [slice(None)] * n
+            for q in qubits:
+                where[q] = 1 ^ flips[q]
+            amps.reshape((2,) * n)[tuple(where)] *= np.exp(1j * float(m.group(2)))
         else:
             raise ValueError(f"unsupported statement: {line!r}")
     if amps is None or n is None:
         raise ValueError("no qubit declaration found")
+    if any(flips):
+        # Reversing a length-2 axis flips that qubit's bit of every index.
+        unflip = tuple(slice(None, None, -1 if f else 1) for f in flips)
+        amps = amps.reshape((2,) * n)[unflip].reshape(-1)
     return StateVector(n, amps)
 
 

@@ -326,10 +326,13 @@ def pi3_matrix(depth: int, theta0: float) -> np.ndarray:
 def pi3_failure_probability(depth: int, theta0: float) -> float:
     """1 - (target probability) after running the depth-d program from |s0>.
 
-    Equals epsilon^(3^d) with epsilon the initial failure probability.
+    Equals epsilon^(3^d) with epsilon the initial failure probability.  It is
+    read off the |t_perp> amplitude, not as 1 - |a_t|^2, so it does not
+    cancel against 1; below about 1e-10 the rounding of the 2x2 products
+    sets the floor (relative error 3e-8 at n=8, depth 8, value 7e-12).
     """
     final = pi3_matrix(depth, theta0) @ StateAngles(theta0).amplitudes()
-    return 1.0 - float(abs(final[0]) ** 2)
+    return float(abs(final[1]) ** 2)
 
 
 def pi3_series(theta0: float, max_depth: int = MAX_PI3_DEPTH) -> list[dict]:

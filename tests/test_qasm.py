@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaa.qasm import export_circuit, replay_circuit, roundtrip_deviation
@@ -14,6 +15,66 @@ ANGLE = st.floats(-math.pi, math.pi)
 TARGET = st.integers(1, 5).flatmap(
     lambda n: st.integers(0, 2**n - 1).map(lambda i: format(i, f"0{n}b"))
 )
+
+# Reference replay: every gate rebuilds the whole vector.  One-qubit gates
+# go through moveaxis + tensordot, and a phase multiplies the entries of a
+# boolean mask over all basis indices.  A program is a list of ("h", q),
+# ("x", q) and ("p", angle, qubits) gates, run from |0...0>.
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _apply_one_qubit(amps, n, gate, qubit):
+    # Big-endian: qubit 0 is the leading tensor axis.
+    shaped = np.moveaxis(amps.reshape((2,) * n), qubit, 0)
+    shaped = np.tensordot(gate, shaped, axes=([1], [0]))
+    return np.moveaxis(shaped, 0, qubit).reshape(-1)
+
+
+def reference_replay(n, gates):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    index = np.arange(2**n)
+    for gate in gates:
+        if gate[0] == "p":
+            _, angle, qubits = gate
+            selected = np.ones(2**n, dtype=bool)
+            for q in qubits:
+                selected &= ((index >> (n - 1 - q)) & 1) == 1
+            amps = np.where(selected, amps * np.exp(1j * angle), amps)
+        else:
+            matrix = _H if gate[0] == "h" else _X
+            amps = _apply_one_qubit(amps, n, matrix.astype(complex), gate[1])
+    return amps
+
+
+def render(n, gates):
+    """The program as OpenQASM text, in the syntax export_circuit emits."""
+    lines = ["OPENQASM 3.0;", 'include "stdgates.inc";', f"qubit[{n}] q;"]
+    for gate in gates:
+        if gate[0] == "p":
+            _, angle, qubits = gate
+            ctrl = f"ctrl({len(qubits) - 1}) @ " if len(qubits) > 1 else ""
+            lines.append(f"{ctrl}p({angle!r}) " + ", ".join(f"q[{q}]" for q in qubits) + ";")
+        else:
+            lines.append(f"{gate[0]} q[{gate[1]}];")
+    return "\n".join(lines) + "\n"
+
+
+def _program(n):
+    qubit = st.integers(0, n - 1)
+    gate = st.one_of(
+        st.tuples(st.sampled_from(["h", "x"]), qubit),
+        st.tuples(st.just("p"), ANGLE, st.lists(qubit, min_size=1, max_size=n, unique=True)),
+    )
+    # A uniform start, a random body, then trailing x gates left pending.
+    start = [("h", q) for q in range(n)]
+    body = st.lists(gate, max_size=16)
+    tail = st.lists(qubit.map(lambda q: ("x", q)), max_size=3)
+    return st.tuples(st.just(n), st.builds(lambda b, t: start + b + t, body, tail))
+
+
+PROGRAM = st.integers(1, 5).flatmap(_program)
 
 
 class TestExport:
@@ -70,6 +131,32 @@ class TestReplay:
     def test_rejects_register_above_cap(self):
         with pytest.raises(ValueError, match="at most"):
             replay_circuit(f"OPENQASM 3.0;\nqubit[{MAX_QUBITS + 1}] q;\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "p(0.5) q[7];",  # phase outside the register
+            "ctrl(1) @ p(0.5) q[0], q[2];",
+            "ctrl(5) @ p(0.5) q[0], q[1];",  # control count
+            "p(0.5) q[0], q[1];",
+            "ctrl(1) @ p(0.5) q[0] junk q[1];",
+            "ctrl(1) @ p(0.5) q[0], q[0];",
+            "qubit[2] q;",  # second declaration
+            "h q[2];",
+            "x q[5];",
+        ],
+    )
+    def test_rejects_malformed_line(self, line):
+        with pytest.raises(ValueError, match=re.escape(line)):
+            replay_circuit(f"OPENQASM 3.0;\nqubit[2] q;\nh q[0];\n{line}\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(PROGRAM)
+    @example((2, [("h", 0), ("h", 1), ("x", 0), ("p", 0.7, [0, 1]), ("h", 0), ("x", 1)]))
+    def test_matches_reference_replay(self, program):
+        n, gates = program
+        got = replay_circuit(render(n, gates)).amplitudes
+        np.testing.assert_allclose(got, reference_replay(n, gates), rtol=0, atol=1e-12)
 
 
 class TestRoundTrip:
