@@ -15,7 +15,14 @@ from typing import Optional, Sequence
 
 from . import schedules, statevector as sv
 from .schedules import ParameterSequence
-from .subspace import IterationParams, StateAngles, coefficients, initial_angles, step
+from .subspace import (
+    IterationParams,
+    StateAngles,
+    amplification_terms,
+    initial_angles,
+    step,
+    wrap_2pi,
+)
 
 BACKENDS = ("analytic", "statevector")
 
@@ -220,15 +227,19 @@ def classify(traj: Trajectory, c: Optional[float] = None) -> Trajectory:
     if traj.n is None:
         raise ValueError("cannot classify a trajectory without a register size")
     theta0 = initial_angles(traj.n, traj.m).theta
+    cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
     threshold = 0.0 if c is None else c / math.sqrt(2**traj.n)
-    steps = tuple(
-        replace(
-            s,
-            qaao_flag=coefficients(s.params, s.state_before, theta0).b > threshold,
+    steps = []
+    for s in traj.steps:
+        varphi = wrap_2pi(s.state_before.phi - s.params.gamma)
+        b = amplification_terms(s.params.beta, varphi, cos_theta0, sin_theta0)[1]
+        steps.append(
+            StepRecord(
+                s.index, s.state_before, s.params, s.probability_after,
+                s.increment, b > threshold, s.cumulative_queries,
+            )
         )
-        for s in traj.steps
-    )
-    return replace(traj, steps=steps)
+    return replace(traj, steps=tuple(steps))
 
 
 def grover_baseline(n: int, m: int = 1, steps: int = 1) -> Trajectory:

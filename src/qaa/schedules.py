@@ -24,11 +24,12 @@ import numpy as np
 from .subspace import (
     IterationParams,
     StateAngles,
+    amplification_terms,
     apply_iteration,
     diffusion_matrix,
     initial_angles,
-    is_qaao,
     optimal_params,
+    wrap_2pi,
     wrap_pi,
 )
 
@@ -42,6 +43,18 @@ PI3 = "pi3"
 
 #: Error budget of a fixed-point schedule built without one (the reference table's).
 FIXED_POINT_DELTA = 0.316
+
+#: Largest register the generators accept: K* is about 51k steps at n = 32.
+MAX_SCHEDULE_QUBITS = 32
+
+#: Uniform values drawn per generator call by the random-qaao sampler (even,
+#: so that no (beta, gamma) pair straddles two blocks).
+_DRAW_BLOCK = 512
+
+
+def _check_qubits(n: int) -> None:
+    if n > MAX_SCHEDULE_QUBITS:
+        raise ValueError(f"qubit count must be at most {MAX_SCHEDULE_QUBITS}, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -120,39 +133,52 @@ def generate_qaao_sequence(
 
     Draws (beta, gamma) uniformly on [-pi, pi]^2 and keeps a draw only when
     the amplification coefficient at the currently evolved state exceeds
-    c/sqrt(N).  Once the state enters the closing region the exact optimal
-    step is appended when target_threshold is 1; otherwise sampling stops as
-    soon as the target probability reaches the threshold.  Deterministic for
-    a fixed seed.
+    c/sqrt(N); max_attempts bounds the draws per step.  Sampling stops as
+    soon as the target probability reaches target_threshold; if the state
+    enters the closing region first, the exact optimal step is appended,
+    which drives the target probability to 1.  Deterministic for a fixed
+    seed.
+
+    The draws come in blocks of _DRAW_BLOCK values from one generator and
+    are consumed in (beta, gamma) pairs in stream order, so the schedule is
+    the one that per-pair `rng.uniform(-pi, pi, 2)` calls give; a rejected
+    pair is tested on plain floats and builds no objects.
     """
+    _check_qubits(n)
     if c <= 1.0:
         raise ValueError(f"the predicate constant must exceed 1, got c={c}")
     if not 0.0 < target_threshold <= 1.0:
         raise ValueError(f"target_threshold must lie in (0, 1], got {target_threshold}")
-    exact = target_threshold >= 1.0
     rng = np.random.default_rng(seed)
+    draws: list[float] = []
+    pos = 0
     state = initial_angles(n, m)
     theta0 = state.theta
+    cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
     big_n = 2**n
+    bound = c / math.sqrt(big_n)
+    exact = target_threshold >= 1.0
     params: list[IterationParams] = []
-    while True:
-        if not exact and state.target_probability >= target_threshold:
-            break
+    while exact or state.target_probability < target_threshold:
         if state.theta >= math.pi - 2.0 * theta0:
-            if exact:
-                closing = optimal_params(state, theta0)
-                params.append(closing)
-                state = apply_iteration(closing, state, theta0)
+            params.append(optimal_params(state, theta0))
             break
+        phi = state.phi
         for _ in range(max_attempts):
-            candidate = IterationParams(*rng.uniform(-math.pi, math.pi, 2))
-            if is_qaao(candidate, state, theta0, big_n, c):
+            if pos == len(draws):
+                draws = rng.uniform(-math.pi, math.pi, _DRAW_BLOCK).tolist()
+                pos = 0
+            beta, gamma = draws[pos], draws[pos + 1]
+            pos += 2
+            varphi = wrap_2pi(phi - gamma)
+            if amplification_terms(beta, varphi, cos_theta0, sin_theta0)[1] > bound:
                 break
         else:
             raise RuntimeError(
                 f"no amplifying parameters found in {max_attempts} draws; "
                 f"c={c} is likely too demanding for N={big_n}"
             )
+        candidate = IterationParams(beta, gamma)
         params.append(candidate)
         state = apply_iteration(candidate, state, theta0)
     return ParameterSequence(
@@ -166,6 +192,7 @@ def optimal_sequence(n: int, m: int = 1) -> ParameterSequence:
     Valid in the regime 4*m <= N.  The closing parameters are computed at
     the evolved state and drive the target probability to exactly 1.
     """
+    _check_qubits(n)
     if 4 * m > 2**n:
         raise ValueError(f"need 4*m <= 2^n, got m={m}, n={n}")
     state = initial_angles(n, m)
@@ -195,6 +222,7 @@ def noisy_optimal_sequence(
     leading parameters are (pi, pi) (mod 2*pi), so for small delta the
     draws stay inside [pi - delta, pi + delta] as in the noiseless case.
     """
+    _check_qubits(n)
     if not 0.0 <= delta < 0.5 * math.pi:
         raise ValueError(f"delta must lie in [0, pi/2), got {delta}")
     if 4 * m > 2**n:
@@ -323,6 +351,18 @@ def pi3_matrix(depth: int, theta0: float) -> np.ndarray:
     return u
 
 
+def _pi3_probabilities(depth: int, theta0: float) -> tuple[float, float]:
+    """(|a_t|^2, |a_perp|^2) after running the depth-d program from |s0>.
+
+    Both are divided by their sum, so that they add up to 1 to rounding; the
+    2x2 products lose up to about 1e-13 of the norm by depth 8.
+    """
+    final = pi3_matrix(depth, theta0) @ StateAngles(theta0).amplitudes()
+    p_target, p_perp = float(abs(final[0]) ** 2), float(abs(final[1]) ** 2)
+    norm = p_target + p_perp
+    return p_target / norm, p_perp / norm
+
+
 def pi3_failure_probability(depth: int, theta0: float) -> float:
     """1 - (target probability) after running the depth-d program from |s0>.
 
@@ -331,17 +371,20 @@ def pi3_failure_probability(depth: int, theta0: float) -> float:
     cancel against 1; below about 1e-10 the rounding of the 2x2 products
     sets the floor (relative error 3e-8 at n=8, depth 8, value 7e-12).
     """
-    final = pi3_matrix(depth, theta0) @ StateAngles(theta0).amplitudes()
-    return float(abs(final[1]) ** 2)
+    return _pi3_probabilities(depth, theta0)[1]
 
 
 def pi3_series(theta0: float, max_depth: int = MAX_PI3_DEPTH) -> list[dict]:
-    """Oracle queries and success probability of every depth 0..max_depth."""
+    """Oracle queries and success probability of every depth 0..max_depth.
+
+    The probability is read off the |t> amplitude, so a small one keeps its
+    relative precision; it and pi3_failure_probability add up to 1.
+    """
     return [
         {
             "depth": depth,
             "queries": pi3_queries(depth),
-            "probability": 1.0 - pi3_failure_probability(depth, theta0),
+            "probability": _pi3_probabilities(depth, theta0)[0],
         }
         for depth in range(max_depth + 1)
     ]

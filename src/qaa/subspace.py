@@ -134,14 +134,24 @@ def coefficients(
         a = sin^2(beta/2) sin^2(theta0)
     """
     varphi = wrap_2pi(state.phi - params.gamma)
-    half = 0.5 * params.beta
-    sin_half = math.sin(half)
-    c = math.cos(half) * math.sin(varphi) + sin_half * math.cos(varphi) * math.cos(
-        theta0
-    )
-    b = -c * sin_half * math.sin(theta0)
-    a = sin_half**2 * math.sin(theta0) ** 2
+    sin_theta0 = math.sin(theta0)
+    c, b = amplification_terms(params.beta, varphi, math.cos(theta0), sin_theta0)
+    a = math.sin(0.5 * params.beta) ** 2 * sin_theta0**2
     return CoefficientSet(a=a, b=b, c_coef=c, varphi=varphi)
+
+
+def amplification_terms(
+    beta: float, varphi: float, cos_theta0: float, sin_theta0: float
+) -> tuple[float, float]:
+    """The pair (c, b) of `coefficients` on plain floats, varphi = phi - gamma.
+
+    The one scalar b formula: the QAAO predicate, the random-schedule sampler
+    and `engine.classify` all read b here.
+    """
+    half = 0.5 * beta
+    sin_half = math.sin(half)
+    c = math.cos(half) * math.sin(varphi) + sin_half * math.cos(varphi) * cos_theta0
+    return c, -c * sin_half * sin_theta0
 
 
 def amplification_coefficient(
@@ -239,7 +249,9 @@ def is_qaao(
     """
     if c <= 1.0:
         raise ValueError(f"the predicate constant must exceed 1, got c={c}")
-    return coefficients(params, state, theta0).b > c / math.sqrt(n_states)
+    varphi = wrap_2pi(state.phi - params.gamma)
+    b = amplification_terms(params.beta, varphi, math.cos(theta0), math.sin(theta0))[1]
+    return b > c / math.sqrt(n_states)
 
 
 def optimal_params(state: StateAngles, theta0: float) -> IterationParams:

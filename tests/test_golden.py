@@ -1,0 +1,44 @@
+"""Seeded CLI output must stay byte-identical to the saved golden files.
+
+Each file under tests/golden/ holds the stdout of one command as an earlier
+release printed it.  The determinism criterion compares repeated runs of one
+version; these files pin the output across versions.  Regenerate a file only
+for an intended change of output, with
+
+    PYTHONPATH=src python -m qaa.cli ARGS > tests/golden/NAME.out
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qaa.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "search_random_qaao_n12_seed7": "search random-qaao --n 12 --seed 7",
+    "search_random_qaao_n10_m4_seed3": "search random-qaao --n 10 --m 4 --seed 3",
+    "search_random_qaao_n9_c1_8_seed11": "search random-qaao --n 9 --c 1.8 --seed 11",
+    "search_random_qaao_n8_shots": (
+        "search random-qaao --n 8 --seed 5 --shots 50 --target 00010110"
+    ),
+    "search_random_qaao_n14_statevector": (
+        "search random-qaao --n 14 --seed 2 --backend statevector"
+    ),
+    "export_qasm_random_qaao_n5_seed3": "export-qasm random-qaao --n 5 --seed 3",
+    "export_qasm_random_qaao_n4_verify": "export-qasm random-qaao --n 4 --seed 1 --verify",
+    "search_noisy_optimal_delta0_3_seed4": "search noisy-optimal --delta 0.3 --seed 4",
+    "table_appendix": "table appendix",
+    "figure_fig1b": "figure fig1b",
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_matches_golden(name, capsys):
+    assert main(COMMANDS[name].split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()

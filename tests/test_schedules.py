@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaa.reference_tables import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS
 from qaa.schedules import (
     BUILDERS,
     MAX_PI3_DEPTH,
+    MAX_SCHEDULE_QUBITS,
     ParameterSequence,
     build,
     fixed_point_sequence,
@@ -128,6 +129,51 @@ class TestOptimalSequence:
             assert len(optimal_sequence(n)) <= math.pi / 4.0 * math.sqrt(2**n) + 1
 
 
+def reference_qaao(n, m=1, c=1.5, seed=0, target_threshold=1.0, max_attempts=10_000):
+    """The per-draw sampler the block sampler must reproduce.
+
+    One rng.uniform(-pi, pi, 2) call, one validated IterationParams and one
+    is_qaao test per draw; the closing step whenever the closing region
+    comes before the threshold.
+    """
+    rng = np.random.default_rng(seed)
+    state = initial_angles(n, m)
+    theta0 = state.theta
+    exact = target_threshold >= 1.0
+    params = []
+    while exact or state.target_probability < target_threshold:
+        if state.theta >= math.pi - 2.0 * theta0:
+            params.append(optimal_params(state, theta0))
+            break
+        for _ in range(max_attempts):
+            candidate = IterationParams(*rng.uniform(-math.pi, math.pi, 2))
+            if is_qaao(candidate, state, theta0, 2**n, c):
+                break
+        else:
+            raise RuntimeError("no amplifying parameters found")
+        params.append(candidate)
+        state = apply_iteration(candidate, state, theta0)
+    return tuple(params)
+
+
+@st.composite
+def qaao_settings(draw):
+    n = draw(st.integers(4, 16))
+    m = draw(st.integers(1, 2 ** (n - 2)))
+    c = draw(st.floats(1.0, 2.5, exclude_min=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    threshold = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    return n, m, c, seed, threshold
+
+
+def final_probability(seq):
+    state = initial_angles(seq.n, seq.m)
+    theta0 = state.theta
+    for p in seq.params:
+        state = apply_iteration(p, state, theta0)
+    return state.target_probability
+
+
 class TestRandomQaao:
     def test_each_step_satisfies_predicate(self):
         seq = generate_qaao_sequence(8, seed=3)
@@ -164,6 +210,48 @@ class TestRandomQaao:
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
             generate_qaao_sequence(8, c=0.5)
+
+    @pytest.mark.parametrize("threshold", [0.8, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [4, 5, 6, 8])
+    def test_reaches_partial_threshold(self, n, threshold):
+        # Reaching the closing region before the threshold takes the closing
+        # step (n=4, seed=0, 0.95 used to stop at 0.8894).
+        for seed in range(20):
+            seq = generate_qaao_sequence(n, seed=seed, target_threshold=threshold)
+            assert final_probability(seq) >= threshold
+
+    def test_unreachable_predicate_raises(self):
+        with pytest.raises(RuntimeError, match="10000 draws"):
+            generate_qaao_sequence(3, c=1.5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(qaao_settings())
+    @example((16, 1, 1.5, 0, 1.0))
+    @example((14, 3, 1.2, 7, 0.9))
+    def test_matches_per_draw_reference(self, setting):
+        n, m, c, seed, threshold = setting
+        try:
+            want = reference_qaao(n, m, c, seed, threshold)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                generate_qaao_sequence(n, m, c=c, seed=seed, target_threshold=threshold)
+            return
+        seq = generate_qaao_sequence(n, m, c=c, seed=seed, target_threshold=threshold)
+        assert seq.params == want
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        optimal_sequence,
+        lambda n: noisy_optimal_sequence(n, 0.1),
+        generate_qaao_sequence,
+    ],
+    ids=["optimal", "noisy-optimal", "random-qaao"],
+)
+def test_generators_cap_the_register(generate):
+    with pytest.raises(ValueError, match=f"at most {MAX_SCHEDULE_QUBITS}"):
+        generate(MAX_SCHEDULE_QUBITS + 1)
 
 
 class TestNoisyOptimal:
@@ -343,7 +431,12 @@ class TestPi3:
         assert [r["depth"] for r in series] == list(range(8))
         for r in series:
             assert r["queries"] == pi3_queries(r["depth"])
-            assert r["probability"] == 1.0 - pi3_failure_probability(r["depth"], theta0)
+            failure = pi3_failure_probability(r["depth"], theta0)
+            assert r["probability"] + failure == pytest.approx(1.0, abs=1e-15)
+        # A small probability keeps its relative precision (1 - failure would
+        # be 28 roundings off here).  One rounding is left: theta0 =
+        # 2 asin(1/16) gives sin(theta0/2) one rounding below 1/16.
+        assert series[0]["probability"] == pytest.approx(2**-8, rel=2**-52, abs=0.0)
         assert len(pi3_series(theta0)) == MAX_PI3_DEPTH + 1
 
     def test_rejects_out_of_range_depth(self):
