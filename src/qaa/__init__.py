@@ -46,12 +46,10 @@ from .subspace import (
     StateAngles,
     amplification_coefficient,
     apply_iteration,
-    closed_form_increment,
     coefficients,
     increment,
     initial_angles,
     is_qaao,
-    iteration_matrix,
     optimal_params,
     qaao_region_fraction,
     region_boundary,

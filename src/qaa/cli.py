@@ -33,6 +33,7 @@ from .subspace import (
     coefficients,
     increment,
     initial_angles,
+    is_qaao,
 )
 
 
@@ -58,7 +59,7 @@ def cmd_increment(args: argparse.Namespace) -> int:
     params = IterationParams(args.beta, args.gamma)
     delta = increment(params, state, theta0)
     coef = coefficients(params, state, theta0)
-    amplifying = coef.b > args.c / math.sqrt(2**args.n)
+    amplifying = is_qaao(params, state, theta0, 2**args.n, args.c)
     lines = [
         f"increment {delta:.6f}",
         f"A {coef.a:.6f}",
@@ -131,8 +132,10 @@ def _figure_region(args) -> dict:
 
     from .subspace import amplification_coefficient, region_boundary
 
-    theta0 = initial_angles(args.n, args.m).theta
     res = args.resolution
+    if res < 1:
+        raise ValueError(f"--resolution must be at least 1, got {res}")
+    theta0 = initial_angles(args.n, args.m).theta
     axis = np.linspace(-math.pi, math.pi, res, endpoint=False) + math.pi / res
     beta, gamma = np.meshgrid(axis, axis, indexing="ij")
     b = amplification_coefficient(beta, gamma, 0.0, theta0)
@@ -181,6 +184,8 @@ def _build_sequence(args, steps: int = 1) -> schedules.ParameterSequence:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.shots < 0:
+        raise ValueError(f"--shots must be non-negative, got {args.shots}")
     oracle = sv.OracleSpec.standard(args.n, args.m, args.target)
     if args.kind == schedules.PI3:
         rows = schedules.pi3_series(initial_angles(args.n, args.m).theta)

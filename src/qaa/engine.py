@@ -20,6 +20,7 @@ from .subspace import (
     StateAngles,
     amplification_terms,
     initial_angles,
+    qaao_bound,
     step,
     wrap_2pi,
 )
@@ -222,13 +223,11 @@ def classify(traj: Trajectory, c: Optional[float] = None) -> Trajectory:
     follow the realized increment sign instead, which is what the published
     reference tables tabulate.)
     """
-    if c is not None and c <= 1.0:
-        raise ValueError(f"the strict predicate needs c > 1, got c={c}")
     if traj.n is None:
         raise ValueError("cannot classify a trajectory without a register size")
+    threshold = 0.0 if c is None else qaao_bound(c, 2**traj.n)
     theta0 = initial_angles(traj.n, traj.m).theta
     cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
-    threshold = 0.0 if c is None else c / math.sqrt(2**traj.n)
     steps = []
     for s in traj.steps:
         varphi = wrap_2pi(s.state_before.phi - s.params.gamma)
@@ -244,8 +243,6 @@ def classify(traj: Trajectory, c: Optional[float] = None) -> Trajectory:
 
 def grover_baseline(n: int, m: int = 1, steps: int = 1) -> Trajectory:
     """Repeated standard iterations G(pi, pi): monotone up to the turning point."""
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
     seq = schedules.build(schedules.GROVER, n, m, steps=steps)
     return run_search(seq, sv.OracleSpec.standard(n, m))
 

@@ -7,13 +7,14 @@ fixed-point schedules.  `build(kind, n, m, **settings)` reaches each of
 them by kind name; the kind names are defined here and nowhere else.
 
 The pi/3 fixed-point recursion is not a (beta, gamma) schedule.  It is
-evaluated in closed form on the target plane: `pi3_matrix` builds its 2x2
-unitary level by level, `pi3_queries` counts its oracle calls and
-`pi3_series` tabulates both per depth.
+evaluated in closed form on the target plane: one scalar level loop builds
+its 2x2 unitaries, `pi3_matrix` returns one of them, `pi3_queries` counts
+its oracle calls and `pi3_series` tabulates both per depth.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -23,12 +24,12 @@ import numpy as np
 
 from .subspace import (
     IterationParams,
-    StateAngles,
     amplification_terms,
     apply_iteration,
-    diffusion_matrix,
+    diffuse,
     initial_angles,
     optimal_params,
+    qaao_bound,
     wrap_2pi,
     wrap_pi,
 )
@@ -145,8 +146,8 @@ def generate_qaao_sequence(
     pair is tested on plain floats and builds no objects.
     """
     _check_qubits(n)
-    if c <= 1.0:
-        raise ValueError(f"the predicate constant must exceed 1, got c={c}")
+    big_n = 2**n
+    bound = qaao_bound(c, big_n)
     if not 0.0 < target_threshold <= 1.0:
         raise ValueError(f"target_threshold must lie in (0, 1], got {target_threshold}")
     rng = np.random.default_rng(seed)
@@ -155,8 +156,6 @@ def generate_qaao_sequence(
     state = initial_angles(n, m)
     theta0 = state.theta
     cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
-    big_n = 2**n
-    bound = c / math.sqrt(big_n)
     exact = target_threshold >= 1.0
     params: list[IterationParams] = []
     while exact or state.target_probability < target_threshold:
@@ -278,7 +277,9 @@ def fixed_point_sequence(length: int, delta: float) -> ParameterSequence:
 
 
 def grover_sequence(n: int, m: int = 1, steps: int = 1) -> ParameterSequence:
-    """`steps` standard Grover iterations G(pi, pi)."""
+    """`steps` standard Grover iterations G(pi, pi), at least one."""
+    if steps < 1:
+        raise ValueError(f"need at least one step, got {steps}")
     params = (IterationParams(math.pi, math.pi),) * steps
     return ParameterSequence(params=params, kind=GROVER, n=n, m=m)
 
@@ -337,28 +338,49 @@ def pi3_queries(depth: int) -> int:
     return (3**depth - 1) // 2
 
 
-def pi3_matrix(depth: int, theta0: float) -> np.ndarray:
+#: A 2x2 matrix ((u00, u01), (u10, u11)) on the (|t>, |t_perp>) basis.
+_Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+def _mul(x: _Matrix2, y: _Matrix2) -> _Matrix2:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _pi3_levels(max_depth: int, theta0: float) -> Iterator[_Matrix2]:
+    """U_0, U_1, ..., U_max_depth, each built once from the one before."""
+    _check_pi3_depth(max_depth)
+    s_t = ((cmath.exp(-1j * _PI3), 0j), (0j, 1 + 0j))
+    # D is symmetric, so its columns D|t> and D|t_perp> are also its rows.
+    s_s = (diffuse(_PI3, theta0, 1.0, 0.0), diffuse(_PI3, theta0, 0.0, 1.0))
+    u = ((1 + 0j, 0j), (0j, 1 + 0j))
+    yield u
+    for _ in range(max_depth):
+        (a, b), (c, d) = u
+        u_dagger = ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
+        u = _mul(_mul(_mul(_mul(u, s_s), u_dagger), s_t), u)
+        yield u
+
+
+def pi3_matrix(depth: int, theta0: float) -> _Matrix2:
     """2x2 unitary U_depth of the pi/3 program on the (|t>, |t_perp>) basis.
 
     Built from U_0 = 1 by the recursion, four 2x2 products per level.
     """
-    _check_pi3_depth(depth)
-    s_t = np.diag([np.exp(-1j * _PI3), 1.0])
-    s_s = diffusion_matrix(_PI3, theta0)
-    u = np.eye(2, dtype=complex)
-    for _ in range(depth):
-        u = u @ s_s @ u.conj().T @ s_t @ u
+    *_, u = _pi3_levels(depth, theta0)
     return u
 
 
-def _pi3_probabilities(depth: int, theta0: float) -> tuple[float, float]:
-    """(|a_t|^2, |a_perp|^2) after running the depth-d program from |s0>.
+def _pi3_probabilities(u: _Matrix2, theta0: float) -> tuple[float, float]:
+    """(|a_t|^2, |a_perp|^2) of U|s0>.
 
     Both are divided by their sum, so that they add up to 1 to rounding; the
     2x2 products lose up to about 1e-13 of the norm by depth 8.
     """
-    final = pi3_matrix(depth, theta0) @ StateAngles(theta0).amplitudes()
-    p_target, p_perp = float(abs(final[0]) ** 2), float(abs(final[1]) ** 2)
+    s_t, s_perp = math.sin(0.5 * theta0), math.cos(0.5 * theta0)
+    (a, b), (c, d) = u
+    p_target, p_perp = abs(a * s_t + b * s_perp) ** 2, abs(c * s_t + d * s_perp) ** 2
     norm = p_target + p_perp
     return p_target / norm, p_perp / norm
 
@@ -371,7 +393,7 @@ def pi3_failure_probability(depth: int, theta0: float) -> float:
     cancel against 1; below about 1e-10 the rounding of the 2x2 products
     sets the floor (relative error 3e-8 at n=8, depth 8, value 7e-12).
     """
-    return _pi3_probabilities(depth, theta0)[1]
+    return _pi3_probabilities(pi3_matrix(depth, theta0), theta0)[1]
 
 
 def pi3_series(theta0: float, max_depth: int = MAX_PI3_DEPTH) -> list[dict]:
@@ -384,7 +406,7 @@ def pi3_series(theta0: float, max_depth: int = MAX_PI3_DEPTH) -> list[dict]:
         {
             "depth": depth,
             "queries": pi3_queries(depth),
-            "probability": _pi3_probabilities(depth, theta0)[0],
+            "probability": _pi3_probabilities(u, theta0)[0],
         }
-        for depth in range(max_depth + 1)
+        for depth, u in enumerate(_pi3_levels(max_depth, theta0))
     ]

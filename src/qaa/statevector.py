@@ -86,10 +86,6 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def norm_defect(self) -> float:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
-
 
 def _check_dims(state: StateVector, oracle: OracleSpec) -> None:
     if state.n != oracle.n:
@@ -114,15 +110,6 @@ def iterate_in_place(state: StateVector, params: IterationParams, oracle: Oracle
     amps = state.amplitudes
     amps[oracle.target_indices()] *= np.exp(-1j * params.gamma)
     amps -= (1.0 - np.exp(-1j * params.beta)) * amps.mean()
-
-
-def apply_iteration(
-    state: StateVector, params: IterationParams, oracle: OracleSpec
-) -> StateVector:
-    """One iteration G(beta, gamma) on a copy of `state`."""
-    out = StateVector(state.n, state.amplitudes.copy())
-    iterate_in_place(out, params, oracle)
-    return out
 
 
 def evolve(seq: Iterable[IterationParams], oracle: OracleSpec) -> StateVector:

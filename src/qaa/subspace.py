@@ -65,15 +65,6 @@ class StateAngles:
     def target_probability(self) -> float:
         return math.sin(0.5 * self.theta) ** 2
 
-    def amplitudes(self) -> np.ndarray:
-        """Complex pair (<t|s>, <t_perp|s>)."""
-        return np.array(
-            [
-                np.exp(1j * self.phi) * math.sin(0.5 * self.theta),
-                math.cos(0.5 * self.theta),
-            ]
-        )
-
     @classmethod
     def from_amplitudes(cls, a_target: complex, a_perp: complex) -> "StateAngles":
         """Angles of a_target |t> + a_perp |t_perp>, global phase discarded."""
@@ -168,53 +159,27 @@ def amplification_coefficient(
     return -c * sin_half * np.sin(theta0)
 
 
-def closed_form_increment(
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    theta: float,
-    phi: float,
-    theta0: float,
-) -> np.ndarray:
-    """Vectorized increment Delta = a*cos(theta) + b*sin(theta)."""
-    half = 0.5 * np.asarray(beta)
-    a = np.sin(half) ** 2 * math.sin(theta0) ** 2
-    b = amplification_coefficient(beta, gamma, phi, theta0)
-    return a * math.cos(theta) + b * math.sin(theta)
-
-
-def diffusion_matrix(beta: float, theta0: float) -> np.ndarray:
-    """2x2 phase rotation D(beta) about |s0> on the ordered basis (|t>, |t_perp>).
+def diffuse(beta: float, theta0: float, a_t: complex, a_perp: complex) -> tuple[complex, complex]:
+    """D(beta) on the amplitude pair (a_t, a_perp): the phase rotation about |s0>.
 
     D(beta) = 1 - (1 - e^{-i*beta}) |s0><s0| with |s0> = (sin(theta0/2), cos(theta0/2)).
     """
-    s0 = np.array([math.sin(0.5 * theta0), math.cos(0.5 * theta0)])
-    return np.eye(2, dtype=complex) - (1.0 - np.exp(-1j * beta)) * np.outer(s0, s0)
-
-
-def iteration_matrix(params: IterationParams, theta0: float) -> np.ndarray:
-    """2x2 unitary of G(beta, gamma) on the ordered basis (|t>, |t_perp>).
-
-    R(gamma) multiplies the target amplitude by e^{-i*gamma}, then D(beta)
-    rotates about the initial state (see diffusion_matrix).
-    """
-    oracle = np.diag([np.exp(-1j * params.gamma), 1.0])
-    return diffusion_matrix(params.beta, theta0) @ oracle
+    s_t, s_perp = math.sin(0.5 * theta0), math.cos(0.5 * theta0)
+    overlap = (1.0 - cmath.exp(-1j * beta)) * (s_t * a_t + s_perp * a_perp)
+    return a_t - overlap * s_t, a_perp - overlap * s_perp
 
 
 def step(params: IterationParams, state: StateAngles, theta0: float) -> tuple[StateAngles, float]:
     """Angles of G(beta, gamma)|s> (global phase discarded) and the increment.
 
-    Applies the factors of iteration_matrix to the amplitude pair (a_t,
-    a_perp).  The increment, the change in target probability, must agree
-    with the closed form to ALGEBRAIC_TOL or a ModelConsistencyError is raised.
+    R(gamma) multiplies the target amplitude of the pair (a_t, a_perp) by
+    e^{-i*gamma}, then `diffuse` applies D(beta).  The increment, the change
+    in target probability, must agree with the closed form to ALGEBRAIC_TOL
+    or a ModelConsistencyError is raised.
     """
     half = 0.5 * state.theta
     a_t = cmath.exp(-1j * params.gamma) * (cmath.exp(1j * state.phi) * math.sin(half))
-    a_perp = math.cos(half)
-    s_t, s_perp = math.sin(0.5 * theta0), math.cos(0.5 * theta0)
-    overlap = (1.0 - cmath.exp(-1j * params.beta)) * (s_t * a_t + s_perp * a_perp)
-    a_t -= overlap * s_t
-    a_perp -= overlap * s_perp
+    a_t, a_perp = diffuse(params.beta, theta0, a_t, math.cos(half))
     matrix = abs(a_t) ** 2 - state.target_probability
     coef = coefficients(params, state, theta0)
     closed = coef.a * math.cos(state.theta) + coef.b * math.sin(state.theta)
@@ -243,15 +208,20 @@ def is_qaao(
     n_states: int,
     c: float = 1.5,
 ) -> bool:
-    """Whether the iteration amplifies at the O(N^{-1/2}) scale.
+    """Whether the iteration amplifies at the O(N^{-1/2}) scale: b > qaao_bound(c, N)."""
+    varphi = wrap_2pi(state.phi - params.gamma)
+    b = amplification_terms(params.beta, varphi, math.cos(theta0), math.sin(theta0))[1]
+    return b > qaao_bound(c, n_states)
 
-    The predicate is b(beta, gamma) > c / sqrt(N) for some c > 1.
+
+def qaao_bound(c: float, n_states: int) -> float:
+    """The threshold c / sqrt(N) that b must exceed for an iteration to count as QAAO.
+
+    The predicate b(beta, gamma) > c / sqrt(N) is defined for c > 1 only.
     """
     if c <= 1.0:
         raise ValueError(f"the predicate constant must exceed 1, got c={c}")
-    varphi = wrap_2pi(state.phi - params.gamma)
-    b = amplification_terms(params.beta, varphi, math.cos(theta0), math.sin(theta0))[1]
-    return b > c / math.sqrt(n_states)
+    return c / math.sqrt(n_states)
 
 
 def optimal_params(state: StateAngles, theta0: float) -> IterationParams:

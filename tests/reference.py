@@ -1,0 +1,56 @@
+"""numpy references that the scalar and in-place library code is checked against.
+
+The library computes the target-plane model on scalar complex pairs
+(`subspace.step`, the pi/3 level loop) and the dense model on one buffer
+(`statevector.iterate_in_place`).  These are the textbook forms: explicit
+2x2 matrices, the vectorized closed-form increment, and dense iterations on
+a copy.
+"""
+
+import math
+
+import numpy as np
+
+from qaa.statevector import StateVector, iterate_in_place
+from qaa.subspace import IterationParams, StateAngles, amplification_coefficient
+
+
+def amplitudes(state: StateAngles) -> np.ndarray:
+    """Complex pair (<t|s>, <t_perp|s>)."""
+    return np.array(
+        [np.exp(1j * state.phi) * math.sin(0.5 * state.theta), math.cos(0.5 * state.theta)]
+    )
+
+
+def diffusion_matrix(beta: float, theta0: float) -> np.ndarray:
+    """2x2 phase rotation D(beta) about |s0> on the ordered basis (|t>, |t_perp>).
+
+    D(beta) = 1 - (1 - e^{-i*beta}) |s0><s0| with |s0> = (sin(theta0/2), cos(theta0/2)).
+    """
+    s0 = np.array([math.sin(0.5 * theta0), math.cos(0.5 * theta0)])
+    return np.eye(2, dtype=complex) - (1.0 - np.exp(-1j * beta)) * np.outer(s0, s0)
+
+
+def iteration_matrix(params: IterationParams, theta0: float) -> np.ndarray:
+    """2x2 unitary of G(beta, gamma) = D(beta) R(gamma) on (|t>, |t_perp>)."""
+    oracle = np.diag([np.exp(-1j * params.gamma), 1.0])
+    return diffusion_matrix(params.beta, theta0) @ oracle
+
+
+def closed_form_increment(beta, gamma, theta: float, phi: float, theta0: float) -> np.ndarray:
+    """Vectorized increment Delta = a*cos(theta) + b*sin(theta)."""
+    a = np.sin(0.5 * np.asarray(beta)) ** 2 * math.sin(theta0) ** 2
+    b = amplification_coefficient(beta, gamma, phi, theta0)
+    return a * math.cos(theta) + b * math.sin(theta)
+
+
+def apply_iteration(state: StateVector, params: IterationParams, oracle) -> StateVector:
+    """One dense iteration G(beta, gamma) on a copy of `state`."""
+    out = StateVector(state.n, state.amplitudes.copy())
+    iterate_in_place(out, params, oracle)
+    return out
+
+
+def norm_defect(state: StateVector) -> float:
+    """|<s|s> - 1| of a dense state."""
+    return abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)

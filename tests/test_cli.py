@@ -15,6 +15,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_cli_error(*argv):
+    """A fresh `qaa` process rejects argv: exit 2, no stdout, no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qaa.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestIncrement:
     def test_prints_verdict(self, capsys):
         code, out, _ = run_cli(
@@ -237,15 +248,7 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         if content is not None:
             cfg.write_text(content)
-        proc = subprocess.run(
-            [sys.executable, "-m", "qaa.cli", "search", "optimal", "--config", str(cfg)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert_cli_error("search", "optimal", "--config", str(cfg))
 
     def test_config_values_convert_like_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -273,3 +276,18 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode != 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "figure region --resolution 0",
+            "figure region --resolution -2",
+            "search optimal --n 6 --shots -3",
+            "export-qasm grover --n 2 --target 01 --steps 0",
+            "increment --beta 1 --gamma 1 --theta 1 --c 0.5",
+        ],
+        ids=["resolution-0", "resolution-negative", "shots-negative", "steps-0", "c-below-1"],
+    )
+    def test_bad_flag_is_a_cli_error(self, argv):
+        # Rejected before any work, so nothing reaches stdout.
+        assert_cli_error(*argv.split())

@@ -31,6 +31,13 @@ COMMANDS = {
     "search_noisy_optimal_delta0_3_seed4": "search noisy-optimal --delta 0.3 --seed 4",
     "table_appendix": "table appendix",
     "figure_fig1b": "figure fig1b",
+    "increment_beta3_1291_n8": (
+        "increment --beta 3.1291 --gamma -3.1354 --theta 0.1251 --n 8"
+    ),
+    "figure_region_n6_res64": "figure region --n 6 --resolution 64",
+    "figure_fig3_n6": "figure fig3 --n 6",
+    "table_main_json": "table main --format json",
+    "search_pi3_n8": "search pi3 --n 8",
 }
 
 

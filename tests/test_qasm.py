@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from qaa.qasm import export_circuit, replay_circuit, roundtrip_deviation
 from qaa.schedules import fixed_point_sequence, optimal_sequence
-from qaa.statevector import MAX_QUBITS, OracleSpec, apply_iteration, uniform_state
+from qaa.statevector import MAX_QUBITS, OracleSpec, uniform_state
 from qaa.subspace import IterationParams
+
+from reference import apply_iteration
 
 ANGLE = st.floats(-math.pi, math.pi)
 TARGET = st.integers(1, 5).flatmap(

@@ -76,7 +76,7 @@ class TestParameterSequence:
         st.integers(0, 2**31 - 1),
         st.floats(0.01, 0.99),
         st.integers(1, 30),
-        st.integers(0, 4),
+        st.integers(1, 4),
     )
     def test_json_roundtrip_every_kind(self, kind, n, log_m, seed, delta, length, steps):
         seq = build(
@@ -86,6 +86,11 @@ class TestParameterSequence:
         back = ParameterSequence.from_json(seq.to_json())
         assert back == seq
         assert back.to_json() == seq.to_json()
+
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_grover_needs_a_step(self, steps):
+        with pytest.raises(ValueError, match="at least one step"):
+            build("grover", 4, steps=steps)
 
     def test_build_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -402,7 +407,7 @@ class TestPi3:
     def test_unitarity(self):
         theta0 = initial_angles(8).theta
         for depth in range(0, 6):
-            u = pi3_matrix(depth, theta0)
+            u = np.array(pi3_matrix(depth, theta0))
             np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
@@ -456,7 +461,7 @@ class TestPi3:
     @given(st.integers(1, 4), st.floats(0.05, 1.5))
     def test_recursion_structure(self, depth, theta0):
         # U_{m} = U_{m-1} S_s U_{m-1}^dagger S_t U_{m-1} as matrices
-        prev = pi3_matrix(depth - 1, theta0)
+        prev = np.array(pi3_matrix(depth - 1, theta0))
         got = pi3_matrix(depth, theta0)
         s0 = np.array([math.sin(0.5 * theta0), math.cos(0.5 * theta0)])
         phase = np.exp(1j * math.pi / 3.0)

@@ -9,18 +9,19 @@ from qaa.subspace import (
     IterationParams,
     StateAngles,
     apply_iteration,
-    closed_form_increment,
     coefficients,
+    diffuse,
     increment,
     initial_angles,
     is_qaao,
-    iteration_matrix,
     optimal_params,
     qaao_region_fraction,
     region_boundary,
     step,
     wrap_pi,
 )
+
+from reference import amplitudes, closed_form_increment, diffusion_matrix, iteration_matrix
 
 ANGLE = st.floats(-math.pi, math.pi)
 THETA = st.floats(0.0, math.pi)
@@ -167,11 +168,18 @@ class TestIterationMatrix:
     def test_step_matches_matrix(self, beta, gamma, theta, phi, theta0):
         p = IterationParams(beta, gamma)
         s = StateAngles(theta, phi)
-        after = iteration_matrix(p, theta0) @ s.amplitudes()
+        after = iteration_matrix(p, theta0) @ amplitudes(s)
         got, delta = step(p, s, theta0)
         want = StateAngles.from_amplitudes(after[0], after[1])
-        np.testing.assert_allclose(got.amplitudes(), want.amplitudes(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(amplitudes(got), amplitudes(want), rtol=0, atol=1e-12)
         assert delta == pytest.approx(abs(after[0]) ** 2 - s.target_probability, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ANGLE, THETA, PHI, st.floats(0.05, 1.5))
+    def test_diffuse_matches_matrix(self, beta, theta, phi, theta0):
+        pair = amplitudes(StateAngles(theta, phi))
+        want = diffusion_matrix(beta, theta0) @ pair
+        np.testing.assert_allclose(diffuse(beta, theta0, *pair), want, rtol=0, atol=1e-12)
 
     @settings(max_examples=500, deadline=None)
     @given(ANGLE, ANGLE, st.floats(1e-3, math.pi - 1e-3))
