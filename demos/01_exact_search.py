@@ -26,10 +26,9 @@ def main() -> None:
 
     print("step   Grover P      exact P     (beta, gamma) of the exact schedule")
     for g, e in zip(grover.steps, exact.steps):
-        p = e.params
         print(
             f"{e.index:4d}   {g.probability_after:.6f}    {e.probability_after:.6f}"
-            f"    ({p.beta:+.4f}, {p.gamma:+.4f})"
+            f"    ({e.beta:+.4f}, {e.gamma:+.4f})"
         )
 
     print(f"\nGrover after {steps} steps:  {grover.steps[steps - 1].probability_after:.6f}")

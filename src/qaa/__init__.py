@@ -45,9 +45,7 @@ from .subspace import (
     ModelConsistencyError,
     StateAngles,
     amplification_coefficient,
-    apply_iteration,
     coefficients,
-    increment,
     initial_angles,
     is_qaao,
     optimal_params,

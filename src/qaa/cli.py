@@ -8,12 +8,12 @@ Subcommands:
     export-qasm  write an OpenQASM 3 circuit, optionally replay-verified
 
 All data outputs are deterministic for a fixed seed: CSV columns are
-printed with 6 decimal places, JSON carries full double precision.  A JSON
-config file may supply any flag, converted as on the command line; keys
-that name no flag of the subcommand are ignored, and command-line values
-win.  With --m > 1 the targets are the basis strings 0..m-1, so --target
-needs m = 1.  The environment variable QAA_OUTPUT_DIR sets the default
-output directory.
+printed with 6 decimal places, JSON carries full double precision.  Each
+subcommand takes only the flags it reads.  A JSON config file may supply
+any flag, converted as on the command line; keys that name no flag of the
+subcommand are ignored, and command-line values win.  With --m > 1 the
+targets are the basis strings 0..m-1, so --target needs m = 1.  The
+environment variable QAA_OUTPUT_DIR sets the default output directory.
 """
 
 from __future__ import annotations
@@ -27,14 +27,7 @@ from pathlib import Path
 
 from . import engine, qasm, schedules, statevector as sv
 from .reference_tables import MAIN_TABLE_ROWS
-from .subspace import (
-    IterationParams,
-    StateAngles,
-    coefficients,
-    increment,
-    initial_angles,
-    is_qaao,
-)
+from .subspace import IterationParams, StateAngles, coefficients, initial_angles, is_qaao, step
 
 
 def _write(text: str, out: str | None) -> None:
@@ -57,7 +50,7 @@ def cmd_increment(args: argparse.Namespace) -> int:
     state = StateAngles(args.theta, args.phi)
     theta0 = initial_angles(args.n, args.m).theta
     params = IterationParams(args.beta, args.gamma)
-    delta = increment(params, state, theta0)
+    delta = step(params, state, theta0)[1]
     coef = coefficients(params, state, theta0)
     amplifying = is_qaao(params, state, theta0, 2**args.n, args.c)
     lines = [
@@ -217,19 +210,28 @@ def cmd_export_qasm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=8, help="qubit count")
-    p.add_argument("--m", type=int, default=1, help="number of target states")
-    p.add_argument("--c", type=float, default=1.5, help="amplification predicate constant")
-    p.add_argument("--delta", type=float, default=0.0, help="perturbation / error budget")
-    p.add_argument("--L", type=int, default=21, help="fixed-point schedule length")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--shots", type=int, default=0, help="measurement shots")
-    p.add_argument("--target", type=str, default=None, help="target bit string")
-    p.add_argument("--backend", choices=engine.BACKENDS, default="analytic")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--config", type=str, default=None, help="JSON file with default flags")
+#: The flags subcommands share, in --help order.
+_FLAGS = {
+    "n": dict(type=int, default=8, help="qubit count"),
+    "m": dict(type=int, default=1, help="number of target states"),
+    "c": dict(type=float, default=1.5, help="amplification predicate constant"),
+    "delta": dict(type=float, default=0.0, help="perturbation / error budget"),
+    "L": dict(type=int, default=21, help="fixed-point schedule length"),
+    "seed": dict(type=int, default=0, help="random seed"),
+    "shots": dict(type=int, default=0, help="measurement shots"),
+    "target": dict(type=str, default=None, help="target bit string"),
+    "backend": dict(choices=engine.BACKENDS, default="analytic"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(type=str, default=None, help="output path (default stdout)"),
+    "config": dict(type=str, default=None, help="JSON file with default flags"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Register the shared flags `names` plus the four every subcommand reads."""
+    for name, spec in _FLAGS.items():
+        if name in names or name in ("n", "m", "out", "config"):
+            p.add_argument(f"--{name}", **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("increment", help="evaluate one iteration at a state")
-    _add_common(p)
+    _add_flags(p, "c")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
@@ -247,24 +249,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_increment)
 
     p = sub.add_parser("table", help="emit the fixed-point trajectory table")
-    _add_common(p)
+    _add_flags(p, "delta", "L", "format")
     p.add_argument("kind", choices=("main", "appendix"), nargs="?", default="appendix")
     p.set_defaults(func=cmd_table, delta=schedules.FIXED_POINT_DELTA)
 
     p = sub.add_parser("figure", help="emit a figure data series")
-    _add_common(p)
+    _add_flags(p, "c", "L", "seed", "format")
     p.add_argument("id", choices=("fig1b", "fig3", "fig4", "region", "fig7"))
     p.add_argument("--resolution", type=int, default=512)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("search", help="generate and run a schedule")
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
     search_kinds = [k for k in schedules.BUILDERS if k != schedules.GROVER]
     p.add_argument("kind", choices=search_kinds + [schedules.PI3])
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("export-qasm", help="write an OpenQASM 3 circuit")
-    _add_common(p)
+    _add_flags(p, "c", "delta", "L", "seed", "target")
     p.add_argument("kind", choices=list(schedules.BUILDERS))
     p.add_argument("--steps", type=int, default=1, help="iterations for kind=grover")
     p.add_argument("--verify", action="store_true", help="replay and report deviation")

@@ -11,13 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import schedules, statevector as sv
 from .schedules import ParameterSequence
 from .subspace import (
-    IterationParams,
-    StateAngles,
     amplification_terms,
     initial_angles,
     qaao_bound,
@@ -31,12 +29,6 @@ BACKENDS = ("analytic", "statevector")
 SEQUENCE_TOL = 1e-10
 
 LEAKAGE_TOL = 1e-12
-
-_STEP_FIELDS = (
-    "index", "theta_before", "phi_before", "beta", "gamma",
-    "probability_after", "increment", "qaao_flag", "cumulative_queries",
-)
-CSV_HEADER = ",".join(_STEP_FIELDS)
 
 #: Decimal places of every float in CSV output.
 CSV_DECIMALS = 6
@@ -68,22 +60,27 @@ class BackendMismatchError(RuntimeError):
     """Analytic and state-vector backends disagree beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One executed iteration.
+class StepRecord(NamedTuple):
+    """One executed iteration; its fields are the CSV columns, in order.
 
-    `qaao_flag` is True when the step amplified (positive increment); use
-    `classify` to re-annotate a trajectory with the strict coefficient
-    predicate instead.
+    (theta_before, phi_before) is the state the iteration G(beta, gamma)
+    acted on.  `qaao_flag` is True when the step amplified (positive
+    increment); use `classify` to re-annotate a trajectory with the strict
+    coefficient predicate instead.
     """
 
     index: int
-    state_before: StateAngles
-    params: IterationParams
+    theta_before: float
+    phi_before: float
+    beta: float
+    gamma: float
     probability_after: float
     increment: float
     qaao_flag: bool
     cumulative_queries: int
+
+
+CSV_HEADER = ",".join(StepRecord._fields)
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,6 @@ class Trajectory:
     kind: str
     steps: tuple[StepRecord, ...]
     final_probability: float
-    turning_index: Optional[int] = None
     # The state a statevector run ended in; left out of eq, repr and serialization.
     final_state: Optional[sv.StateVector] = field(default=None, repr=False, compare=False)
 
@@ -109,25 +105,20 @@ class Trajectory:
     def negative_steps(self) -> list[int]:
         return [s.index for s in self.steps if s.increment < 0.0]
 
+    @property
+    def turning_index(self) -> Optional[int]:
+        """The step after which the probability first drops (0: before any step).
+
+        None while the trajectory is still nondecreasing.
+        """
+        return next((s.index - 1 for s in self.steps if s.increment < 0.0), None)
+
     def rows(self) -> list[dict]:
         """One dict per step, keyed by the CSV_HEADER fields."""
-        return [
-            {
-                "index": s.index,
-                "theta_before": s.state_before.theta,
-                "phi_before": s.state_before.phi,
-                "beta": s.params.beta,
-                "gamma": s.params.gamma,
-                "probability_after": s.probability_after,
-                "increment": s.increment,
-                "qaao_flag": s.qaao_flag,
-                "cumulative_queries": s.cumulative_queries,
-            }
-            for s in self.steps
-        ]
+        return [s._asdict() for s in self.steps]
 
     def to_csv(self) -> str:
-        return format_rows(self.rows(), "csv", _STEP_FIELDS)
+        return format_rows(self.rows(), "csv", StepRecord._fields)
 
     def to_json(self) -> str:
         payload = {
@@ -139,15 +130,6 @@ class Trajectory:
             "steps": self.rows(),
         }
         return format_rows(payload, "json").rstrip("\n")
-
-
-def _turning_index(steps: tuple[StepRecord, ...]) -> Optional[int]:
-    # Index of the step after which the probability first drops (0 = before
-    # any step); None while the trajectory is still nondecreasing.
-    for s in steps:
-        if s.increment < 0.0:
-            return s.index - 1
-    return None
 
 
 def run_search(
@@ -175,7 +157,7 @@ def run_search(
     state = sv.uniform_state(n) if backend == "statevector" else None
     steps: list[StepRecord] = []
     for index, params in enumerate(seq.params, start=1):
-        before = angles
+        theta, phi = angles.theta, angles.phi
         angles, delta = step(params, angles, theta0)
         probability = angles.target_probability
         if state is not None:
@@ -194,13 +176,8 @@ def run_search(
             probability = measured
         steps.append(
             StepRecord(
-                index=index,
-                state_before=before,
-                params=params,
-                probability_after=probability,
-                increment=delta,
-                qaao_flag=delta > 0.0,
-                cumulative_queries=index * seq.queries_per_iteration,
+                index, theta, phi, params.beta, params.gamma, probability,
+                delta, delta > 0.0, index * seq.queries_per_iteration,
             )
         )
     final = steps[-1].probability_after if steps else initial_angles(n, m).target_probability
@@ -210,7 +187,6 @@ def run_search(
         kind=seq.kind,
         steps=tuple(steps),
         final_probability=final,
-        turning_index=_turning_index(tuple(steps)),
         final_state=state,
     )
 
@@ -230,14 +206,9 @@ def classify(traj: Trajectory, c: Optional[float] = None) -> Trajectory:
     cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
     steps = []
     for s in traj.steps:
-        varphi = wrap_2pi(s.state_before.phi - s.params.gamma)
-        b = amplification_terms(s.params.beta, varphi, cos_theta0, sin_theta0)[1]
-        steps.append(
-            StepRecord(
-                s.index, s.state_before, s.params, s.probability_after,
-                s.increment, b > threshold, s.cumulative_queries,
-            )
-        )
+        varphi = wrap_2pi(s.phi_before - s.gamma)
+        b = amplification_terms(s.beta, varphi, cos_theta0, sin_theta0)[1]
+        steps.append(s._replace(qaao_flag=b > threshold))
     return replace(traj, steps=tuple(steps))
 
 

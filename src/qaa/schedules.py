@@ -22,14 +22,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+# The generators' register cap is the model's: each calls initial_angles first.
+from .subspace import MAX_QUBITS as MAX_SCHEDULE_QUBITS  # noqa: F401
 from .subspace import (
     IterationParams,
     amplification_terms,
-    apply_iteration,
     diffuse,
     initial_angles,
     optimal_params,
     qaao_bound,
+    step,
     wrap_2pi,
     wrap_pi,
 )
@@ -45,17 +47,9 @@ PI3 = "pi3"
 #: Error budget of a fixed-point schedule built without one (the reference table's).
 FIXED_POINT_DELTA = 0.316
 
-#: Largest register the generators accept: K* is about 51k steps at n = 32.
-MAX_SCHEDULE_QUBITS = 32
-
 #: Uniform values drawn per generator call by the random-qaao sampler (even,
 #: so that no (beta, gamma) pair straddles two blocks).
 _DRAW_BLOCK = 512
-
-
-def _check_qubits(n: int) -> None:
-    if n > MAX_SCHEDULE_QUBITS:
-        raise ValueError(f"qubit count must be at most {MAX_SCHEDULE_QUBITS}, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,8 @@ def generate_qaao_sequence(
     the one that per-pair `rng.uniform(-pi, pi, 2)` calls give; a rejected
     pair is tested on plain floats and builds no objects.
     """
-    _check_qubits(n)
+    state = initial_angles(n, m)
+    theta0 = state.theta
     big_n = 2**n
     bound = qaao_bound(c, big_n)
     if not 0.0 < target_threshold <= 1.0:
@@ -153,8 +148,6 @@ def generate_qaao_sequence(
     rng = np.random.default_rng(seed)
     draws: list[float] = []
     pos = 0
-    state = initial_angles(n, m)
-    theta0 = state.theta
     cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
     exact = target_threshold >= 1.0
     params: list[IterationParams] = []
@@ -179,7 +172,7 @@ def generate_qaao_sequence(
             )
         candidate = IterationParams(beta, gamma)
         params.append(candidate)
-        state = apply_iteration(candidate, state, theta0)
+        state = step(candidate, state, theta0)[0]
     return ParameterSequence(
         params=tuple(params), kind=RANDOM_QAAO, n=n, m=m, seed=seed, c=c
     )
@@ -191,16 +184,15 @@ def optimal_sequence(n: int, m: int = 1) -> ParameterSequence:
     Valid in the regime 4*m <= N.  The closing parameters are computed at
     the evolved state and drive the target probability to exactly 1.
     """
-    _check_qubits(n)
-    if 4 * m > 2**n:
-        raise ValueError(f"need 4*m <= 2^n, got m={m}, n={n}")
     state = initial_angles(n, m)
     theta0 = state.theta
+    if 4 * m > 2**n:
+        raise ValueError(f"need 4*m <= 2^n, got m={m}, n={n}")
     params: list[IterationParams] = []
     for _ in range(k_star(n, m)):
-        step = IterationParams(math.pi, wrap_pi(state.phi - math.pi))
-        params.append(step)
-        state = apply_iteration(step, state, theta0)
+        standard = IterationParams(math.pi, wrap_pi(state.phi - math.pi))
+        params.append(standard)
+        state = step(standard, state, theta0)[0]
     closing = optimal_params(state, theta0)
     params.append(closing)
     return ParameterSequence(params=tuple(params), kind=OPTIMAL, n=n, m=m)
@@ -221,21 +213,20 @@ def noisy_optimal_sequence(
     leading parameters are (pi, pi) (mod 2*pi), so for small delta the
     draws stay inside [pi - delta, pi + delta] as in the noiseless case.
     """
-    _check_qubits(n)
+    state = initial_angles(n, m)
+    theta0 = state.theta
     if not 0.0 <= delta < 0.5 * math.pi:
         raise ValueError(f"delta must lie in [0, pi/2), got {delta}")
     if 4 * m > 2**n:
         raise ValueError(f"need 4*m <= 2^n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
-    state = initial_angles(n, m)
-    theta0 = state.theta
     params: list[IterationParams] = []
     for _ in range(k_star(n, m) + 1):
         ideal = optimal_params(state, theta0)
         error = rng.uniform(-delta, delta)
-        step = IterationParams(wrap_pi(ideal.beta + error), wrap_pi(ideal.gamma + error))
-        params.append(step)
-        state = apply_iteration(step, state, theta0)
+        noisy = IterationParams(wrap_pi(ideal.beta + error), wrap_pi(ideal.gamma + error))
+        params.append(noisy)
+        state = step(noisy, state, theta0)[0]
     return ParameterSequence(
         params=tuple(params), kind=NOISY_OPTIMAL, n=n, m=m, seed=seed, delta=delta
     )

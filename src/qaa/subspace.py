@@ -25,6 +25,10 @@ ALGEBRAIC_TOL = 1e-12
 #: Gauge cutoff: below this squared amplitude the relative phase is undefined.
 _POLE_EPS = 1e-300
 
+#: Largest register the model accepts: K* is about 51k steps at n = 32, and
+#: 2^n must stay a float for the predicate bound c / sqrt(N).
+MAX_QUBITS = 32
+
 
 class ModelConsistencyError(RuntimeError):
     """Closed-form and matrix-product increments disagree beyond tolerance.
@@ -104,10 +108,12 @@ class CoefficientSet:
 def initial_angles(n: int, m: int = 1) -> StateAngles:
     """Angles of the uniform superposition over n qubits with m targets.
 
-    theta_0 = 2*arcsin(sqrt(m/N)), phi_0 = 0, where N = 2^n.
+    theta_0 = 2*arcsin(sqrt(m/N)), phi_0 = 0, where N = 2^n and 1 <= n <= MAX_QUBITS.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"qubit count must be at most {MAX_QUBITS}, got n={n}")
     big_n = 2**n
     if not 1 <= m < big_n:
         raise ValueError(f"target count must satisfy 1 <= m < 2^n, got m={m}")
@@ -189,16 +195,6 @@ def step(params: IterationParams, state: StateAngles, theta0: float) -> tuple[St
             f"{matrix!r} at params={params}, state={state}, theta0={theta0}"
         )
     return StateAngles.from_amplitudes(a_t, a_perp), matrix
-
-
-def increment(params: IterationParams, state: StateAngles, theta0: float) -> float:
-    """Change in target probability caused by one iteration (see step)."""
-    return step(params, state, theta0)[1]
-
-
-def apply_iteration(params: IterationParams, state: StateAngles, theta0: float) -> StateAngles:
-    """Angles of G(beta, gamma)|s>, global phase discarded (see step)."""
-    return step(params, state, theta0)[0]
 
 
 def is_qaao(

@@ -29,12 +29,11 @@ from qaa.subspace import (
     IterationParams,
     StateAngles,
     amplification_coefficient,
-    apply_iteration,
     coefficients,
-    increment,
     initial_angles,
     optimal_params,
     region_boundary,
+    step,
     wrap_pi,
 )
 
@@ -86,11 +85,10 @@ def test_appendix_table_reproduction():
         assert abs(p.beta - beta) < 1e-3
         assert abs(p.gamma - gamma) < 1e-3
         assert abs(state.theta - theta) < 1e-3
-        d = increment(p, state, theta0)
+        state, d = step(p, state, theta0)
         assert abs(d - inc) < 1e-3
         if d < 0.0:
             negatives.append(index)
-        state = apply_iteration(p, state, theta0)
     assert tuple(negatives) == (9, 10, 11, 12, 21)
 
 
@@ -101,9 +99,9 @@ def test_main_table_subset():
     state = initial_angles(8)
     theta0 = state.theta
     for (index, *_), p in zip(FIXED_POINT_N8_L21, seq.params):
+        state, d = step(p, state, theta0)
         if index in published:
-            assert abs(increment(p, state, theta0) - published[index]) < 1e-3
-        state = apply_iteration(p, state, theta0)
+            assert abs(d - published[index]) < 1e-3
 
 
 @check(3, "exact optimal search reaches probability 1 for n=2..12, both backends")
@@ -173,11 +171,11 @@ def test_optimality():
                 theta = float(rng.uniform(math.pi - 2.0 * theta0, math.pi))
             phi = float(rng.uniform(0.0, 2.0 * math.pi))
             state = StateAngles(theta, phi)
-            best = increment(optimal_params(state, theta0), state, theta0)
+            best = step(optimal_params(state, theta0), state, theta0)[1]
             grid = closed_form_increment(grid_b, grid_g, theta, phi, theta0)
             assert float(grid.max()) <= best + 1e-4
             if branch == "closing":
-                after = apply_iteration(optimal_params(state, theta0), state, theta0)
+                after = step(optimal_params(state, theta0), state, theta0)[0]
                 assert abs(after.target_probability - 1.0) < 1e-10
                 # t* = pi - theta: the optimal step rotates theta to the pole
                 assert abs(after.theta - math.pi) < 1e-6
@@ -191,12 +189,12 @@ def test_optimality():
         p = optimal_params(state, theta0)
         h = 1e-6
         d_gamma = (
-            increment(IterationParams(p.beta, wrap_pi(p.gamma + h)), state, theta0)
-            - increment(IterationParams(p.beta, wrap_pi(p.gamma - h)), state, theta0)
+            step(IterationParams(p.beta, wrap_pi(p.gamma + h)), state, theta0)[1]
+            - step(IterationParams(p.beta, wrap_pi(p.gamma - h)), state, theta0)[1]
         ) / (2 * h)
         d_beta = (
-            increment(IterationParams(wrap_pi(p.beta + h), p.gamma), state, theta0)
-            - increment(IterationParams(wrap_pi(p.beta - h), p.gamma), state, theta0)
+            step(IterationParams(wrap_pi(p.beta + h), p.gamma), state, theta0)[1]
+            - step(IterationParams(wrap_pi(p.beta - h), p.gamma), state, theta0)[1]
         ) / (2 * h)
         assert abs(d_gamma) < 1e-6
         assert abs(d_beta) < 1e-6

@@ -238,6 +238,13 @@ class TestConfig:
         _, want, _ = run_cli(capsys, "search", "optimal", "--n", "6")
         assert out == want
 
+    def test_config_keys_of_other_subcommands_are_ignored(self, capsys, tmp_path):
+        # `table` has no --backend flag, so the key is skipped and --n applies.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"backend": "statevector", "n": "6"}))
+        _, out, _ = run_cli(capsys, "table", "--config", str(cfg))
+        _, want, _ = run_cli(capsys, "table", "--n", "6")
+        assert out == want
 
     @pytest.mark.parametrize(
         "content",
@@ -285,8 +292,17 @@ class TestEntryPoint:
             "search optimal --n 6 --shots -3",
             "export-qasm grover --n 2 --target 01 --steps 0",
             "increment --beta 1 --gamma 1 --theta 1 --c 0.5",
+            "increment --beta 1 --gamma 1 --theta 1 --n 1100",
+            # Each subcommand takes only the flags it reads.
+            "increment --beta 1 --gamma 1 --theta 1 --format json",
+            "table main --backend statevector",
+            "figure fig7 --target 0",
+            "export-qasm optimal --n 4 --shots 5",
         ],
-        ids=["resolution-0", "resolution-negative", "shots-negative", "steps-0", "c-below-1"],
+        ids=[
+            "resolution-0", "resolution-negative", "shots-negative", "steps-0", "c-below-1",
+            "n-1100", "increment-format", "table-backend", "figure-target", "export-qasm-shots",
+        ],
     )
     def test_bad_flag_is_a_cli_error(self, argv):
         # Rejected before any work, so nothing reaches stdout.

@@ -13,7 +13,9 @@ from qaa.engine import (
     run_search,
 )
 from qaa.schedules import (
+    BUILDERS,
     ParameterSequence,
+    build,
     fixed_point_sequence,
     generate_qaao_sequence,
     optimal_sequence,
@@ -114,6 +116,16 @@ class TestClassify:
         strict = sum(s.qaao_flag for s in classify(traj, c=1.5).steps)
         assert strict <= loose
 
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_changes_only_the_flag(self, kind, m):
+        traj = run_search(build(kind, 8, m), OracleSpec.standard(8, m))
+        for c in (None, 1.5):
+            relabeled = classify(traj, c)
+            assert len(relabeled.steps) == len(traj.steps)
+            for s, r in zip(traj.steps, relabeled.steps):
+                assert r._replace(qaao_flag=s.qaao_flag) == s
+
     def test_rejects_small_c(self):
         traj = grover_baseline(4, steps=2)
         with pytest.raises(ValueError):
@@ -141,6 +153,10 @@ class TestSerialization:
         assert lines[0] == CSV_HEADER
         assert len(lines) == len(traj.steps) + 1
         assert all(len(line.split(",")) == 9 for line in lines)
+
+    def test_row_keys_are_the_csv_header(self):
+        traj = run_search(optimal_sequence(4), OracleSpec.single("1010"))
+        assert all(list(row) == CSV_HEADER.split(",") for row in traj.rows())
 
     def test_csv_flags(self):
         traj = run_search(

@@ -38,6 +38,8 @@ COMMANDS = {
     "figure_fig3_n6": "figure fig3 --n 6",
     "table_main_json": "table main --format json",
     "search_pi3_n8": "search pi3 --n 8",
+    "search_optimal_n10_m4_json": "search optimal --n 10 --m 4 --format json",
+    "search_fixed_point_n8_json": "search fixed-point --n 8 --format json",
 }
 
 

@@ -25,11 +25,10 @@ from qaa.schedules import (
 from qaa.subspace import (
     IterationParams,
     StateAngles,
-    apply_iteration,
-    increment,
     initial_angles,
     is_qaao,
     optimal_params,
+    step,
 )
 
 
@@ -105,7 +104,7 @@ class TestOptimalSequence:
         state = initial_angles(n)
         theta0 = state.theta
         for p in seq.params:
-            state = apply_iteration(p, state, theta0)
+            state = step(p, state, theta0)[0]
         assert state.target_probability == pytest.approx(1.0, abs=1e-10)
 
     def test_multi_target(self):
@@ -113,7 +112,7 @@ class TestOptimalSequence:
         state = initial_angles(8, 4)
         theta0 = state.theta
         for p in seq.params:
-            state = apply_iteration(p, state, theta0)
+            state = step(p, state, theta0)[0]
         assert state.target_probability == pytest.approx(1.0, abs=1e-10)
 
     def test_every_step_amplifies(self):
@@ -121,8 +120,8 @@ class TestOptimalSequence:
         state = initial_angles(8)
         theta0 = state.theta
         for p in seq.params:
-            assert increment(p, state, theta0) > 0.0
-            state = apply_iteration(p, state, theta0)
+            state, d = step(p, state, theta0)
+            assert d > 0.0
 
     def test_rejects_dense_marking(self):
         with pytest.raises(ValueError):
@@ -157,7 +156,7 @@ def reference_qaao(n, m=1, c=1.5, seed=0, target_threshold=1.0, max_attempts=10_
         else:
             raise RuntimeError("no amplifying parameters found")
         params.append(candidate)
-        state = apply_iteration(candidate, state, theta0)
+        state = step(candidate, state, theta0)[0]
     return tuple(params)
 
 
@@ -175,7 +174,7 @@ def final_probability(seq):
     state = initial_angles(seq.n, seq.m)
     theta0 = state.theta
     for p in seq.params:
-        state = apply_iteration(p, state, theta0)
+        state = step(p, state, theta0)[0]
     return state.target_probability
 
 
@@ -186,8 +185,8 @@ class TestRandomQaao:
         theta0 = state.theta
         for p in seq.params[:-1]:
             assert is_qaao(p, state, theta0, 2**8, seq.c)
-            state = apply_iteration(p, state, theta0)
-        state = apply_iteration(seq.params[-1], state, theta0)
+            state = step(p, state, theta0)[0]
+        state = step(seq.params[-1], state, theta0)[0]
         assert state.target_probability == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_per_seed(self):
@@ -208,7 +207,7 @@ class TestRandomQaao:
         state = initial_angles(8)
         theta0 = state.theta
         for p in seq.params:
-            state = apply_iteration(p, state, theta0)
+            state = step(p, state, theta0)[0]
         assert state.target_probability >= 0.5
         assert state.target_probability < 1.0 - 1e-6
 
@@ -291,7 +290,7 @@ class TestNoisyOptimal:
             offset_g = math.remainder(p.gamma - ideal.gamma, 2.0 * math.pi)
             assert offset_b == pytest.approx(offset_g, abs=1e-12)
             assert abs(offset_b) <= delta
-            state = apply_iteration(p, state, theta0)
+            state = step(p, state, theta0)[0]
 
     def test_rejects_large_delta(self):
         with pytest.raises(ValueError):
@@ -301,7 +300,7 @@ class TestNoisyOptimal:
         state = initial_angles(8)
         theta0 = state.theta
         for p in noisy_optimal_sequence(8, 0.05 * math.pi, seed=2).params:
-            state = apply_iteration(p, state, theta0)
+            state = step(p, state, theta0)[0]
         assert state.target_probability > 0.9
 
 
@@ -324,12 +323,11 @@ class TestFixedPoint:
             # phi is ill-conditioned where theta turns around; allow a bit
             # more slack there than for the well-conditioned columns
             assert state.phi == pytest.approx(phi, abs=3e-3)
-            d = increment(p, state, theta0)
+            state, d = step(p, state, theta0)
             assert d == pytest.approx(inc, abs=1e-3)
             assert (d < 0.0) == (flag == "X")
             if d < 0.0:
                 negatives.append(index)
-            state = apply_iteration(p, state, theta0)
         assert tuple(negatives) == NON_AMPLIFYING_ROWS
         assert state.target_probability == pytest.approx(0.9841, abs=1e-3)
 
@@ -354,7 +352,7 @@ class TestFixedPoint:
             for length in lengths:
                 state = initial_angles(n)
                 for p in fixed_point_sequence(length, delta).params:
-                    state = apply_iteration(p, state, theta0)
+                    state = step(p, state, theta0)[0]
                 assert state.target_probability >= 1.0 - delta**2 - 1e-9
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 2.0])

@@ -18,8 +18,7 @@ from qaa.statevector import (
     target_probability,
     uniform_state,
 )
-from qaa.subspace import IterationParams, StateAngles, initial_angles
-from qaa.subspace import apply_iteration as apply_angles
+from qaa.subspace import IterationParams, StateAngles, initial_angles, step
 
 from reference import apply_iteration, norm_defect
 
@@ -194,7 +193,7 @@ class TestProjection:
         for beta, gamma in ((b1, g1), (b2, g2)):
             p = IterationParams(beta, gamma)
             sv = apply_iteration(sv, p, spec)
-            angles = apply_angles(p, angles, theta0)
+            angles = step(p, angles, theta0)[0]
         projected, leakage = project_to_angles(sv, spec)
         assert leakage < 1e-12
         assert projected.theta == pytest.approx(angles.theta, abs=1e-10)

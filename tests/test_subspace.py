@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaa.subspace import (
+    MAX_QUBITS,
     IterationParams,
     StateAngles,
-    apply_iteration,
     coefficients,
     diffuse,
-    increment,
     initial_angles,
     is_qaao,
     optimal_params,
@@ -42,6 +41,13 @@ class TestInitialAngles:
         assert initial_angles(3).theta == pytest.approx(2.0 * math.asin(1 / math.sqrt(8)))
         assert initial_angles(3).theta == pytest.approx(0.7227, abs=1e-4)
 
+    def test_caps_the_register(self):
+        # The one register cap: generators and the CLI reach it through here.
+        initial_angles(MAX_QUBITS)
+        for n in (MAX_QUBITS + 1, 1100):
+            with pytest.raises(ValueError, match=f"at most {MAX_QUBITS}"):
+                initial_angles(n)
+
     @pytest.mark.parametrize("n,m", [(3, 0), (3, 8), (3, 9), (0, 1)])
     def test_rejects_bad_counts(self, n, m):
         with pytest.raises(ValueError):
@@ -67,8 +73,8 @@ class TestCoefficients:
         p = IterationParams(math.pi, math.pi)
         c = coefficients(p, StateAngles(theta0, 0.0), theta0)
         th1, th2 = 0.6, 0.6 + 1e-7
-        d1 = increment(p, StateAngles(th1, 0.0), theta0)
-        d2 = increment(p, StateAngles(th2, 0.0), theta0)
+        d1 = step(p, StateAngles(th1, 0.0), theta0)[1]
+        d2 = step(p, StateAngles(th2, 0.0), theta0)[1]
         slope = (d2 - d1) / (th2 - th1)
         # Delta(theta) = a cos + b sin -> derivative -a sin + b cos
         expected = -c.a * math.sin(th1) + c.b * math.cos(th1)
@@ -87,28 +93,28 @@ class TestIncrement:
         # row 9 of the published trajectory; gamma carries the sign
         # consistent with the schedule symmetry (see reference_tables)
         theta0 = initial_angles(8).theta
-        d = increment(
+        d = step(
             IterationParams(2.8209, -2.8950), StateAngles(1.9147, 5.1123), theta0
-        )
+        )[1]
         assert d == pytest.approx(-0.0061, abs=1e-3)
 
     def test_first_fixed_point_row(self):
         theta0 = initial_angles(8).theta
-        d = increment(
+        d = step(
             IterationParams(3.1291, -3.1354), StateAngles(0.1251, 0.0), theta0
-        )
+        )[1]
         assert d == pytest.approx(0.0309, abs=1e-3)
 
     def test_beta_zero_is_pure_phase(self):
         theta0 = initial_angles(8).theta
-        assert increment(IterationParams(0.0, 2.2), StateAngles(1.0, 0.4), theta0) == 0.0
+        assert step(IterationParams(0.0, 2.2), StateAngles(1.0, 0.4), theta0)[1] == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(ANGLE, ANGLE, THETA, PHI, st.floats(0.05, 1.5))
     def test_closed_form_matches_matrix(self, beta, gamma, theta, phi, theta0):
         p = IterationParams(beta, gamma)
         s = StateAngles(theta, phi)
-        matrix_value = increment(p, s, theta0)  # raises on disagreement
+        matrix_value = step(p, s, theta0)[1]  # raises on disagreement
         closed = float(closed_form_increment(beta, gamma, theta, phi, theta0))
         assert matrix_value == pytest.approx(closed, abs=1e-12)
 
@@ -116,19 +122,19 @@ class TestIncrement:
 class TestApplyIteration:
     def test_identity(self):
         s = StateAngles(0.8, 1.1)
-        out = apply_iteration(IterationParams(0.0, 0.0), s, 0.125)
+        out = step(IterationParams(0.0, 0.0), s, 0.125)[0]
         assert out.theta == pytest.approx(s.theta, abs=1e-14)
         assert out.phi == pytest.approx(s.phi, abs=1e-14)
 
     def test_grover_step_rotates_by_2theta0(self):
         theta0 = initial_angles(8).theta
-        out = apply_iteration(IterationParams(math.pi, math.pi), StateAngles(theta0, 0.0), theta0)
+        out = step(IterationParams(math.pi, math.pi), StateAngles(theta0, 0.0), theta0)[0]
         assert out.theta == pytest.approx(3.0 * theta0, abs=1e-12)
         assert out.theta == pytest.approx(0.3752, abs=1e-3)
 
     def test_grover_three_qubits(self):
         theta0 = initial_angles(3).theta
-        out = apply_iteration(IterationParams(math.pi, math.pi), StateAngles(theta0, 0.0), theta0)
+        out = step(IterationParams(math.pi, math.pi), StateAngles(theta0, 0.0), theta0)[0]
         assert out.target_probability == pytest.approx(25.0 / 32.0, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -136,10 +142,8 @@ class TestApplyIteration:
     def test_probability_bookkeeping(self, beta, gamma, theta, phi, theta0):
         p = IterationParams(beta, gamma)
         s = StateAngles(theta, phi)
-        after = apply_iteration(p, s, theta0)
-        assert after.target_probability - s.target_probability == pytest.approx(
-            increment(p, s, theta0), abs=1e-12
-        )
+        after, d = step(p, s, theta0)
+        assert after.target_probability - s.target_probability == pytest.approx(d, abs=1e-12)
 
 
 class TestIterationMatrix:
@@ -220,22 +224,22 @@ class TestOptimalParams:
         theta0 = initial_angles(8).theta
         p = optimal_params(StateAngles(math.pi, 0.0), theta0)
         assert p.beta == pytest.approx(0.0, abs=1e-12)
-        assert increment(p, StateAngles(math.pi, 0.0), theta0) == pytest.approx(0.0, abs=1e-12)
+        assert step(p, StateAngles(math.pi, 0.0), theta0)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_closing_step_is_exact(self):
         theta0 = initial_angles(8).theta
         state = StateAngles(theta0, 0.0)
         for _ in range(12):
-            state = apply_iteration(optimal_params(state, theta0), state, theta0)
+            state = step(optimal_params(state, theta0), state, theta0)[0]
         closing = optimal_params(state, theta0)
         assert state.theta >= math.pi - 2.0 * theta0
-        final = apply_iteration(closing, state, theta0)
+        final = step(closing, state, theta0)[0]
         assert final.target_probability == pytest.approx(1.0, abs=1e-10)
 
     def test_beats_grid_search_in_closing_branch(self):
         theta0 = initial_angles(8).theta
         state = StateAngles(math.pi - theta0, 0.8)
-        best_closed = increment(optimal_params(state, theta0), state, theta0)
+        best_closed = step(optimal_params(state, theta0), state, theta0)[1]
         axis = np.linspace(-math.pi, math.pi, 400)
         grid = closed_form_increment(
             axis[:, None], axis[None, :], state.theta, state.phi, theta0
@@ -264,12 +268,12 @@ class TestStationarity:
             phi = rng.uniform(0.0, 2.0 * math.pi)
             state = StateAngles(theta, phi)
             p = optimal_params(state, theta0)
-            step = 1e-6
+            h = 1e-6
 
             def delta_at(gamma):
-                return increment(IterationParams(p.beta, wrap_pi(gamma)), state, theta0)
+                return step(IterationParams(p.beta, wrap_pi(gamma)), state, theta0)[1]
 
-            first = (delta_at(p.gamma + step) - delta_at(p.gamma - step)) / (2 * step)
+            first = (delta_at(p.gamma + h) - delta_at(p.gamma - h)) / (2 * h)
             wide = 1e-3
             second = (
                 delta_at(p.gamma + wide) - 2 * delta_at(p.gamma) + delta_at(p.gamma - wide)
@@ -362,7 +366,7 @@ class TestGroverDominance:
             theta = rng.uniform(0.0, math.pi - 2.0 * theta0 - 1e-6)
             phi = rng.uniform(0.0, 2.0 * math.pi)
             state = StateAngles(theta, phi)
-            grover = increment(optimal_params(state, theta0), state, theta0)
+            grover = step(optimal_params(state, theta0), state, theta0)[1]
             grid = closed_form_increment(axis[:, None], axis[None, :], theta, phi, theta0)
             assert grid.max() <= grover + 1e-4
 
