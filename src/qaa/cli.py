@@ -235,12 +235,15 @@ def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix such as --c must not stand for --config.
     parser = argparse.ArgumentParser(
-        prog="qaa", description="amplitude amplification schedules and simulation"
+        prog="qaa",
+        description="amplitude amplification schedules and simulation",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("increment", help="evaluate one iteration at a state")
+    p = sub.add_parser("increment", allow_abbrev=False, help="evaluate one iteration at a state")
     _add_flags(p, "c")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
@@ -248,24 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
     p.set_defaults(func=cmd_increment)
 
-    p = sub.add_parser("table", help="emit the fixed-point trajectory table")
+    p = sub.add_parser("table", allow_abbrev=False, help="emit the fixed-point trajectory table")
     _add_flags(p, "delta", "L", "format")
     p.add_argument("kind", choices=("main", "appendix"), nargs="?", default="appendix")
     p.set_defaults(func=cmd_table, delta=schedules.FIXED_POINT_DELTA)
 
-    p = sub.add_parser("figure", help="emit a figure data series")
+    p = sub.add_parser("figure", allow_abbrev=False, help="emit a figure data series")
     _add_flags(p, "c", "L", "seed", "format")
     p.add_argument("id", choices=("fig1b", "fig3", "fig4", "region", "fig7"))
     p.add_argument("--resolution", type=int, default=512)
     p.set_defaults(func=cmd_figure)
 
-    p = sub.add_parser("search", help="generate and run a schedule")
+    p = sub.add_parser("search", allow_abbrev=False, help="generate and run a schedule")
     _add_flags(p, *_FLAGS)
     search_kinds = [k for k in schedules.BUILDERS if k != schedules.GROVER]
     p.add_argument("kind", choices=search_kinds + [schedules.PI3])
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("export-qasm", help="write an OpenQASM 3 circuit")
+    p = sub.add_parser("export-qasm", allow_abbrev=False, help="write an OpenQASM 3 circuit")
     _add_flags(p, "c", "delta", "L", "seed", "target")
     p.add_argument("kind", choices=list(schedules.BUILDERS))
     p.add_argument("--steps", type=int, default=1, help="iterations for kind=grover")

@@ -155,6 +155,7 @@ def run_search(
     angles = initial_angles(n, m)
     theta0 = angles.theta
     state = sv.uniform_state(n) if backend == "statevector" else None
+    queries = seq.queries_per_iteration
     steps: list[StepRecord] = []
     for index, params in enumerate(seq.params, start=1):
         theta, phi = angles.theta, angles.phi
@@ -177,7 +178,7 @@ def run_search(
         steps.append(
             StepRecord(
                 index, theta, phi, params.beta, params.gamma, probability,
-                delta, delta > 0.0, index * seq.queries_per_iteration,
+                delta, delta > 0.0, index * queries,
             )
         )
     final = steps[-1].probability_after if steps else initial_angles(n, m).target_probability

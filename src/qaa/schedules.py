@@ -15,15 +15,12 @@ its oracle calls and `pi3_series` tabulates both per depth.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
-# The generators' register cap is the model's: each calls initial_angles first.
-from .subspace import MAX_QUBITS as MAX_SCHEDULE_QUBITS  # noqa: F401
 from .subspace import (
     IterationParams,
     amplification_terms,
@@ -54,61 +51,36 @@ _DRAW_BLOCK = 512
 
 @dataclass(frozen=True)
 class ParameterSequence:
-    """An ordered (beta, gamma) schedule plus generator metadata.
+    """An ordered (beta, gamma) schedule of one kind for n qubits and m targets.
 
     `n` may be None for schedules that do not depend on the register size
-    (the Chebyshev fixed-point family).  `queries_per_iteration` carries the
-    oracle-accounting convention used when reporting query counts.
+    (the Chebyshev fixed-point family).
     """
 
     params: tuple[IterationParams, ...]
     kind: str
     n: Optional[int] = None
     m: int = 1
-    seed: Optional[int] = None
-    c: Optional[float] = None
-    delta: Optional[float] = None
-    queries_per_iteration: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in BUILDERS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.queries_per_iteration < 1:
-            raise ValueError("queries_per_iteration must be positive")
         object.__setattr__(self, "params", tuple(self.params))
+
+    @property
+    def queries_per_iteration(self) -> int:
+        """Oracle queries charged per iteration when reporting query counts.
+
+        A Chebyshev fixed-point iteration is charged 2, as in its source
+        (Yoder, Low & Chuang 2014); every other kind 1.
+        """
+        return 2 if self.kind == FIXED_POINT else 1
 
     def __len__(self) -> int:
         return len(self.params)
 
     def __iter__(self) -> Iterator[IterationParams]:
         return iter(self.params)
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "c": self.c,
-            "delta": self.delta,
-            "seed": self.seed,
-            "queries_per_iteration": self.queries_per_iteration,
-            "params": [[p.beta, p.gamma] for p in self.params],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParameterSequence":
-        d = json.loads(text)
-        return cls(
-            params=tuple(IterationParams(b, g) for b, g in d["params"]),
-            kind=d["kind"],
-            n=d.get("n"),
-            m=d.get("m", 1),
-            seed=d.get("seed"),
-            c=d.get("c"),
-            delta=d.get("delta"),
-            queries_per_iteration=d.get("queries_per_iteration", 1),
-        )
 
 
 def k_star(n: int, m: int = 1) -> int:
@@ -173,9 +145,7 @@ def generate_qaao_sequence(
         candidate = IterationParams(beta, gamma)
         params.append(candidate)
         state = step(candidate, state, theta0)[0]
-    return ParameterSequence(
-        params=tuple(params), kind=RANDOM_QAAO, n=n, m=m, seed=seed, c=c
-    )
+    return ParameterSequence(params=tuple(params), kind=RANDOM_QAAO, n=n, m=m)
 
 
 def optimal_sequence(n: int, m: int = 1) -> ParameterSequence:
@@ -227,9 +197,7 @@ def noisy_optimal_sequence(
         noisy = IterationParams(wrap_pi(ideal.beta + error), wrap_pi(ideal.gamma + error))
         params.append(noisy)
         state = step(noisy, state, theta0)[0]
-    return ParameterSequence(
-        params=tuple(params), kind=NOISY_OPTIMAL, n=n, m=m, seed=seed, delta=delta
-    )
+    return ParameterSequence(params=tuple(params), kind=NOISY_OPTIMAL, n=n, m=m)
 
 
 def fixed_point_sequence(length: int, delta: float) -> ParameterSequence:
@@ -259,12 +227,7 @@ def fixed_point_sequence(length: int, delta: float) -> ParameterSequence:
     params = tuple(
         IterationParams(betas[i], betas[length - 1 - i]) for i in range(length)
     )
-    return ParameterSequence(
-        params=params,
-        kind=FIXED_POINT,
-        delta=delta,
-        queries_per_iteration=2,
-    )
+    return ParameterSequence(params=params, kind=FIXED_POINT)
 
 
 def grover_sequence(n: int, m: int = 1, steps: int = 1) -> ParameterSequence:

@@ -14,12 +14,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .subspace import IterationParams, StateAngles
+from .subspace import IterationParams, StateAngles, initial_angles
 
 #: Largest supported register; 2^24 amplitudes is the desk-scale cap.
 MAX_QUBITS = 24
-
-NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -31,14 +29,10 @@ class OracleSpec:
     _indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one qubit, got n={self.n}")
         targets = frozenset(self.targets)
         object.__setattr__(self, "targets", targets)
-        if not 1 <= len(targets) < 2**self.n:
-            raise ValueError(
-                f"need 1 <= |targets| < 2^n, got {len(targets)} for n={self.n}"
-            )
+        # The model's caps on n and m come first, before any index is built.
+        initial_angles(self.n, len(targets))
         for t in targets:
             if len(t) != self.n or set(t) - {"0", "1"}:
                 raise ValueError(f"target {t!r} is not an {self.n}-bit string")
@@ -55,8 +49,10 @@ class OracleSpec:
         """`single(target)` when a target is given, else the basis strings 0..m-1.
 
         A target string marks exactly one state, so giving one with m > 1
-        is an error rather than a silent single-target oracle.
+        is an error rather than a silent single-target oracle.  n and m are
+        checked before any target string is formatted.
         """
+        initial_angles(n, m)
         if target is None:
             return cls(n, frozenset(format(i, f"0{n}b") for i in range(m)))
         if m != 1:

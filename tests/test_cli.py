@@ -16,7 +16,10 @@ def run_cli(capsys, *argv):
 
 
 def assert_cli_error(*argv):
-    """A fresh `qaa` process rejects argv: exit 2, no stdout, no traceback."""
+    """A fresh `qaa` process rejects argv: exit 2, no stdout, no traceback.
+
+    Returns its stderr.
+    """
     proc = subprocess.run(
         [sys.executable, "-m", "qaa.cli", *argv], capture_output=True, text=True
     )
@@ -24,6 +27,7 @@ def assert_cli_error(*argv):
     assert proc.stdout == ""
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc.stderr
 
 
 class TestIncrement:
@@ -246,6 +250,15 @@ class TestConfig:
         _, want, _ = run_cli(capsys, "table", "--n", "6")
         assert out == want
 
+    def test_config_key_abbreviating_a_flag_is_ignored(self, capsys, tmp_path):
+        # "ph" names no flag; it must not be read as --phi.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ph": 1.0}))
+        args = ("increment", "--beta", "3.1291", "--gamma", "-3.1354", "--theta", "0.1251")
+        _, out, _ = run_cli(capsys, *args, "--config", str(cfg))
+        _, want, _ = run_cli(capsys, *args)
+        assert out == want
+
     @pytest.mark.parametrize(
         "content",
         [None, '{"n": 4', '{"n": 8.5}'],
@@ -285,25 +298,34 @@ class TestEntryPoint:
         assert proc.returncode != 0
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, says",
         [
-            "figure region --resolution 0",
-            "figure region --resolution -2",
-            "search optimal --n 6 --shots -3",
-            "export-qasm grover --n 2 --target 01 --steps 0",
-            "increment --beta 1 --gamma 1 --theta 1 --c 0.5",
-            "increment --beta 1 --gamma 1 --theta 1 --n 1100",
+            ("figure region --resolution 0", ""),
+            ("figure region --resolution -2", ""),
+            ("search optimal --n 6 --shots -3", ""),
+            ("export-qasm grover --n 2 --target 01 --steps 0", ""),
+            ("increment --beta 1 --gamma 1 --theta 1 --c 0.5", ""),
+            ("increment --beta 1 --gamma 1 --theta 1 --n 1100", ""),
             # Each subcommand takes only the flags it reads.
-            "increment --beta 1 --gamma 1 --theta 1 --format json",
-            "table main --backend statevector",
-            "figure fig7 --target 0",
-            "export-qasm optimal --n 4 --shots 5",
+            ("increment --beta 1 --gamma 1 --theta 1 --format json", ""),
+            ("table main --backend statevector", ""),
+            ("figure fig7 --target 0", ""),
+            ("export-qasm optimal --n 4 --shots 5", ""),
+            # A flag is never read as the longer flag it abbreviates.
+            ("increment --beta 1 --gamma 1 --theta 1 --bet 2", "unrecognized arguments"),
+            ("table main --c 9", "unrecognized arguments: --c 9"),
+            # The register cap comes before a 64-bit target index is built.
+            (f"search optimal --n 64 --target {'1' * 64}", "at most 32"),
+            (f"export-qasm optimal --n 64 --target {'1' * 64}", "at most 32"),
+            ("search optimal --n 8 --m 256", "target count must satisfy"),
         ],
         ids=[
             "resolution-0", "resolution-negative", "shots-negative", "steps-0", "c-below-1",
             "n-1100", "increment-format", "table-backend", "figure-target", "export-qasm-shots",
+            "abbrev-bet", "abbrev-c", "search-n-64-target", "export-qasm-n-64-target",
+            "m-out-of-range",
         ],
     )
-    def test_bad_flag_is_a_cli_error(self, argv):
+    def test_bad_flag_is_a_cli_error(self, argv, says):
         # Rejected before any work, so nothing reaches stdout.
-        assert_cli_error(*argv.split())
+        assert says in assert_cli_error(*argv.split())

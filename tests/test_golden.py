@@ -40,6 +40,7 @@ COMMANDS = {
     "search_pi3_n8": "search pi3 --n 8",
     "search_optimal_n10_m4_json": "search optimal --n 10 --m 4 --format json",
     "search_fixed_point_n8_json": "search fixed-point --n 8 --format json",
+    "figure_fig4_seed5": "figure fig4 --seed 5",
 }
 
 

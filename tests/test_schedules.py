@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from qaa.reference_tables import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS
 from qaa.schedules import (
     BUILDERS,
     MAX_PI3_DEPTH,
-    MAX_SCHEDULE_QUBITS,
     ParameterSequence,
     build,
     fixed_point_sequence,
@@ -23,6 +23,7 @@ from qaa.schedules import (
     pi3_series,
 )
 from qaa.subspace import (
+    MAX_QUBITS,
     IterationParams,
     StateAngles,
     initial_angles,
@@ -48,14 +49,6 @@ class TestKStar:
 
 
 class TestParameterSequence:
-    def test_json_roundtrip(self):
-        seq = optimal_sequence(6)
-        back = ParameterSequence.from_json(seq.to_json())
-        assert back == seq
-
-    def test_json_is_deterministic(self):
-        assert optimal_sequence(6).to_json() == optimal_sequence(6).to_json()
-
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             ParameterSequence(params=(), kind="mystery")
@@ -77,14 +70,22 @@ class TestParameterSequence:
         st.integers(1, 30),
         st.integers(1, 4),
     )
-    def test_json_roundtrip_every_kind(self, kind, n, log_m, seed, delta, length, steps):
-        seq = build(
-            kind, n, 2**log_m, seed=seed, delta=delta, length=length, steps=steps
-        )
+    def test_build_every_kind(self, kind, n, log_m, seed, delta, length, steps):
+        settings = dict(seed=seed, delta=delta, length=length, steps=steps)
+        seq = build(kind, n, 2**log_m, **settings)
         assert seq.kind == kind
-        back = ParameterSequence.from_json(seq.to_json())
-        assert back == seq
-        assert back.to_json() == seq.to_json()
+        assert seq == build(kind, n, 2**log_m, **settings)
+        assert seq.queries_per_iteration == (2 if kind == "fixed-point" else 1)
+
+    def test_query_convention_follows_the_kind(self):
+        params = fixed_point_sequence(7, 0.1).params
+        assert ParameterSequence(params, kind="fixed-point").queries_per_iteration == 2
+        assert ParameterSequence(params, kind="grover").queries_per_iteration == 1
+
+    def test_has_only_the_fields_that_are_read(self):
+        assert [f.name for f in dataclasses.fields(ParameterSequence)] == [
+            "params", "kind", "n", "m"
+        ]
 
     @pytest.mark.parametrize("steps", [0, -2])
     def test_grover_needs_a_step(self, steps):
@@ -180,11 +181,11 @@ def final_probability(seq):
 
 class TestRandomQaao:
     def test_each_step_satisfies_predicate(self):
-        seq = generate_qaao_sequence(8, seed=3)
+        seq = generate_qaao_sequence(8, c=1.5, seed=3)
         state = initial_angles(8)
         theta0 = state.theta
         for p in seq.params[:-1]:
-            assert is_qaao(p, state, theta0, 2**8, seq.c)
+            assert is_qaao(p, state, theta0, 2**8, 1.5)
             state = step(p, state, theta0)[0]
         state = step(seq.params[-1], state, theta0)[0]
         assert state.target_probability == pytest.approx(1.0, abs=1e-10)
@@ -254,8 +255,8 @@ class TestRandomQaao:
     ids=["optimal", "noisy-optimal", "random-qaao"],
 )
 def test_generators_cap_the_register(generate):
-    with pytest.raises(ValueError, match=f"at most {MAX_SCHEDULE_QUBITS}"):
-        generate(MAX_SCHEDULE_QUBITS + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_QUBITS}"):
+        generate(MAX_QUBITS + 1)
 
 
 class TestNoisyOptimal:

@@ -18,7 +18,7 @@ from qaa.statevector import (
     target_probability,
     uniform_state,
 )
-from qaa.subspace import IterationParams, StateAngles, initial_angles, step
+from qaa.subspace import MAX_QUBITS, IterationParams, StateAngles, initial_angles, step
 
 from reference import apply_iteration, norm_defect
 
@@ -59,6 +59,31 @@ class TestOracleSpec:
         assert OracleSpec.standard(3, 3).targets == {"000", "001", "010"}
         with pytest.raises(ValueError):
             OracleSpec.standard(3, 2, target="101")
+
+    @pytest.mark.parametrize("m", [0, 8, 9, 3_000_000])
+    def test_standard_checks_m_before_formatting(self, m):
+        with pytest.raises(ValueError, match="target count must satisfy"):
+            OracleSpec.standard(3, m)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: OracleSpec.standard(64, target="1" * 64),
+            lambda: OracleSpec.single("1" * 64),
+            lambda: OracleSpec(64, frozenset({"1" * 64})),
+        ],
+        ids=["standard", "single", "init"],
+    )
+    def test_register_cap_comes_before_the_index(self, make):
+        # A 64-bit index does not fit an intp; the cap must reject it first.
+        with pytest.raises(ValueError, match=f"at most {MAX_QUBITS}"):
+            make()
+
+    def test_needs_a_target_and_a_qubit(self):
+        with pytest.raises(ValueError, match="target count must satisfy"):
+            OracleSpec(3, frozenset())
+        with pytest.raises(ValueError, match="at least one qubit"):
+            OracleSpec.standard(0)
 
     def test_big_endian(self):
         # leftmost character is qubit 0, the most significant bit
