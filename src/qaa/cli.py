@@ -179,6 +179,13 @@ def _build_sequence(args, steps: int = 1) -> schedules.ParameterSequence:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.shots < 0:
         raise ValueError(f"--shots must be non-negative, got {args.shots}")
+    dense = args.backend == "statevector" or args.shots > 0
+    if args.kind == schedules.PI3 and dense:
+        raise ValueError(
+            "search pi3 is the analytic series only: no --backend statevector or --shots"
+        )
+    if dense:
+        sv.check_qubits(args.n)
     oracle = sv.OracleSpec.standard(args.n, args.m, args.target)
     if args.kind == schedules.PI3:
         rows = schedules.pi3_series(initial_angles(args.n, args.m).theta)
@@ -198,6 +205,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_export_qasm(args: argparse.Namespace) -> int:
+    if args.verify:
+        sv.check_qubits(args.n)
     oracle = sv.OracleSpec.standard(args.n, args.m, args.target)
     seq = _build_sequence(args, args.steps)
     source = qasm.export_circuit(seq, oracle)

@@ -15,13 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import schedules, statevector as sv
 from .schedules import ParameterSequence
-from .subspace import (
-    amplification_terms,
-    initial_angles,
-    qaao_bound,
-    step,
-    wrap_2pi,
-)
+from .subspace import advance, amplification_terms, initial_angles, qaao_bound, wrap_2pi
 
 BACKENDS = ("analytic", "statevector")
 
@@ -34,25 +28,36 @@ LEAKAGE_TOL = 1e-12
 CSV_DECIMALS = 6
 
 
-def _csv_cell(value) -> str:
+def _csv_format(value) -> str:
     if isinstance(value, float):
-        return f"{value:.{CSV_DECIMALS}f}"
-    if isinstance(value, bool):
-        return "O" if value else "X"
-    return str(value)
+        return f"%.{CSV_DECIMALS}f"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return "%d"
+    return "%s"  # str, and a bool once mapped to its O/X flag
 
 
 def format_rows(rows, fmt: str, header: Sequence[str] = ()) -> str:
     """Newline-terminated CSV or JSON text of a list of row dicts.
 
     JSON keeps full double precision with sorted keys, and `rows` may be any
-    JSON value.  CSV prints `header`, then the header's fields of each row:
-    floats with CSV_DECIMALS places, booleans as the O/X amplification flag.
+    JSON value.  CSV prints `header`, then the header's fields of each row
+    through one printf-style row format built from the first row's cell
+    types: floats with CSV_DECIMALS places, ints as integers, booleans as the
+    O/X amplification flag, anything else as str.  Every row has the first
+    row's cell types.
     """
     if fmt == "json":
         return json.dumps(rows, sort_keys=True) + "\n"
     lines = [",".join(header)]
-    lines += [",".join(_csv_cell(row[key]) for key in header) for row in rows]
+    if rows:
+        first = [rows[0][key] for key in header]
+        row_format = ",".join(map(_csv_format, first))
+        flags = [i for i, value in enumerate(first) if isinstance(value, bool)]
+        for row in rows:
+            cells = [row[key] for key in header]
+            for i in flags:
+                cells[i] = "XO"[cells[i]]
+            lines.append(row_format % tuple(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -152,15 +157,15 @@ def run_search(
     if seq.n is not None and seq.m != oracle.m:
         raise ValueError(f"schedule m={seq.m} does not match oracle m={oracle.m}")
     n, m = oracle.n, oracle.m
-    angles = initial_angles(n, m)
-    theta0 = angles.theta
+    theta0 = theta = initial_angles(n, m).theta
+    phi = 0.0
     state = sv.uniform_state(n) if backend == "statevector" else None
     queries = seq.queries_per_iteration
     steps: list[StepRecord] = []
     for index, params in enumerate(seq.params, start=1):
-        theta, phi = angles.theta, angles.phi
-        angles, delta = step(params, angles, theta0)
-        probability = angles.target_probability
+        beta, gamma = params.beta, params.gamma
+        theta_after, phi_after, delta = advance(beta, gamma, theta, phi, theta0)
+        probability = math.sin(0.5 * theta_after) ** 2
         if state is not None:
             sv.iterate_in_place(state, params, oracle)
             measured = sv.target_probability(state, oracle)
@@ -177,11 +182,12 @@ def run_search(
             probability = measured
         steps.append(
             StepRecord(
-                index, theta, phi, params.beta, params.gamma, probability,
-                delta, delta > 0.0, index * queries,
+                index, theta, phi, beta, gamma, probability, delta, delta > 0.0,
+                index * queries,
             )
         )
-    final = steps[-1].probability_after if steps else initial_angles(n, m).target_probability
+        theta, phi = theta_after, phi_after
+    final = steps[-1].probability_after if steps else math.sin(0.5 * theta0) ** 2
     return Trajectory(
         n=n,
         m=m,

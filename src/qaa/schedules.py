@@ -23,12 +23,12 @@ import numpy as np
 
 from .subspace import (
     IterationParams,
+    advance,
     amplification_terms,
     diffuse,
     initial_angles,
-    optimal_params,
+    optimal_angles,
     qaao_bound,
-    step,
     wrap_2pi,
     wrap_pi,
 )
@@ -111,8 +111,8 @@ def generate_qaao_sequence(
     the one that per-pair `rng.uniform(-pi, pi, 2)` calls give; a rejected
     pair is tested on plain floats and builds no objects.
     """
-    state = initial_angles(n, m)
-    theta0 = state.theta
+    theta0 = theta = initial_angles(n, m).theta
+    phi = 0.0
     big_n = 2**n
     bound = qaao_bound(c, big_n)
     if not 0.0 < target_threshold <= 1.0:
@@ -123,11 +123,10 @@ def generate_qaao_sequence(
     cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
     exact = target_threshold >= 1.0
     params: list[IterationParams] = []
-    while exact or state.target_probability < target_threshold:
-        if state.theta >= math.pi - 2.0 * theta0:
-            params.append(optimal_params(state, theta0))
+    while exact or math.sin(0.5 * theta) ** 2 < target_threshold:
+        if theta >= math.pi - 2.0 * theta0:
+            params.append(IterationParams(*optimal_angles(theta, phi, theta0)))
             break
-        phi = state.phi
         for _ in range(max_attempts):
             if pos == len(draws):
                 draws = rng.uniform(-math.pi, math.pi, _DRAW_BLOCK).tolist()
@@ -142,9 +141,8 @@ def generate_qaao_sequence(
                 f"no amplifying parameters found in {max_attempts} draws; "
                 f"c={c} is likely too demanding for N={big_n}"
             )
-        candidate = IterationParams(beta, gamma)
-        params.append(candidate)
-        state = step(candidate, state, theta0)[0]
+        params.append(IterationParams(beta, gamma))
+        theta, phi, _ = advance(beta, gamma, theta, phi, theta0)
     return ParameterSequence(params=tuple(params), kind=RANDOM_QAAO, n=n, m=m)
 
 
@@ -154,17 +152,16 @@ def optimal_sequence(n: int, m: int = 1) -> ParameterSequence:
     Valid in the regime 4*m <= N.  The closing parameters are computed at
     the evolved state and drive the target probability to exactly 1.
     """
-    state = initial_angles(n, m)
-    theta0 = state.theta
+    theta0 = theta = initial_angles(n, m).theta
+    phi = 0.0
     if 4 * m > 2**n:
         raise ValueError(f"need 4*m <= 2^n, got m={m}, n={n}")
     params: list[IterationParams] = []
     for _ in range(k_star(n, m)):
-        standard = IterationParams(math.pi, wrap_pi(state.phi - math.pi))
-        params.append(standard)
-        state = step(standard, state, theta0)[0]
-    closing = optimal_params(state, theta0)
-    params.append(closing)
+        gamma = wrap_pi(phi - math.pi)
+        params.append(IterationParams(math.pi, gamma))
+        theta, phi, _ = advance(math.pi, gamma, theta, phi, theta0)
+    params.append(IterationParams(*optimal_angles(theta, phi, theta0)))
     return ParameterSequence(params=tuple(params), kind=OPTIMAL, n=n, m=m)
 
 
@@ -183,20 +180,20 @@ def noisy_optimal_sequence(
     leading parameters are (pi, pi) (mod 2*pi), so for small delta the
     draws stay inside [pi - delta, pi + delta] as in the noiseless case.
     """
-    state = initial_angles(n, m)
-    theta0 = state.theta
+    theta0 = theta = initial_angles(n, m).theta
+    phi = 0.0
     if not 0.0 <= delta < 0.5 * math.pi:
         raise ValueError(f"delta must lie in [0, pi/2), got {delta}")
     if 4 * m > 2**n:
         raise ValueError(f"need 4*m <= 2^n, got m={m}, n={n}")
-    rng = np.random.default_rng(seed)
+    # One draw per step, in one call: the values of per-step scalar draws.
+    errors = np.random.default_rng(seed).uniform(-delta, delta, k_star(n, m) + 1).tolist()
     params: list[IterationParams] = []
-    for _ in range(k_star(n, m) + 1):
-        ideal = optimal_params(state, theta0)
-        error = rng.uniform(-delta, delta)
-        noisy = IterationParams(wrap_pi(ideal.beta + error), wrap_pi(ideal.gamma + error))
-        params.append(noisy)
-        state = step(noisy, state, theta0)[0]
+    for error in errors:
+        ideal_beta, ideal_gamma = optimal_angles(theta, phi, theta0)
+        beta, gamma = wrap_pi(ideal_beta + error), wrap_pi(ideal_gamma + error)
+        params.append(IterationParams(beta, gamma))
+        theta, phi, _ = advance(beta, gamma, theta, phi, theta0)
     return ParameterSequence(params=tuple(params), kind=NOISY_OPTIMAL, n=n, m=m)
 
 

@@ -88,10 +88,15 @@ def _check_dims(state: StateVector, oracle: OracleSpec) -> None:
         raise ValueError(f"qubit counts disagree: state n={state.n}, oracle n={oracle.n}")
 
 
-def uniform_state(n: int) -> StateVector:
-    """H^{x n} |0...0>: every amplitude 2^{-n/2}."""
+def check_qubits(n: int) -> None:
+    """Reject a register whose 2^n vector this module does not build."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must lie in [1, {MAX_QUBITS}], got {n}")
+
+
+def uniform_state(n: int) -> StateVector:
+    """H^{x n} |0...0>: every amplitude 2^{-n/2}."""
+    check_qubits(n)
     big_n = 2**n
     return StateVector(n, np.full(big_n, big_n**-0.5, dtype=complex))
 

@@ -72,13 +72,19 @@ class StateAngles:
     @classmethod
     def from_amplitudes(cls, a_target: complex, a_perp: complex) -> "StateAngles":
         """Angles of a_target |t> + a_perp |t_perp>, global phase discarded."""
-        r_t = abs(a_target)
-        r_p = abs(a_perp)
-        theta = 2.0 * math.atan2(r_t, r_p)
-        if r_t * r_t < _POLE_EPS or r_p * r_p < _POLE_EPS:
-            return cls(theta, 0.0)
-        phi = cmath.phase(a_target) - cmath.phase(a_perp)
-        return cls(theta, wrap_2pi(phi))
+        return cls(*_plane_angles(a_target, a_perp))
+
+
+def _plane_angles(a_target: complex, a_perp: complex) -> tuple[float, float]:
+    """(theta, phi) of an amplitude pair as StateAngles stores them."""
+    r_t = abs(a_target)
+    r_p = abs(a_perp)
+    theta = 2.0 * math.atan2(r_t, r_p)
+    if r_t * r_t < _POLE_EPS or r_p * r_p < _POLE_EPS:
+        return theta, 0.0
+    # Wrapped twice, as StateAngles does: a phase a hair below 0 wraps to
+    # 2*pi itself, and the second wrap maps that to 0.
+    return theta, wrap_2pi(wrap_2pi(cmath.phase(a_target) - cmath.phase(a_perp)))
 
 
 @dataclass(frozen=True)
@@ -175,26 +181,42 @@ def diffuse(beta: float, theta0: float, a_t: complex, a_perp: complex) -> tuple[
     return a_t - overlap * s_t, a_perp - overlap * s_perp
 
 
-def step(params: IterationParams, state: StateAngles, theta0: float) -> tuple[StateAngles, float]:
-    """Angles of G(beta, gamma)|s> (global phase discarded) and the increment.
+def advance(
+    beta: float, gamma: float, theta: float, phi: float, theta0: float
+) -> tuple[float, float, float]:
+    """One iteration G(beta, gamma) on plain floats: (theta, phi) after it and the increment.
 
     R(gamma) multiplies the target amplitude of the pair (a_t, a_perp) by
-    e^{-i*gamma}, then `diffuse` applies D(beta).  The increment, the change
-    in target probability, must agree with the closed form to ALGEBRAIC_TOL
-    or a ModelConsistencyError is raised.
+    e^{-i*gamma}, then `diffuse` applies D(beta); the global phase is
+    discarded.  The increment, the change in target probability, must agree
+    with the closed form a*cos(theta) + b*sin(theta) of `coefficients` to
+    ALGEBRAIC_TOL or a ModelConsistencyError is raised.  The angles are not
+    validated; `step` is the checked entry point.
     """
-    half = 0.5 * state.theta
-    a_t = cmath.exp(-1j * params.gamma) * (cmath.exp(1j * state.phi) * math.sin(half))
-    a_t, a_perp = diffuse(params.beta, theta0, a_t, math.cos(half))
-    matrix = abs(a_t) ** 2 - state.target_probability
-    coef = coefficients(params, state, theta0)
-    closed = coef.a * math.cos(state.theta) + coef.b * math.sin(state.theta)
+    half = 0.5 * theta
+    sin_half = math.sin(half)
+    a_t = cmath.exp(-1j * gamma) * (cmath.exp(1j * phi) * sin_half)
+    a_t, a_perp = diffuse(beta, theta0, a_t, math.cos(half))
+    matrix = abs(a_t) ** 2 - sin_half**2
+    sin_theta0 = math.sin(theta0)
+    b = amplification_terms(beta, wrap_2pi(phi - gamma), math.cos(theta0), sin_theta0)[1]
+    a = math.sin(0.5 * beta) ** 2 * sin_theta0**2
+    closed = a * math.cos(theta) + b * math.sin(theta)
     if abs(matrix - closed) > ALGEBRAIC_TOL:
         raise ModelConsistencyError(
-            f"closed-form increment {closed!r} deviates from matrix value "
-            f"{matrix!r} at params={params}, state={state}, theta0={theta0}"
+            f"closed-form increment {closed!r} deviates from matrix value {matrix!r} at "
+            f"beta={beta!r}, gamma={gamma!r}, theta={theta!r}, phi={phi!r}, theta0={theta0!r}"
         )
-    return StateAngles.from_amplitudes(a_t, a_perp), matrix
+    return (*_plane_angles(a_t, a_perp), matrix)
+
+
+def step(params: IterationParams, state: StateAngles, theta0: float) -> tuple[StateAngles, float]:
+    """`advance` on validated parameters and state: the angles after G(beta, gamma), the increment.
+
+    The public boundary of the 2D step; the generators and `run_search` call `advance`.
+    """
+    theta, phi, delta = advance(params.beta, params.gamma, state.theta, state.phi, theta0)
+    return StateAngles(theta, phi), delta
 
 
 def is_qaao(
@@ -221,7 +243,12 @@ def qaao_bound(c: float, n_states: int) -> float:
 
 
 def optimal_params(state: StateAngles, theta0: float) -> IterationParams:
-    """Parameters maximizing the increment at a state.
+    """Parameters maximizing the increment at a state; see `optimal_angles`."""
+    return IterationParams(*optimal_angles(state.theta, state.phi, theta0))
+
+
+def optimal_angles(theta: float, phi: float, theta0: float) -> tuple[float, float]:
+    """(beta, gamma) maximizing the increment at (theta, phi), on plain floats.
 
     For theta < pi - 2*theta0 the optimum is the standard amplification step
     (beta = pi, gamma = phi - pi).  Closer to the target the optimum is
@@ -231,16 +258,15 @@ def optimal_params(state: StateAngles, theta0: float) -> IterationParams:
 
     and applying it drives the target probability to exactly 1.
     """
-    theta, phi = state.theta, state.phi
     if theta < math.pi - 2.0 * theta0:
-        return IterationParams(math.pi, wrap_pi(phi - math.pi))
+        return math.pi, wrap_pi(phi - math.pi)
     ratio = math.cos(0.5 * theta) / math.sin(theta0)
     beta = 2.0 * math.asin(min(max(ratio, -1.0), 1.0))
     half = 0.5 * beta
     # arctan(cot(beta/2) sec(theta0)) on the principal branch; the atan2 form
     # is exact at beta = 0 where the cotangent diverges.
     correction = math.atan2(math.cos(half), math.sin(half) * math.cos(theta0))
-    return IterationParams(beta, wrap_pi(phi + math.pi - correction))
+    return beta, wrap_pi(phi + math.pi - correction)
 
 
 def region_boundary(beta: float, theta0: float) -> float:

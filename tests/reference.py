@@ -1,18 +1,27 @@
 """numpy references that the scalar and in-place library code is checked against.
 
 The library computes the target-plane model on scalar complex pairs
-(`subspace.step`, the pi/3 level loop) and the dense model on one buffer
+(`subspace.advance`, the pi/3 level loop) and the dense model on one buffer
 (`statevector.iterate_in_place`).  These are the textbook forms: explicit
-2x2 matrices, the vectorized closed-form increment, and dense iterations on
-a copy.
+2x2 matrices, the vectorized closed-form increment, the 2D step as a chain
+of `StateAngles`, `IterationParams` and `CoefficientSet` objects, and dense
+iterations on a copy.
 """
 
+import cmath
 import math
 
 import numpy as np
 
 from qaa.statevector import StateVector, iterate_in_place
-from qaa.subspace import IterationParams, StateAngles, amplification_coefficient
+from qaa.subspace import (
+    IterationParams,
+    StateAngles,
+    amplification_coefficient,
+    coefficients,
+    diffuse,
+    wrap_2pi,
+)
 
 
 def amplitudes(state: StateAngles) -> np.ndarray:
@@ -35,6 +44,28 @@ def iteration_matrix(params: IterationParams, theta0: float) -> np.ndarray:
     """2x2 unitary of G(beta, gamma) = D(beta) R(gamma) on (|t>, |t_perp>)."""
     oracle = np.diag([np.exp(-1j * params.gamma), 1.0])
     return diffusion_matrix(params.beta, theta0) @ oracle
+
+
+def object_step(
+    params: IterationParams, state: StateAngles, theta0: float
+) -> tuple[StateAngles, float, float]:
+    """One 2D step through objects: (angles after it, matrix increment, closed form).
+
+    R(gamma), then `diffuse`, the increment from `coefficients`, and the
+    angles read back as `StateAngles.from_amplitudes` reads them.
+    """
+    half = 0.5 * state.theta
+    a_t = cmath.exp(-1j * params.gamma) * (cmath.exp(1j * state.phi) * math.sin(half))
+    a_t, a_perp = diffuse(params.beta, theta0, a_t, math.cos(half))
+    matrix = abs(a_t) ** 2 - state.target_probability
+    coef = coefficients(params, state, theta0)
+    closed = coef.a * math.cos(state.theta) + coef.b * math.sin(state.theta)
+    r_t, r_p = abs(a_t), abs(a_perp)
+    theta = 2.0 * math.atan2(r_t, r_p)
+    if r_t * r_t < 1e-300 or r_p * r_p < 1e-300:
+        return StateAngles(theta, 0.0), matrix, closed
+    phi = wrap_2pi(cmath.phase(a_t) - cmath.phase(a_perp))
+    return StateAngles(theta, phi), matrix, closed
 
 
 def closed_form_increment(beta, gamma, theta: float, phi: float, theta0: float) -> np.ndarray:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qaa import statevector as sv
+from qaa import qasm, schedules, statevector as sv
 from qaa.cli import main
 
 
@@ -150,6 +150,30 @@ class TestSearch:
         assert code == 0
         assert (tmp_path / "t.csv").exists()
 
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "search optimal --n 26 --shots 5",
+            "search optimal --n 32 --backend statevector",
+            "export-qasm optimal --n 26 --verify",
+        ],
+    )
+    def test_dense_cap_comes_before_the_schedule(self, capsys, monkeypatch, argv):
+        def build(*args, **kwargs):
+            raise AssertionError("schedule built before the 2^n cap was checked")
+
+        monkeypatch.setattr(schedules, "build", build)
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert f"qubit count must lie in [1, {sv.MAX_QUBITS}]" in err
+
+    def test_export_without_verify_is_not_capped(self, capsys, monkeypatch):
+        # Writing the circuit builds no 2^n vector, so n may exceed the dense cap.
+        monkeypatch.setattr(qasm, "export_circuit", lambda seq, oracle: f"{len(seq)} steps\n")
+        want = f"{schedules.k_star(26) + 1} steps\n"
+        assert run_cli(capsys, "export-qasm", "optimal", "--n", "26") == (0, want, "")
 
     @pytest.mark.parametrize("command", ["search", "export-qasm"])
     def test_target_needs_single_target(self, capsys, command):
@@ -318,12 +342,20 @@ class TestEntryPoint:
             (f"search optimal --n 64 --target {'1' * 64}", "at most 32"),
             (f"export-qasm optimal --n 64 --target {'1' * 64}", "at most 32"),
             ("search optimal --n 8 --m 256", "target count must satisfy"),
+            # A command that builds a 2^n vector checks n before any output.
+            ("search optimal --n 26 --shots 5", "lie in [1, 24]"),
+            ("export-qasm optimal --n 26 --verify", "lie in [1, 24]"),
+            ("search optimal --n 32 --backend statevector", "lie in [1, 24]"),
+            # The pi/3 series has no state vector to run or sample.
+            ("search pi3 --n 4 --backend statevector", "search pi3"),
+            ("search pi3 --n 4 --shots 5", "search pi3"),
         ],
         ids=[
             "resolution-0", "resolution-negative", "shots-negative", "steps-0", "c-below-1",
             "n-1100", "increment-format", "table-backend", "figure-target", "export-qasm-shots",
             "abbrev-bet", "abbrev-c", "search-n-64-target", "export-qasm-n-64-target",
-            "m-out-of-range",
+            "m-out-of-range", "shots-n-26", "verify-n-26", "statevector-n-32",
+            "pi3-statevector", "pi3-shots",
         ],
     )
     def test_bad_flag_is_a_cli_error(self, argv, says):

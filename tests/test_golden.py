@@ -41,6 +41,10 @@ COMMANDS = {
     "search_optimal_n10_m4_json": "search optimal --n 10 --m 4 --format json",
     "search_fixed_point_n8_json": "search fixed-point --n 8 --format json",
     "figure_fig4_seed5": "figure fig4 --seed 5",
+    "search_random_qaao_n9_m2_seed4_json": "search random-qaao --n 9 --m 2 --seed 4 --format json",
+    "search_noisy_optimal_n10_delta0_2_seed3_json": (
+        "search noisy-optimal --n 10 --delta 0.2 --seed 3 --format json"
+    ),
 }
 
 

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qaa import subspace
+from qaa.engine import run_search
+from qaa.schedules import generate_qaao_sequence, noisy_optimal_sequence, optimal_sequence
+from qaa.statevector import OracleSpec
 from qaa.subspace import (
     MAX_QUBITS,
     IterationParams,
+    ModelConsistencyError,
     StateAngles,
+    advance,
     coefficients,
     diffuse,
     initial_angles,
@@ -20,7 +26,13 @@ from qaa.subspace import (
     wrap_pi,
 )
 
-from reference import amplitudes, closed_form_increment, diffusion_matrix, iteration_matrix
+from reference import (
+    amplitudes,
+    closed_form_increment,
+    diffusion_matrix,
+    iteration_matrix,
+    object_step,
+)
 
 ANGLE = st.floats(-math.pi, math.pi)
 THETA = st.floats(0.0, math.pi)
@@ -144,6 +156,48 @@ class TestApplyIteration:
         s = StateAngles(theta, phi)
         after, d = step(p, s, theta0)
         assert after.target_probability - s.target_probability == pytest.approx(d, abs=1e-12)
+
+
+class TestAdvance:
+    @settings(max_examples=500, deadline=None)
+    @given(ANGLE, ANGLE, THETA, PHI, st.integers(1, MAX_QUBITS))
+    @example(2.0, -1.0, 0.0, 1.0, 8)
+    @example(0.0, 0.5, math.pi, 1.0, 8)
+    def test_is_step_and_the_object_chain_exactly(self, beta, gamma, theta, phi, n):
+        theta0 = initial_angles(n).theta
+        params, state = IterationParams(beta, gamma), StateAngles(theta, phi)
+        got = advance(beta, gamma, state.theta, state.phi, theta0)
+        after, delta = step(params, state, theta0)
+        assert got == (after.theta, after.phi, delta)
+        want, matrix, _ = object_step(params, state, theta0)
+        assert got == (want.theta, want.phi, matrix)
+
+    def test_phase_just_below_zero_wraps_to_zero(self):
+        # -1.7e-17 % (2*pi) rounds to 2*pi itself; StateAngles stores 0.
+        theta, phi = subspace._plane_angles(complex(0.6, -1e-17), 0.8)
+        assert (theta, phi) == (StateAngles.from_amplitudes(complex(0.6, -1e-17), 0.8).theta, 0.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["optimal_sequence", "noisy_optimal_sequence", "generate_qaao_sequence", "run_search"],
+    )
+    def test_closed_form_check_guards_every_step(self, monkeypatch, name):
+        seq = optimal_sequence(6)  # built before b is skewed
+        calls = {
+            "optimal_sequence": lambda: optimal_sequence(6),
+            "noisy_optimal_sequence": lambda: noisy_optimal_sequence(6, 0.1, seed=1),
+            "generate_qaao_sequence": lambda: generate_qaao_sequence(6, seed=1),
+            "run_search": lambda: run_search(seq, OracleSpec.standard(6)),
+        }
+        terms = subspace.amplification_terms
+
+        def skewed(*args):
+            c, b = terms(*args)
+            return c, b + 1e-9
+
+        monkeypatch.setattr(subspace, "amplification_terms", skewed)
+        with pytest.raises(ModelConsistencyError, match="closed-form increment"):
+            calls[name]()
 
 
 class TestIterationMatrix:
