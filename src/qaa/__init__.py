@@ -40,15 +40,15 @@ from .statevector import (
     uniform_state,
 )
 from .subspace import (
-    CoefficientSet,
     IterationParams,
     ModelConsistencyError,
     StateAngles,
+    advance,
     amplification_coefficient,
-    coefficients,
+    amplification_terms,
     initial_angles,
-    is_qaao,
-    optimal_params,
+    optimal_angles,
+    qaao_bound,
     qaao_region_fraction,
     region_boundary,
 )

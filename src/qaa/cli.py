@@ -27,7 +27,14 @@ from pathlib import Path
 
 from . import engine, qasm, schedules, statevector as sv
 from .reference_tables import MAIN_TABLE_ROWS
-from .subspace import IterationParams, StateAngles, coefficients, initial_angles, is_qaao, step
+from .subspace import (
+    IterationParams,
+    StateAngles,
+    advance,
+    amplification_terms,
+    initial_angles,
+    qaao_bound,
+)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -50,14 +57,16 @@ def cmd_increment(args: argparse.Namespace) -> int:
     state = StateAngles(args.theta, args.phi)
     theta0 = initial_angles(args.n, args.m).theta
     params = IterationParams(args.beta, args.gamma)
-    delta = step(params, state, theta0)[1]
-    coef = coefficients(params, state, theta0)
-    amplifying = is_qaao(params, state, theta0, 2**args.n, args.c)
+    delta = advance(params.beta, params.gamma, state.theta, state.phi, theta0)[2]
+    a, b, c = amplification_terms(
+        params.beta, params.gamma, state.phi, math.cos(theta0), math.sin(theta0)
+    )
+    amplifying = b > qaao_bound(args.c, 2**args.n)
     lines = [
         f"increment {delta:.6f}",
-        f"A {coef.a:.6f}",
-        f"B {coef.b:.6f}",
-        f"C {coef.c_coef:.6f}",
+        f"A {a:.6f}",
+        f"B {b:.6f}",
+        f"C {c:.6f}",
         f"qaao {'O' if amplifying else 'X'}",
     ]
     _write("\n".join(lines) + "\n", args.out)
@@ -126,8 +135,8 @@ def _figure_region(args) -> dict:
     from .subspace import amplification_coefficient, region_boundary
 
     res = args.resolution
-    if res < 1:
-        raise ValueError(f"--resolution must be at least 1, got {res}")
+    if not 1 <= res <= 2048:
+        raise ValueError(f"--resolution must lie in [1, 2048], got {res}")
     theta0 = initial_angles(args.n, args.m).theta
     axis = np.linspace(-math.pi, math.pi, res, endpoint=False) + math.pi / res
     beta, gamma = np.meshgrid(axis, axis, indexing="ij")

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import schedules, statevector as sv
 from .schedules import ParameterSequence
-from .subspace import advance, amplification_terms, initial_angles, qaao_bound, wrap_2pi
+from .subspace import advance, amplification_terms, initial_angles, qaao_bound
 
 BACKENDS = ("analytic", "statevector")
 
@@ -213,8 +213,7 @@ def classify(traj: Trajectory, c: Optional[float] = None) -> Trajectory:
     cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
     steps = []
     for s in traj.steps:
-        varphi = wrap_2pi(s.phi_before - s.gamma)
-        b = amplification_terms(s.beta, varphi, cos_theta0, sin_theta0)[1]
+        b = amplification_terms(s.beta, s.gamma, s.phi_before, cos_theta0, sin_theta0)[1]
         steps.append(s._replace(qaao_flag=b > threshold))
     return replace(traj, steps=tuple(steps))
 

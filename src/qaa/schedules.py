@@ -29,7 +29,6 @@ from .subspace import (
     initial_angles,
     optimal_angles,
     qaao_bound,
-    wrap_2pi,
     wrap_pi,
 )
 
@@ -43,6 +42,12 @@ PI3 = "pi3"
 
 #: Error budget of a fixed-point schedule built without one (the reference table's).
 FIXED_POINT_DELTA = 0.316
+
+#: Longest schedule `grover_sequence` and `fixed_point_sequence` build from a
+#: user-given length.  It is above the optimal schedule at n=32 (51,472 steps)
+#: and the fixed-point length that meets FIXED_POINT_DELTA at n=32 (about
+#: ln(2/delta) sqrt(N) / 2 = 60,463).
+MAX_ITERATIONS = 2**16
 
 #: Uniform values drawn per generator call by the random-qaao sampler (even,
 #: so that no (beta, gamma) pair straddles two blocks).
@@ -133,8 +138,7 @@ def generate_qaao_sequence(
                 pos = 0
             beta, gamma = draws[pos], draws[pos + 1]
             pos += 2
-            varphi = wrap_2pi(phi - gamma)
-            if amplification_terms(beta, varphi, cos_theta0, sin_theta0)[1] > bound:
+            if amplification_terms(beta, gamma, phi, cos_theta0, sin_theta0)[1] > bound:
                 break
         else:
             raise RuntimeError(
@@ -212,6 +216,8 @@ def fixed_point_sequence(length: int, delta: float) -> ParameterSequence:
     """
     if length < 1:
         raise ValueError(f"need at least one iteration, got {length}")
+    if length > MAX_ITERATIONS:
+        raise ValueError(f"need at most {MAX_ITERATIONS} iterations, got {length}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     odd = 2 * length + 1
@@ -231,6 +237,8 @@ def grover_sequence(n: int, m: int = 1, steps: int = 1) -> ParameterSequence:
     """`steps` standard Grover iterations G(pi, pi), at least one."""
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
+    if steps > MAX_ITERATIONS:
+        raise ValueError(f"need at most {MAX_ITERATIONS} steps, got {steps}")
     params = (IterationParams(math.pi, math.pi),) * steps
     return ParameterSequence(params=params, kind=GROVER, n=n, m=m)
 

@@ -48,15 +48,18 @@ class OracleSpec:
     def standard(cls, n: int, m: int = 1, target: str | None = None) -> "OracleSpec":
         """`single(target)` when a target is given, else the basis strings 0..m-1.
 
-        A target string marks exactly one state, so giving one with m > 1
-        is an error rather than a silent single-target oracle.  n and m are
-        checked before any target string is formatted.
+        A target string marks exactly one state of n qubits, so giving one
+        with m > 1 or with other than n bits is an error rather than a
+        silent oracle of another shape.  n and m are checked before any
+        target string is formatted.
         """
         initial_angles(n, m)
         if target is None:
             return cls(n, frozenset(format(i, f"0{n}b") for i in range(m)))
         if m != 1:
             raise ValueError(f"a target string marks one state, but m={m}")
+        if len(target) != n:
+            raise ValueError(f"target {target!r} has {len(target)} bits, but n={n}")
         return cls.single(target)
 
     @property

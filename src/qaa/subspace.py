@@ -101,16 +101,6 @@ class IterationParams:
             object.__setattr__(self, name, float(value))
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Coefficients of the increment Delta = a*cos(theta) + b*sin(theta)."""
-
-    a: float
-    b: float
-    c_coef: float
-    varphi: float
-
-
 def initial_angles(n: int, m: int = 1) -> StateAngles:
     """Angles of the uniform superposition over n qubits with m targets.
 
@@ -126,35 +116,25 @@ def initial_angles(n: int, m: int = 1) -> StateAngles:
     return StateAngles(2.0 * math.asin(math.sqrt(m / big_n)), 0.0)
 
 
-def coefficients(
-    params: IterationParams, state: StateAngles, theta0: float
-) -> CoefficientSet:
-    """Closed-form increment coefficients for one iteration at a state.
+def amplification_terms(
+    beta: float, gamma: float, phi: float, cos_theta0: float, sin_theta0: float
+) -> tuple[float, float, float]:
+    """Closed-form coefficients (a, b, c) of the increment Delta = a*cos(theta) + b*sin(theta).
 
-    With varphi = phi - gamma:
+    With varphi = phi - gamma, reduced to [0, 2*pi):
         c = cos(beta/2) sin(varphi) + sin(beta/2) cos(varphi) cos(theta0)
         b = -c sin(beta/2) sin(theta0)
         a = sin^2(beta/2) sin^2(theta0)
+
+    The one scalar form: `advance` checks its increment against it, and the
+    random-schedule sampler, `engine.classify` and the CLI read b here for
+    the QAAO test b > qaao_bound(c, N).
     """
-    varphi = wrap_2pi(state.phi - params.gamma)
-    sin_theta0 = math.sin(theta0)
-    c, b = amplification_terms(params.beta, varphi, math.cos(theta0), sin_theta0)
-    a = math.sin(0.5 * params.beta) ** 2 * sin_theta0**2
-    return CoefficientSet(a=a, b=b, c_coef=c, varphi=varphi)
-
-
-def amplification_terms(
-    beta: float, varphi: float, cos_theta0: float, sin_theta0: float
-) -> tuple[float, float]:
-    """The pair (c, b) of `coefficients` on plain floats, varphi = phi - gamma.
-
-    The one scalar b formula: the QAAO predicate, the random-schedule sampler
-    and `engine.classify` all read b here.
-    """
+    varphi = wrap_2pi(phi - gamma)
     half = 0.5 * beta
     sin_half = math.sin(half)
     c = math.cos(half) * math.sin(varphi) + sin_half * math.cos(varphi) * cos_theta0
-    return c, -c * sin_half * sin_theta0
+    return sin_half**2 * sin_theta0**2, -c * sin_half * sin_theta0, c
 
 
 def amplification_coefficient(
@@ -189,18 +169,17 @@ def advance(
     R(gamma) multiplies the target amplitude of the pair (a_t, a_perp) by
     e^{-i*gamma}, then `diffuse` applies D(beta); the global phase is
     discarded.  The increment, the change in target probability, must agree
-    with the closed form a*cos(theta) + b*sin(theta) of `coefficients` to
-    ALGEBRAIC_TOL or a ModelConsistencyError is raised.  The angles are not
-    validated; `step` is the checked entry point.
+    with the closed form a*cos(theta) + b*sin(theta) of `amplification_terms`
+    to ALGEBRAIC_TOL or a ModelConsistencyError is raised.  The angles are
+    not validated; callers check outside input with `StateAngles` and
+    `IterationParams`.
     """
     half = 0.5 * theta
     sin_half = math.sin(half)
     a_t = cmath.exp(-1j * gamma) * (cmath.exp(1j * phi) * sin_half)
     a_t, a_perp = diffuse(beta, theta0, a_t, math.cos(half))
     matrix = abs(a_t) ** 2 - sin_half**2
-    sin_theta0 = math.sin(theta0)
-    b = amplification_terms(beta, wrap_2pi(phi - gamma), math.cos(theta0), sin_theta0)[1]
-    a = math.sin(0.5 * beta) ** 2 * sin_theta0**2
+    a, b, _ = amplification_terms(beta, gamma, phi, math.cos(theta0), math.sin(theta0))
     closed = a * math.cos(theta) + b * math.sin(theta)
     if abs(matrix - closed) > ALGEBRAIC_TOL:
         raise ModelConsistencyError(
@@ -208,28 +187,6 @@ def advance(
             f"beta={beta!r}, gamma={gamma!r}, theta={theta!r}, phi={phi!r}, theta0={theta0!r}"
         )
     return (*_plane_angles(a_t, a_perp), matrix)
-
-
-def step(params: IterationParams, state: StateAngles, theta0: float) -> tuple[StateAngles, float]:
-    """`advance` on validated parameters and state: the angles after G(beta, gamma), the increment.
-
-    The public boundary of the 2D step; the generators and `run_search` call `advance`.
-    """
-    theta, phi, delta = advance(params.beta, params.gamma, state.theta, state.phi, theta0)
-    return StateAngles(theta, phi), delta
-
-
-def is_qaao(
-    params: IterationParams,
-    state: StateAngles,
-    theta0: float,
-    n_states: int,
-    c: float = 1.5,
-) -> bool:
-    """Whether the iteration amplifies at the O(N^{-1/2}) scale: b > qaao_bound(c, N)."""
-    varphi = wrap_2pi(state.phi - params.gamma)
-    b = amplification_terms(params.beta, varphi, math.cos(theta0), math.sin(theta0))[1]
-    return b > qaao_bound(c, n_states)
 
 
 def qaao_bound(c: float, n_states: int) -> float:
@@ -240,11 +197,6 @@ def qaao_bound(c: float, n_states: int) -> float:
     if c <= 1.0:
         raise ValueError(f"the predicate constant must exceed 1, got c={c}")
     return c / math.sqrt(n_states)
-
-
-def optimal_params(state: StateAngles, theta0: float) -> IterationParams:
-    """Parameters maximizing the increment at a state; see `optimal_angles`."""
-    return IterationParams(*optimal_angles(state.theta, state.phi, theta0))
 
 
 def optimal_angles(theta: float, phi: float, theta0: float) -> tuple[float, float]:

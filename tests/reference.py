@@ -3,9 +3,9 @@
 The library computes the target-plane model on scalar complex pairs
 (`subspace.advance`, the pi/3 level loop) and the dense model on one buffer
 (`statevector.iterate_in_place`).  These are the textbook forms: explicit
-2x2 matrices, the vectorized closed-form increment, the 2D step as a chain
-of `StateAngles`, `IterationParams` and `CoefficientSet` objects, and dense
-iterations on a copy.
+2x2 matrices, the vectorized closed-form increment, the 2D step on
+`StateAngles` and `IterationParams` objects with the textbook a, b and c,
+and dense iterations on a copy.
 """
 
 import cmath
@@ -18,7 +18,6 @@ from qaa.subspace import (
     IterationParams,
     StateAngles,
     amplification_coefficient,
-    coefficients,
     diffuse,
     wrap_2pi,
 )
@@ -51,15 +50,23 @@ def object_step(
 ) -> tuple[StateAngles, float, float]:
     """One 2D step through objects: (angles after it, matrix increment, closed form).
 
-    R(gamma), then `diffuse`, the increment from `coefficients`, and the
-    angles read back as `StateAngles.from_amplitudes` reads them.
+    R(gamma), then `diffuse`, the closed form a*cos(theta) + b*sin(theta)
+    from the textbook coefficients with varphi = phi - gamma, and the angles
+    read back as `StateAngles.from_amplitudes` reads them.
     """
     half = 0.5 * state.theta
     a_t = cmath.exp(-1j * params.gamma) * (cmath.exp(1j * state.phi) * math.sin(half))
     a_t, a_perp = diffuse(params.beta, theta0, a_t, math.cos(half))
     matrix = abs(a_t) ** 2 - state.target_probability
-    coef = coefficients(params, state, theta0)
-    closed = coef.a * math.cos(state.theta) + coef.b * math.sin(state.theta)
+    varphi = state.phi - params.gamma
+    sin_half_beta = math.sin(0.5 * params.beta)
+    c = (
+        math.cos(0.5 * params.beta) * math.sin(varphi)
+        + sin_half_beta * math.cos(varphi) * math.cos(theta0)
+    )
+    a = sin_half_beta**2 * math.sin(theta0) ** 2
+    b = -c * sin_half_beta * math.sin(theta0)
+    closed = a * math.cos(state.theta) + b * math.sin(state.theta)
     r_t, r_p = abs(a_t), abs(a_perp)
     theta = 2.0 * math.atan2(r_t, r_p)
     if r_t * r_t < 1e-300 or r_p * r_p < 1e-300:

@@ -27,13 +27,12 @@ from qaa.schedules import (
 from qaa.statevector import OracleSpec, target_probability, uniform_state
 from qaa.subspace import (
     IterationParams,
-    StateAngles,
+    advance,
     amplification_coefficient,
-    coefficients,
     initial_angles,
-    optimal_params,
+    optimal_angles,
     region_boundary,
-    step,
+    wrap_2pi,
     wrap_pi,
 )
 
@@ -74,18 +73,18 @@ def check(number: int, name: str):
 @check(1, "length-21 fixed-point table: params, angles, increments, flags")
 def test_appendix_table_reproduction():
     seq = fixed_point_sequence(21, DELTA_FP)
-    state = initial_angles(8)
-    theta0 = state.theta
+    theta0 = theta = initial_angles(8).theta
+    phi = 0.0
     negatives = []
-    for (index, theta, _, beta, gamma, inc, _), p in zip(
+    for (index, want_theta, _, beta, gamma, inc, _), p in zip(
         FIXED_POINT_N8_L21, seq.params
     ):
         # the reference gammas carry the sign consistent with the schedule's
         # own reflection symmetry (see qaa.reference_tables)
         assert abs(p.beta - beta) < 1e-3
         assert abs(p.gamma - gamma) < 1e-3
-        assert abs(state.theta - theta) < 1e-3
-        state, d = step(p, state, theta0)
+        assert abs(theta - want_theta) < 1e-3
+        theta, phi, d = advance(p.beta, p.gamma, theta, phi, theta0)
         assert abs(d - inc) < 1e-3
         if d < 0.0:
             negatives.append(index)
@@ -96,10 +95,10 @@ def test_appendix_table_reproduction():
 def test_main_table_subset():
     published = {9: -0.0061, 10: -0.1007, 11: -0.0596, 12: -0.0575}
     seq = fixed_point_sequence(21, DELTA_FP)
-    state = initial_angles(8)
-    theta0 = state.theta
+    theta0 = theta = initial_angles(8).theta
+    phi = 0.0
     for (index, *_), p in zip(FIXED_POINT_N8_L21, seq.params):
-        state, d = step(p, state, theta0)
+        theta, phi, d = advance(p.beta, p.gamma, theta, phi, theta0)
         if index in published:
             assert abs(d - published[index]) < 1e-3
 
@@ -170,37 +169,32 @@ def test_optimality():
             else:
                 theta = float(rng.uniform(math.pi - 2.0 * theta0, math.pi))
             phi = float(rng.uniform(0.0, 2.0 * math.pi))
-            state = StateAngles(theta, phi)
-            best = step(optimal_params(state, theta0), state, theta0)[1]
+            after, _, best = advance(*optimal_angles(theta, phi, theta0), theta, phi, theta0)
             grid = closed_form_increment(grid_b, grid_g, theta, phi, theta0)
             assert float(grid.max()) <= best + 1e-4
             if branch == "closing":
-                after = step(optimal_params(state, theta0), state, theta0)[0]
-                assert abs(after.target_probability - 1.0) < 1e-10
+                assert abs(math.sin(0.5 * after) ** 2 - 1.0) < 1e-10
                 # t* = pi - theta: the optimal step rotates theta to the pole
-                assert abs(after.theta - math.pi) < 1e-6
+                assert abs(after - math.pi) < 1e-6
     # stationarity under central finite differences, plus the closed-form
     # phase condition tan(varphi*) = cot(beta/2) sec(theta0)
     for _ in range(50):
         theta0 = float(rng.uniform(0.05, 0.5))
         theta = float(rng.uniform(math.pi - 2.0 * theta0, math.pi - 1e-4))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        state = StateAngles(theta, phi)
-        p = optimal_params(state, theta0)
+        beta, gamma = optimal_angles(theta, phi, theta0)
+
+        def delta_at(b, g):
+            return advance(wrap_pi(b), wrap_pi(g), theta, phi, theta0)[2]
+
         h = 1e-6
-        d_gamma = (
-            step(IterationParams(p.beta, wrap_pi(p.gamma + h)), state, theta0)[1]
-            - step(IterationParams(p.beta, wrap_pi(p.gamma - h)), state, theta0)[1]
-        ) / (2 * h)
-        d_beta = (
-            step(IterationParams(wrap_pi(p.beta + h), p.gamma), state, theta0)[1]
-            - step(IterationParams(wrap_pi(p.beta - h), p.gamma), state, theta0)[1]
-        ) / (2 * h)
+        d_gamma = (delta_at(beta, gamma + h) - delta_at(beta, gamma - h)) / (2 * h)
+        d_beta = (delta_at(beta + h, gamma) - delta_at(beta - h, gamma)) / (2 * h)
         assert abs(d_gamma) < 1e-6
         assert abs(d_beta) < 1e-6
-        varphi = coefficients(p, state, theta0).varphi
+        varphi = wrap_2pi(phi - gamma)
         assert abs(
-            math.tan(varphi) - 1.0 / (math.tan(0.5 * p.beta) * math.cos(theta0))
+            math.tan(varphi) - 1.0 / (math.tan(0.5 * beta) * math.cos(theta0))
         ) < 1e-6
 
 

@@ -326,6 +326,13 @@ class TestEntryPoint:
         [
             ("figure region --resolution 0", ""),
             ("figure region --resolution -2", ""),
+            # Work grows with these; the caps come before any is done.
+            ("figure region --resolution 2049", "[1, 2048]"),
+            ("export-qasm grover --n 4 --steps 65537", "at most 65536"),
+            ("table appendix --L 65537", "at most 65536"),
+            # A target string has exactly --n bits.
+            ("export-qasm optimal --n 8 --target 0000000", "but n=8"),
+            ("search pi3 --n 8 --target 01", "but n=8"),
             ("search optimal --n 6 --shots -3", ""),
             ("export-qasm grover --n 2 --target 01 --steps 0", ""),
             ("increment --beta 1 --gamma 1 --theta 1 --c 0.5", ""),
@@ -351,7 +358,8 @@ class TestEntryPoint:
             ("search pi3 --n 4 --shots 5", "search pi3"),
         ],
         ids=[
-            "resolution-0", "resolution-negative", "shots-negative", "steps-0", "c-below-1",
+            "resolution-0", "resolution-negative", "resolution-2049", "steps-65537",
+            "L-65537", "export-qasm-short-target", "search-short-target", "shots-negative", "steps-0", "c-below-1",
             "n-1100", "increment-format", "table-backend", "figure-target", "export-qasm-shots",
             "abbrev-bet", "abbrev-c", "search-n-64-target", "export-qasm-n-64-target",
             "m-out-of-range", "shots-n-26", "verify-n-26", "statevector-n-32",

@@ -34,6 +34,9 @@ COMMANDS = {
     "increment_beta3_1291_n8": (
         "increment --beta 3.1291 --gamma -3.1354 --theta 0.1251 --n 8"
     ),
+    "increment_beta2_8209_n8": (
+        "increment --beta 2.8209 --gamma -2.8950 --theta 1.9147 --phi 5.1123 --n 8"
+    ),
     "figure_region_n6_res64": "figure region --n 6 --resolution 64",
     "figure_fig3_n6": "figure fig3 --n 6",
     "table_main_json": "table main --format json",

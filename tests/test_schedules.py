@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qaa.reference_tables import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS
 from qaa.schedules import (
     BUILDERS,
+    MAX_ITERATIONS,
     MAX_PI3_DEPTH,
     ParameterSequence,
     build,
@@ -25,11 +26,11 @@ from qaa.schedules import (
 from qaa.subspace import (
     MAX_QUBITS,
     IterationParams,
-    StateAngles,
+    advance,
+    amplification_terms,
     initial_angles,
-    is_qaao,
-    optimal_params,
-    step,
+    optimal_angles,
+    qaao_bound,
 )
 
 
@@ -92,6 +93,12 @@ class TestParameterSequence:
         with pytest.raises(ValueError, match="at least one step"):
             build("grover", 4, steps=steps)
 
+    @pytest.mark.parametrize("kind, setting", [("grover", "steps"), ("fixed-point", "length")])
+    def test_user_lengths_are_capped(self, kind, setting):
+        assert len(build(kind, 4, **{setting: MAX_ITERATIONS})) == MAX_ITERATIONS
+        with pytest.raises(ValueError, match=f"at most {MAX_ITERATIONS}"):
+            build(kind, 4, **{setting: MAX_ITERATIONS + 1})
+
     def test_build_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             build("pi3", 8)
@@ -102,26 +109,17 @@ class TestOptimalSequence:
     def test_reaches_probability_one(self, n):
         seq = optimal_sequence(n)
         assert len(seq) == k_star(n) + 1
-        state = initial_angles(n)
-        theta0 = state.theta
-        for p in seq.params:
-            state = step(p, state, theta0)[0]
-        assert state.target_probability == pytest.approx(1.0, abs=1e-10)
+        assert final_probability(seq.params, n) == pytest.approx(1.0, abs=1e-10)
 
     def test_multi_target(self):
         seq = optimal_sequence(8, m=4)
-        state = initial_angles(8, 4)
-        theta0 = state.theta
-        for p in seq.params:
-            state = step(p, state, theta0)[0]
-        assert state.target_probability == pytest.approx(1.0, abs=1e-10)
+        assert final_probability(seq.params, 8, 4) == pytest.approx(1.0, abs=1e-10)
 
     def test_every_step_amplifies(self):
-        seq = optimal_sequence(8)
-        state = initial_angles(8)
-        theta0 = state.theta
-        for p in seq.params:
-            state, d = step(p, state, theta0)
+        theta0 = theta = initial_angles(8).theta
+        phi = 0.0
+        for p in optimal_sequence(8).params:
+            theta, phi, d = advance(p.beta, p.gamma, theta, phi, theta0)
             assert d > 0.0
 
     def test_rejects_dense_marking(self):
@@ -138,26 +136,27 @@ def reference_qaao(n, m=1, c=1.5, seed=0, target_threshold=1.0, max_attempts=10_
     """The per-draw sampler the block sampler must reproduce.
 
     One rng.uniform(-pi, pi, 2) call, one validated IterationParams and one
-    is_qaao test per draw; the closing step whenever the closing region
-    comes before the threshold.
+    b > qaao_bound(c, N) test per draw; the closing step whenever the closing
+    region comes before the threshold.
     """
     rng = np.random.default_rng(seed)
-    state = initial_angles(n, m)
-    theta0 = state.theta
+    theta0 = theta = initial_angles(n, m).theta
+    phi = 0.0
+    bound = qaao_bound(c, 2**n)
     exact = target_threshold >= 1.0
     params = []
-    while exact or state.target_probability < target_threshold:
-        if state.theta >= math.pi - 2.0 * theta0:
-            params.append(optimal_params(state, theta0))
+    while exact or math.sin(0.5 * theta) ** 2 < target_threshold:
+        if theta >= math.pi - 2.0 * theta0:
+            params.append(IterationParams(*optimal_angles(theta, phi, theta0)))
             break
         for _ in range(max_attempts):
             candidate = IterationParams(*rng.uniform(-math.pi, math.pi, 2))
-            if is_qaao(candidate, state, theta0, 2**n, c):
+            if b_at(candidate, phi, theta0) > bound:
                 break
         else:
             raise RuntimeError("no amplifying parameters found")
         params.append(candidate)
-        state = step(candidate, state, theta0)[0]
+        theta, phi, _ = advance(candidate.beta, candidate.gamma, theta, phi, theta0)
     return tuple(params)
 
 
@@ -171,24 +170,29 @@ def qaao_settings(draw):
     return n, m, c, seed, threshold
 
 
-def final_probability(seq):
-    state = initial_angles(seq.n, seq.m)
-    theta0 = state.theta
-    for p in seq.params:
-        state = step(p, state, theta0)[0]
-    return state.target_probability
+def b_at(p, phi, theta0):
+    """The increment coefficient b of iteration p at a state of phase phi."""
+    return amplification_terms(p.beta, p.gamma, phi, math.cos(theta0), math.sin(theta0))[1]
+
+
+def final_probability(params, n, m=1):
+    """Target probability after running params from the uniform state."""
+    theta0 = theta = initial_angles(n, m).theta
+    phi = 0.0
+    for p in params:
+        theta, phi, _ = advance(p.beta, p.gamma, theta, phi, theta0)
+    return math.sin(0.5 * theta) ** 2
 
 
 class TestRandomQaao:
     def test_each_step_satisfies_predicate(self):
         seq = generate_qaao_sequence(8, c=1.5, seed=3)
-        state = initial_angles(8)
-        theta0 = state.theta
+        theta0 = theta = initial_angles(8).theta
+        phi = 0.0
         for p in seq.params[:-1]:
-            assert is_qaao(p, state, theta0, 2**8, 1.5)
-            state = step(p, state, theta0)[0]
-        state = step(seq.params[-1], state, theta0)[0]
-        assert state.target_probability == pytest.approx(1.0, abs=1e-10)
+            assert b_at(p, phi, theta0) > qaao_bound(1.5, 2**8)
+            theta, phi, _ = advance(p.beta, p.gamma, theta, phi, theta0)
+        assert final_probability(seq.params, 8) == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_per_seed(self):
         assert generate_qaao_sequence(8, seed=5) == generate_qaao_sequence(8, seed=5)
@@ -205,12 +209,9 @@ class TestRandomQaao:
 
     def test_partial_threshold_has_no_closing_step(self):
         seq = generate_qaao_sequence(8, seed=0, target_threshold=0.5)
-        state = initial_angles(8)
-        theta0 = state.theta
-        for p in seq.params:
-            state = step(p, state, theta0)[0]
-        assert state.target_probability >= 0.5
-        assert state.target_probability < 1.0 - 1e-6
+        final = final_probability(seq.params, 8)
+        assert final >= 0.5
+        assert final < 1.0 - 1e-6
 
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
@@ -223,7 +224,7 @@ class TestRandomQaao:
         # step (n=4, seed=0, 0.95 used to stop at 0.8894).
         for seed in range(20):
             seq = generate_qaao_sequence(n, seed=seed, target_threshold=threshold)
-            assert final_probability(seq) >= threshold
+            assert final_probability(seq.params, seq.n, seq.m) >= threshold
 
     def test_unreachable_predicate_raises(self):
         with pytest.raises(RuntimeError, match="10000 draws"):
@@ -283,26 +284,23 @@ class TestNoisyOptimal:
         # per-state ideal parameters agree step by step
         delta = 0.1 * math.pi
         seq = noisy_optimal_sequence(8, delta, seed=6)
-        state = initial_angles(8)
-        theta0 = state.theta
+        theta0 = theta = initial_angles(8).theta
+        phi = 0.0
         for p in seq.params:
-            ideal = optimal_params(state, theta0)
-            offset_b = math.remainder(p.beta - ideal.beta, 2.0 * math.pi)
-            offset_g = math.remainder(p.gamma - ideal.gamma, 2.0 * math.pi)
+            ideal_beta, ideal_gamma = optimal_angles(theta, phi, theta0)
+            offset_b = math.remainder(p.beta - ideal_beta, 2.0 * math.pi)
+            offset_g = math.remainder(p.gamma - ideal_gamma, 2.0 * math.pi)
             assert offset_b == pytest.approx(offset_g, abs=1e-12)
             assert abs(offset_b) <= delta
-            state = step(p, state, theta0)[0]
+            theta, phi, _ = advance(p.beta, p.gamma, theta, phi, theta0)
 
     def test_rejects_large_delta(self):
         with pytest.raises(ValueError):
             noisy_optimal_sequence(8, math.pi / 2.0)
 
     def test_mild_noise_still_amplifies(self):
-        state = initial_angles(8)
-        theta0 = state.theta
-        for p in noisy_optimal_sequence(8, 0.05 * math.pi, seed=2).params:
-            state = step(p, state, theta0)[0]
-        assert state.target_probability > 0.9
+        seq = noisy_optimal_sequence(8, 0.05 * math.pi, seed=2)
+        assert final_probability(seq.params, 8) > 0.9
 
 
 class TestFixedPoint:
@@ -314,23 +312,23 @@ class TestFixedPoint:
 
     def test_reproduces_published_trajectory(self):
         seq = fixed_point_sequence(21, math.sqrt(0.1))
-        state = initial_angles(8)
-        theta0 = state.theta
+        theta0 = theta = initial_angles(8).theta
+        phi = 0.0
         negatives = []
-        for (index, theta, phi, _, _, inc, flag), p in zip(
+        for (index, want_theta, want_phi, _, _, inc, flag), p in zip(
             FIXED_POINT_N8_L21, seq.params
         ):
-            assert state.theta == pytest.approx(theta, abs=1e-3)
+            assert theta == pytest.approx(want_theta, abs=1e-3)
             # phi is ill-conditioned where theta turns around; allow a bit
             # more slack there than for the well-conditioned columns
-            assert state.phi == pytest.approx(phi, abs=3e-3)
-            state, d = step(p, state, theta0)
+            assert phi == pytest.approx(want_phi, abs=3e-3)
+            theta, phi, d = advance(p.beta, p.gamma, theta, phi, theta0)
             assert d == pytest.approx(inc, abs=1e-3)
             assert (d < 0.0) == (flag == "X")
             if d < 0.0:
                 negatives.append(index)
         assert tuple(negatives) == NON_AMPLIFYING_ROWS
-        assert state.target_probability == pytest.approx(0.9841, abs=1e-3)
+        assert math.sin(0.5 * theta) ** 2 == pytest.approx(0.9841, abs=1e-3)
 
     def test_gamma_symmetry(self):
         seq = fixed_point_sequence(9, 0.2)
@@ -349,12 +347,9 @@ class TestFixedPoint:
         delta = 0.1
         cases = {6: (26, 32, 45), 8: (50, 60, 75)}
         for n, lengths in cases.items():
-            theta0 = initial_angles(n).theta
             for length in lengths:
-                state = initial_angles(n)
-                for p in fixed_point_sequence(length, delta).params:
-                    state = step(p, state, theta0)[0]
-                assert state.target_probability >= 1.0 - delta**2 - 1e-9
+                final = final_probability(fixed_point_sequence(length, delta).params, n)
+                assert final >= 1.0 - delta**2 - 1e-9
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 2.0])
     def test_rejects_bad_delta(self, bad):

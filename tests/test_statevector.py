@@ -18,7 +18,7 @@ from qaa.statevector import (
     target_probability,
     uniform_state,
 )
-from qaa.subspace import MAX_QUBITS, IterationParams, StateAngles, initial_angles, step
+from qaa.subspace import MAX_QUBITS, IterationParams, advance, initial_angles
 
 from reference import apply_iteration, norm_defect
 
@@ -59,6 +59,11 @@ class TestOracleSpec:
         assert OracleSpec.standard(3, 3).targets == {"000", "001", "010"}
         with pytest.raises(ValueError):
             OracleSpec.standard(3, 2, target="101")
+
+    @pytest.mark.parametrize("target", ["10", "1010", ""])
+    def test_standard_target_has_n_bits(self, target):
+        with pytest.raises(ValueError, match="bits, but n=3"):
+            OracleSpec.standard(3, target=target)
 
     @pytest.mark.parametrize("m", [0, 8, 9, 3_000_000])
     def test_standard_checks_m_before_formatting(self, m):
@@ -214,16 +219,15 @@ class TestProjection:
         spec = OracleSpec.single("01101")
         theta0 = initial_angles(5).theta
         sv = uniform_state(5)
-        angles = initial_angles(5)
+        theta, phi = theta0, 0.0
         for beta, gamma in ((b1, g1), (b2, g2)):
-            p = IterationParams(beta, gamma)
-            sv = apply_iteration(sv, p, spec)
-            angles = step(p, angles, theta0)[0]
+            sv = apply_iteration(sv, IterationParams(beta, gamma), spec)
+            theta, phi, _ = advance(beta, gamma, theta, phi, theta0)
         projected, leakage = project_to_angles(sv, spec)
         assert leakage < 1e-12
-        assert projected.theta == pytest.approx(angles.theta, abs=1e-10)
+        assert projected.theta == pytest.approx(theta, abs=1e-10)
         assert target_probability(sv, spec) == pytest.approx(
-            angles.target_probability, abs=1e-10
+            math.sin(0.5 * theta) ** 2, abs=1e-10
         )
 
 

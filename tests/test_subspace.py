@@ -15,14 +15,14 @@ from qaa.subspace import (
     ModelConsistencyError,
     StateAngles,
     advance,
-    coefficients,
+    amplification_terms,
     diffuse,
     initial_angles,
-    is_qaao,
-    optimal_params,
+    optimal_angles,
+    qaao_bound,
     qaao_region_fraction,
     region_boundary,
-    step,
+    wrap_2pi,
     wrap_pi,
 )
 
@@ -37,6 +37,15 @@ from reference import (
 ANGLE = st.floats(-math.pi, math.pi)
 THETA = st.floats(0.0, math.pi)
 PHI = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+
+
+def terms(beta, gamma, phi, theta0):
+    """(a, b, c) of `amplification_terms` at a state of phase phi."""
+    return amplification_terms(beta, gamma, phi, math.cos(theta0), math.sin(theta0))
+
+
+def probability(theta):
+    return math.sin(0.5 * theta) ** 2
 
 
 class TestInitialAngles:
@@ -68,36 +77,32 @@ class TestInitialAngles:
 
 class TestCoefficients:
     def test_beta_zero_kills_both(self):
-        c = coefficients(IterationParams(0.0, 1.3), StateAngles(0.7, 2.0), 0.125)
-        assert c.a == 0.0
-        assert c.b == 0.0
+        a, b, _ = terms(0.0, 1.3, 2.0, 0.125)
+        assert a == 0.0
+        assert b == 0.0
 
     def test_grover_point(self):
         theta0 = initial_angles(8).theta
-        c = coefficients(IterationParams(math.pi, math.pi), StateAngles(theta0, 0.0), theta0)
-        assert c.b == pytest.approx(math.sin(theta0) * math.cos(theta0), abs=1e-12)
-        assert c.b == pytest.approx(0.12380, abs=1e-4)
+        b = terms(math.pi, math.pi, 0.0, theta0)[1]
+        assert b == pytest.approx(math.sin(theta0) * math.cos(theta0), abs=1e-12)
+        assert b == pytest.approx(0.12380, abs=1e-4)
 
     def test_grover_b_from_finite_difference(self):
         # independent oracle: b = d(Delta)/d(sin theta) at fixed cos-part,
         # recovered from the matrix-product increment at two states
         theta0 = initial_angles(8).theta
-        p = IterationParams(math.pi, math.pi)
-        c = coefficients(p, StateAngles(theta0, 0.0), theta0)
+        a, b, _ = terms(math.pi, math.pi, 0.0, theta0)
         th1, th2 = 0.6, 0.6 + 1e-7
-        d1 = step(p, StateAngles(th1, 0.0), theta0)[1]
-        d2 = step(p, StateAngles(th2, 0.0), theta0)[1]
+        d1 = advance(math.pi, math.pi, th1, 0.0, theta0)[2]
+        d2 = advance(math.pi, math.pi, th2, 0.0, theta0)[2]
         slope = (d2 - d1) / (th2 - th1)
         # Delta(theta) = a cos + b sin -> derivative -a sin + b cos
-        expected = -c.a * math.sin(th1) + c.b * math.cos(th1)
+        expected = -a * math.sin(th1) + b * math.cos(th1)
         assert slope == pytest.approx(expected, abs=1e-5)
 
     def test_published_negative_row(self):
         theta0 = initial_angles(8).theta
-        c = coefficients(
-            IterationParams(2.8209, -2.8950), StateAngles(1.9147, 5.1123), theta0
-        )
-        assert c.b < 0.0
+        assert terms(2.8209, -2.8950, 5.1123, theta0)[1] < 0.0
 
 
 class TestIncrement:
@@ -105,57 +110,48 @@ class TestIncrement:
         # row 9 of the published trajectory; gamma carries the sign
         # consistent with the schedule symmetry (see reference_tables)
         theta0 = initial_angles(8).theta
-        d = step(
-            IterationParams(2.8209, -2.8950), StateAngles(1.9147, 5.1123), theta0
-        )[1]
+        d = advance(2.8209, -2.8950, 1.9147, 5.1123, theta0)[2]
         assert d == pytest.approx(-0.0061, abs=1e-3)
 
     def test_first_fixed_point_row(self):
         theta0 = initial_angles(8).theta
-        d = step(
-            IterationParams(3.1291, -3.1354), StateAngles(0.1251, 0.0), theta0
-        )[1]
+        d = advance(3.1291, -3.1354, 0.1251, 0.0, theta0)[2]
         assert d == pytest.approx(0.0309, abs=1e-3)
 
     def test_beta_zero_is_pure_phase(self):
         theta0 = initial_angles(8).theta
-        assert step(IterationParams(0.0, 2.2), StateAngles(1.0, 0.4), theta0)[1] == 0.0
+        assert advance(0.0, 2.2, 1.0, 0.4, theta0)[2] == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(ANGLE, ANGLE, THETA, PHI, st.floats(0.05, 1.5))
     def test_closed_form_matches_matrix(self, beta, gamma, theta, phi, theta0):
-        p = IterationParams(beta, gamma)
-        s = StateAngles(theta, phi)
-        matrix_value = step(p, s, theta0)[1]  # raises on disagreement
+        matrix_value = advance(beta, gamma, theta, phi, theta0)[2]  # raises on disagreement
         closed = float(closed_form_increment(beta, gamma, theta, phi, theta0))
         assert matrix_value == pytest.approx(closed, abs=1e-12)
 
 
 class TestApplyIteration:
     def test_identity(self):
-        s = StateAngles(0.8, 1.1)
-        out = step(IterationParams(0.0, 0.0), s, 0.125)[0]
-        assert out.theta == pytest.approx(s.theta, abs=1e-14)
-        assert out.phi == pytest.approx(s.phi, abs=1e-14)
+        theta, phi, _ = advance(0.0, 0.0, 0.8, 1.1, 0.125)
+        assert theta == pytest.approx(0.8, abs=1e-14)
+        assert phi == pytest.approx(1.1, abs=1e-14)
 
     def test_grover_step_rotates_by_2theta0(self):
         theta0 = initial_angles(8).theta
-        out = step(IterationParams(math.pi, math.pi), StateAngles(theta0, 0.0), theta0)[0]
-        assert out.theta == pytest.approx(3.0 * theta0, abs=1e-12)
-        assert out.theta == pytest.approx(0.3752, abs=1e-3)
+        theta = advance(math.pi, math.pi, theta0, 0.0, theta0)[0]
+        assert theta == pytest.approx(3.0 * theta0, abs=1e-12)
+        assert theta == pytest.approx(0.3752, abs=1e-3)
 
     def test_grover_three_qubits(self):
         theta0 = initial_angles(3).theta
-        out = step(IterationParams(math.pi, math.pi), StateAngles(theta0, 0.0), theta0)[0]
-        assert out.target_probability == pytest.approx(25.0 / 32.0, abs=1e-12)
+        theta = advance(math.pi, math.pi, theta0, 0.0, theta0)[0]
+        assert probability(theta) == pytest.approx(25.0 / 32.0, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(ANGLE, ANGLE, THETA, PHI, st.floats(0.05, 1.5))
     def test_probability_bookkeeping(self, beta, gamma, theta, phi, theta0):
-        p = IterationParams(beta, gamma)
-        s = StateAngles(theta, phi)
-        after, d = step(p, s, theta0)
-        assert after.target_probability - s.target_probability == pytest.approx(d, abs=1e-12)
+        after, _, d = advance(beta, gamma, theta, phi, theta0)
+        assert probability(after) - probability(theta) == pytest.approx(d, abs=1e-12)
 
 
 class TestAdvance:
@@ -167,10 +163,9 @@ class TestAdvance:
         theta0 = initial_angles(n).theta
         params, state = IterationParams(beta, gamma), StateAngles(theta, phi)
         got = advance(beta, gamma, state.theta, state.phi, theta0)
-        after, delta = step(params, state, theta0)
-        assert got == (after.theta, after.phi, delta)
-        want, matrix, _ = object_step(params, state, theta0)
+        want, matrix, closed = object_step(params, state, theta0)
         assert got == (want.theta, want.phi, matrix)
+        assert abs(matrix - closed) <= subspace.ALGEBRAIC_TOL
 
     def test_phase_just_below_zero_wraps_to_zero(self):
         # -1.7e-17 % (2*pi) rounds to 2*pi itself; StateAngles stores 0.
@@ -192,8 +187,8 @@ class TestAdvance:
         terms = subspace.amplification_terms
 
         def skewed(*args):
-            c, b = terms(*args)
-            return c, b + 1e-9
+            a, b, c = terms(*args)
+            return a, b + 1e-9, c
 
         monkeypatch.setattr(subspace, "amplification_terms", skewed)
         with pytest.raises(ModelConsistencyError, match="closed-form increment"):
@@ -227,7 +222,8 @@ class TestIterationMatrix:
         p = IterationParams(beta, gamma)
         s = StateAngles(theta, phi)
         after = iteration_matrix(p, theta0) @ amplitudes(s)
-        got, delta = step(p, s, theta0)
+        theta_after, phi_after, delta = advance(beta, gamma, theta, phi, theta0)
+        got = StateAngles(theta_after, phi_after)
         want = StateAngles.from_amplitudes(after[0], after[1])
         np.testing.assert_allclose(amplitudes(got), amplitudes(want), rtol=0, atol=1e-12)
         assert delta == pytest.approx(abs(after[0]) ** 2 - s.target_probability, abs=1e-12)
@@ -249,66 +245,60 @@ class TestIterationMatrix:
 class TestIsQaao:
     def test_grover_at_initial_state(self):
         theta0 = initial_angles(8).theta
-        assert is_qaao(
-            IterationParams(math.pi, math.pi), StateAngles(theta0, 0.0), theta0, 256, 1.5
-        )
+        assert terms(math.pi, math.pi, 0.0, theta0)[1] > qaao_bound(1.5, 256)
 
     def test_published_negative_row_is_not(self):
         theta0 = initial_angles(8).theta
-        assert not is_qaao(
-            IterationParams(2.8209, -2.8950), StateAngles(1.9147, 5.1123), theta0, 256, 1.5
-        )
+        assert not terms(2.8209, -2.8950, 5.1123, theta0)[1] > qaao_bound(1.5, 256)
 
     def test_beta_zero_never_qualifies(self):
-        assert not is_qaao(IterationParams(0.0, 1.0), StateAngles(1.0, 0.0), 0.125, 256, 1.5)
+        assert not terms(0.0, 1.0, 0.0, 0.125)[1] > qaao_bound(1.5, 256)
 
     def test_rejects_small_c(self):
         with pytest.raises(ValueError):
-            is_qaao(IterationParams(1.0, 1.0), StateAngles(1.0, 0.0), 0.125, 256, 1.0)
+            qaao_bound(1.0, 256)
 
 
 class TestOptimalParams:
     def test_initial_state_gives_grover(self):
         theta0 = initial_angles(8).theta
-        p = optimal_params(StateAngles(theta0, 0.0), theta0)
-        assert p.beta == pytest.approx(math.pi)
-        assert p.gamma == pytest.approx(-math.pi)
+        beta, gamma = optimal_angles(theta0, 0.0, theta0)
+        assert beta == pytest.approx(math.pi)
+        assert gamma == pytest.approx(-math.pi)
 
     def test_at_target_pole(self):
         theta0 = initial_angles(8).theta
-        p = optimal_params(StateAngles(math.pi, 0.0), theta0)
-        assert p.beta == pytest.approx(0.0, abs=1e-12)
-        assert step(p, StateAngles(math.pi, 0.0), theta0)[1] == pytest.approx(0.0, abs=1e-12)
+        beta, gamma = optimal_angles(math.pi, 0.0, theta0)
+        assert beta == pytest.approx(0.0, abs=1e-12)
+        assert advance(beta, gamma, math.pi, 0.0, theta0)[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_closing_step_is_exact(self):
-        theta0 = initial_angles(8).theta
-        state = StateAngles(theta0, 0.0)
+        theta0 = theta = initial_angles(8).theta
+        phi = 0.0
         for _ in range(12):
-            state = step(optimal_params(state, theta0), state, theta0)[0]
-        closing = optimal_params(state, theta0)
-        assert state.theta >= math.pi - 2.0 * theta0
-        final = step(closing, state, theta0)[0]
-        assert final.target_probability == pytest.approx(1.0, abs=1e-10)
+            theta, phi, _ = advance(*optimal_angles(theta, phi, theta0), theta, phi, theta0)
+        closing = optimal_angles(theta, phi, theta0)
+        assert theta >= math.pi - 2.0 * theta0
+        final = advance(*closing, theta, phi, theta0)[0]
+        assert probability(final) == pytest.approx(1.0, abs=1e-10)
 
     def test_beats_grid_search_in_closing_branch(self):
         theta0 = initial_angles(8).theta
-        state = StateAngles(math.pi - theta0, 0.8)
-        best_closed = step(optimal_params(state, theta0), state, theta0)[1]
+        theta, phi = math.pi - theta0, 0.8
+        best_closed = advance(*optimal_angles(theta, phi, theta0), theta, phi, theta0)[2]
         axis = np.linspace(-math.pi, math.pi, 400)
-        grid = closed_form_increment(
-            axis[:, None], axis[None, :], state.theta, state.phi, theta0
-        )
+        grid = closed_form_increment(axis[:, None], axis[None, :], theta, phi, theta0)
         assert grid.max() <= best_closed + 1e-4
 
     @settings(max_examples=200, deadline=None)
     @given(THETA, PHI, st.floats(0.05, 0.6))
     def test_branch_dichotomy(self, theta, phi, theta0):
-        p = optimal_params(StateAngles(theta, phi), theta0)
+        beta, _ = optimal_angles(theta, phi, theta0)
         if theta < math.pi - 2.0 * theta0:
-            assert abs(p.beta) == pytest.approx(math.pi)
+            assert abs(beta) == pytest.approx(math.pi)
         else:
             # closing branch: sin(beta/2) = cos(theta/2)/sin(theta0)
-            assert math.sin(0.5 * p.beta) == pytest.approx(
+            assert math.sin(0.5 * beta) == pytest.approx(
                 math.cos(0.5 * theta) / math.sin(theta0), abs=1e-9
             )
 
@@ -320,24 +310,22 @@ class TestStationarity:
             theta0 = rng.uniform(0.05, 0.5)
             theta = rng.uniform(math.pi - 2.0 * theta0, math.pi)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            state = StateAngles(theta, phi)
-            p = optimal_params(state, theta0)
+            beta, gamma = optimal_angles(theta, phi, theta0)
             h = 1e-6
 
-            def delta_at(gamma):
-                return step(IterationParams(p.beta, wrap_pi(gamma)), state, theta0)[1]
+            def delta_at(g):
+                return advance(beta, wrap_pi(g), theta, phi, theta0)[2]
 
-            first = (delta_at(p.gamma + h) - delta_at(p.gamma - h)) / (2 * h)
+            first = (delta_at(gamma + h) - delta_at(gamma - h)) / (2 * h)
             wide = 1e-3
             second = (
-                delta_at(p.gamma + wide) - 2 * delta_at(p.gamma) + delta_at(p.gamma - wide)
+                delta_at(gamma + wide) - 2 * delta_at(gamma) + delta_at(gamma - wide)
             ) / wide**2
             assert abs(first) < 1e-6
             assert second < 1e-6
             # the optimal relative phase satisfies tan(varphi) = cot(beta/2)sec(theta0)
-            varphi = coefficients(p, state, theta0).varphi
-            lhs = math.tan(varphi)
-            rhs = 1.0 / (math.tan(0.5 * p.beta) * math.cos(theta0))
+            lhs = math.tan(wrap_2pi(phi - gamma))
+            rhs = 1.0 / (math.tan(0.5 * beta) * math.cos(theta0))
             assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-6)
 
 
@@ -419,8 +407,7 @@ class TestGroverDominance:
         for _ in range(10):
             theta = rng.uniform(0.0, math.pi - 2.0 * theta0 - 1e-6)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            state = StateAngles(theta, phi)
-            grover = step(optimal_params(state, theta0), state, theta0)[1]
+            grover = advance(*optimal_angles(theta, phi, theta0), theta, phi, theta0)[2]
             grid = closed_form_increment(axis[:, None], axis[None, :], theta, phi, theta0)
             assert grid.max() <= grover + 1e-4
 
