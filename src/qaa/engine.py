@@ -144,9 +144,11 @@ def run_search(
 ) -> Trajectory:
     """Execute a schedule from the uniform state, one StepRecord per iteration.
 
-    With the state-vector backend, every step additionally asserts that the
-    leakage out of the target plane stays below 1e-12 and that the measured
-    target probability matches the analytic model within 1e-10.
+    With the state-vector backend, every step is one checked blocked pass
+    over the 2^n vector (`statevector.checked_step`), and the run raises
+    unless the leakage, the squared distance of the state from the target
+    plane, stays below 1e-12 and the measured target probability matches the
+    analytic model within 1e-10.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -159,7 +161,11 @@ def run_search(
     n, m = oracle.n, oracle.m
     theta0 = theta = initial_angles(n, m).theta
     phi = 0.0
-    state = sv.uniform_state(n) if backend == "statevector" else None
+    state = None
+    if backend == "statevector":
+        state = sv.uniform_state(n)
+        plan = sv.block_plan(state, oracle)
+        plane = sv.measure(state, plan)
     queries = seq.queries_per_iteration
     steps: list[StepRecord] = []
     for index, params in enumerate(seq.params, start=1):
@@ -167,19 +173,17 @@ def run_search(
         theta_after, phi_after, delta = advance(beta, gamma, theta, phi, theta0)
         probability = math.sin(0.5 * theta_after) ** 2
         if state is not None:
-            sv.iterate_in_place(state, params, oracle)
-            measured = sv.target_probability(state, oracle)
-            _, leakage = sv.project_to_angles(state, oracle)
-            if leakage > LEAKAGE_TOL:
+            plane = sv.checked_step(state, params, plan, plane.total)
+            if plane.leakage > LEAKAGE_TOL:
                 raise BackendMismatchError(
-                    f"leakage {leakage} out of the target plane at step {index}"
+                    f"leakage {plane.leakage} out of the target plane at step {index}"
                 )
-            if abs(measured - probability) > SEQUENCE_TOL:
+            if abs(plane.probability - probability) > SEQUENCE_TOL:
                 raise BackendMismatchError(
                     f"backends disagree at step {index}: "
-                    f"statevector {measured} vs analytic {probability}"
+                    f"statevector {plane.probability} vs analytic {probability}"
                 )
-            probability = measured
+            probability = plane.probability
         steps.append(
             StepRecord(
                 index, theta, phi, beta, gamma, probability, delta, delta > 0.0,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -18,6 +18,11 @@ from .subspace import IterationParams, StateAngles, initial_angles
 
 #: Largest supported register; 2^24 amplitudes is the desk-scale cap.
 MAX_QUBITS = 24
+
+#: Amplitudes per block of the checked pass: 2^17 complex values (2 MiB).
+#: A block's update and its measurement read it while it is still cached;
+#: larger blocks make fewer numpy calls per pass.
+BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -129,23 +134,128 @@ def target_probability(state: StateVector, oracle: OracleSpec) -> float:
     return float(np.sum(np.abs(state.amplitudes[oracle.target_indices()]) ** 2))
 
 
+class BlockPlan(NamedTuple):
+    """An oracle's targets laid out on the blocks of one 2^n vector.
+
+    `reference` is the first non-target index.  Each block is (start, stop,
+    the offsets of its targets or None), and `scratch` holds one block.
+    """
+
+    targets: np.ndarray
+    reference: int
+    blocks: tuple[tuple[int, int, np.ndarray | None], ...]
+    scratch: np.ndarray
+
+
+class Plane(NamedTuple):
+    """A state measured against the plane spanned by |t> and |t_perp>.
+
+    `leakage` is the squared distance of the state from the plane, and
+    `norm_defect` is <a|a> - 1.  `total`, the sum of all amplitudes, is what
+    the next `checked_step` takes its diffusion mean from.
+    """
+
+    probability: float
+    a_target: complex
+    a_perp: complex
+    leakage: float
+    norm_defect: float
+    total: complex
+
+
+def block_plan(state: StateVector, oracle: OracleSpec) -> BlockPlan:
+    """The block layout that `measure` and `checked_step` sweep `state` with."""
+    _check_dims(state, oracle)
+    idx = oracle.target_indices()
+    big_n = state.amplitudes.size
+    # Targets are sorted, so the first non-target is the first gap in 0, 1, ...
+    gaps = np.flatnonzero(idx != np.arange(idx.size))
+    reference = int(gaps[0]) if gaps.size else idx.size
+    starts = range(0, big_n, BLOCK)
+    cuts = np.searchsorted(idx, [*starts, big_n]).tolist()
+    blocks = tuple(
+        (lo, min(lo + BLOCK, big_n), idx[a:b] - lo if b > a else None)
+        for lo, a, b in zip(starts, cuts, cuts[1:])
+    )
+    return BlockPlan(idx, reference, blocks, np.empty(min(BLOCK, big_n), dtype=complex))
+
+
+def _sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
+    """Subtract `shift` from every amplitude, measuring the result in the same pass.
+
+    Each non-target amplitude is read as its difference d from the reference
+    amplitude r, which goes through the same float operation.  Non-target
+    amplitudes that went through the same operations give d = 0 exactly, so
+    the sum s and squared norm q of the d's resolve any departure from the
+    plane, with nothing to cancel against.
+    """
+    r = complex(amps[plan.reference] - shift)
+    s, q = 0j, 0.0
+    for lo, hi, offsets in plan.blocks:
+        block = amps[lo:hi]
+        if shift:
+            np.subtract(block, shift, out=block)
+        diff = plan.scratch[: hi - lo]
+        np.subtract(block, r, out=diff)
+        if offsets is not None:
+            diff[offsets] = 0.0
+        s += complex(diff.sum())
+        flat = diff.view(np.float64)
+        q += float(flat @ flat)
+    at = amps[plan.targets]
+    m = at.size
+    rest = amps.size - m
+    t_sum = complex(at.sum())
+    total = s + rest * r + t_sum
+    probability = float(np.vdot(at, at).real)
+    spread = at - t_sum / m
+    # Non-target part: sum |d - s/rest|^2 = q - |s|^2/rest; target part likewise.
+    leakage = q - abs(s) ** 2 / rest + float(np.vdot(spread, spread).real)
+    norm = probability + rest * abs(r) ** 2 + 2.0 * (r.conjugate() * s).real + q
+    return Plane(
+        probability,
+        t_sum / math.sqrt(m),
+        (total - t_sum) / math.sqrt(rest),
+        leakage,
+        norm - 1.0,
+        total,
+    )
+
+
+def measure(state: StateVector, plan: BlockPlan) -> Plane:
+    """The state against the target plane, in one read of the vector."""
+    return _sweep(state.amplitudes, plan, 0j)
+
+
+def checked_step(
+    state: StateVector, params: IterationParams, plan: BlockPlan, total: complex
+) -> Plane:
+    """Apply G(beta, gamma) to `state` and measure the result, in one blocked pass.
+
+    `total` is the sum of the amplitudes before the step, as the last
+    `measure` or `checked_step` returned it.  The oracle phase touches only
+    the m targets and corrects `total` into the diffusion mean, so the pass
+    is one read and one write of the vector in cache-sized blocks.
+    """
+    amps = state.amplitudes
+    before = amps[plan.targets]
+    after = before * np.exp(-1j * params.gamma)
+    amps[plan.targets] = after
+    mean = (total + complex((after - before).sum())) / amps.size
+    return _sweep(amps, plan, (1.0 - np.exp(-1j * params.beta)) * mean)
+
+
 def project_to_angles(state: StateVector, oracle: OracleSpec) -> tuple[StateAngles, float]:
     """Decompose onto the plane spanned by |t> and |t_perp>.
 
     |t> is the uniform superposition of the m target strings and |t_perp>
     the normalized non-target part of the uniform state.  Returns the plane
-    angles and the squared norm left outside the plane (the leakage, zero
-    for any product of diffusion/oracle gates applied to the uniform state).
+    angles and the leakage: the squared distance of the state from the
+    plane, zero for any product of diffusion/oracle gates applied to the
+    uniform state.
     """
-    _check_dims(state, oracle)
-    idx = oracle.target_indices()
-    m = idx.size
-    big_n = 2**state.n
-    target_sum = state.amplitudes[idx].sum()
-    a_target = target_sum / math.sqrt(m)
-    a_perp = (state.amplitudes.sum() - target_sum) / math.sqrt(big_n - m)
-    leakage = float(np.sum(np.abs(state.amplitudes) ** 2)) - abs(a_target) ** 2 - abs(a_perp) ** 2
-    return StateAngles.from_amplitudes(a_target, a_perp), max(leakage, 0.0)
+    plane = measure(state, block_plan(state, oracle))
+    return StateAngles.from_amplitudes(plane.a_target, plane.a_perp), plane.leakage
 
 
 def sample_measurements(state: StateVector, shots: int, seed: int) -> dict[str, int]:

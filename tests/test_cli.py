@@ -126,11 +126,13 @@ class TestSearch:
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_shots_evolve_the_state_once(self, capsys, monkeypatch, backend):
-        # 201 iterations: the statevector run's final state is sampled, the
-        # analytic run evolves a dense state once.
+        # 201 dense steps: the statevector run makes one checked pass per step
+        # and its final state is sampled; the analytic run evolves a dense
+        # state once.
         calls = []
-        kernel = sv.iterate_in_place
-        monkeypatch.setattr(sv, "iterate_in_place", lambda *a: calls.append(a) or kernel(*a))
+        name = "checked_step" if backend == "statevector" else "iterate_in_place"
+        kernel = getattr(sv, name)
+        monkeypatch.setattr(sv, name, lambda *a: calls.append(a) or kernel(*a))
         code, _, _ = run_cli(
             capsys, "search", "optimal", "--n", "16", "--backend", backend, "--shots", "10"
         )

@@ -1,3 +1,10 @@
+"""Each demo runs and prints the stdout saved in tests/golden/demos/.
+
+Regenerate a saved file only for an intended change of output, with
+
+    PYTHONPATH=src python demos/NAME.py > tests/golden/demos/NAME.out
+"""
+
 import os
 import subprocess
 import sys
@@ -7,6 +14,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).parent / "golden" / "demos"
+
+
+def test_every_demo_has_a_golden_file():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == [d.stem for d in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -18,3 +30,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.out").read_text()

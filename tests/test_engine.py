@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaa import engine, statevector as sv
 from qaa.engine import (
     CSV_HEADER,
+    BackendMismatchError,
     classify,
     compare,
     grover_baseline,
@@ -95,6 +97,34 @@ class TestRunSearch:
         assert not traj.is_monotone
         assert traj.negative_steps == [9, 10, 11, 12, 21]
         assert traj.turning_index == 8  # probability peaks after step 8
+
+
+class TestDenseGuards:
+    """Both checks of every dense step raise, each on its own defect."""
+
+    def test_leakage_out_of_the_plane_raises(self, monkeypatch):
+        fresh = sv.uniform_state
+
+        def perturbed(n):
+            # Amplitude 5 is a non-target; the leakage reads about 1e-10.
+            state = fresh(n)
+            state.amplitudes[5] += 1e-5
+            return state
+
+        monkeypatch.setattr(sv, "uniform_state", perturbed)
+        with pytest.raises(BackendMismatchError, match="leakage .* at step 1$"):
+            run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
+
+    def test_disagreement_with_the_model_raises(self, monkeypatch):
+        exact = engine.advance
+
+        def skewed(*args):
+            theta, phi, delta = exact(*args)
+            return theta + 1e-6, phi, delta
+
+        monkeypatch.setattr(engine, "advance", skewed)
+        with pytest.raises(BackendMismatchError, match="disagree at step 1:"):
+            run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
 
 
 class TestClassify:

@@ -9,11 +9,15 @@ from scipy.linalg import expm
 from qaa.engine import run_search
 from qaa.schedules import optimal_sequence
 from qaa.statevector import (
+    BLOCK,
     OracleSpec,
     StateVector,
+    block_plan,
+    checked_step,
     evolve,
     iterate_in_place,
     project_to_angles,
+    measure,
     sample_measurements,
     target_probability,
     uniform_state,
@@ -229,6 +233,53 @@ class TestProjection:
         assert target_probability(sv, spec) == pytest.approx(
             math.sin(0.5 * theta) ** 2, abs=1e-10
         )
+
+
+class TestCheckedStep:
+    def test_leakage_resolves_an_off_plane_perturbation(self):
+        # The squared distance of a + eps*|i> from the plane, i a non-target.
+        n, eps = 12, 1e-9
+        spec = OracleSpec.standard(n, 4)
+        want = eps**2 * (1.0 - 1.0 / (2**n - 4))
+        state = uniform_state(n)
+        state.amplitudes[100] += eps
+        _, leakage = project_to_angles(state, spec)
+        assert leakage == pytest.approx(want, rel=0.01)
+        plan = block_plan(state, spec)
+        plane = measure(state, plan)
+        for params in optimal_sequence(n, 4).params:
+            plane = checked_step(state, params, plan, plane.total)
+            assert plane.leakage == pytest.approx(want, rel=0.01)
+
+    def test_targets_on_block_edges(self):
+        # Two blocks; a target at index 0 moves the reference amplitude to 1.
+        n = BLOCK.bit_length()
+        big_n = 2**n
+        indices = (0, BLOCK - 1, BLOCK, big_n - 1)
+        spec = OracleSpec(n, frozenset(format(i, f"0{n}b") for i in indices))
+        seq = optimal_sequence(n, 4)
+        state = uniform_state(n)
+        plan = block_plan(state, spec)
+        assert plan.reference == 1
+        assert [b[2].tolist() for b in plan.blocks] == [[0, BLOCK - 1], [0, BLOCK - 1]]
+        plane = measure(state, plan)
+        theta0 = theta = initial_angles(n, 4).theta
+        phi = 0.0
+        for params in seq.params:
+            plane = checked_step(state, params, plan, plane.total)
+            theta, phi, _ = advance(params.beta, params.gamma, theta, phi, theta0)
+            assert plane.probability == pytest.approx(math.sin(0.5 * theta) ** 2, abs=1e-10)
+            assert plane.leakage < 1e-12
+            assert abs(plane.norm_defect) < 1e-12
+        assert plane.probability == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(state.amplitudes, evolve(seq, spec).amplitudes, atol=1e-12)
+
+    def test_norm_defect_reads_a_scaled_state(self):
+        spec = OracleSpec.standard(10, 3)
+        state = StateVector(10, uniform_state(10).amplitudes * (1.0 + 1e-6))
+        plane = measure(state, block_plan(state, spec))
+        assert plane.norm_defect == pytest.approx(2e-6 + 1e-12, rel=1e-6)
+        assert plane.leakage == 0.0
 
 
 class TestSampling:
