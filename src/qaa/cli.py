@@ -26,7 +26,6 @@ import sys
 from pathlib import Path
 
 from . import engine, qasm, schedules, statevector as sv
-from .reference_tables import MAIN_TABLE_ROWS
 from .subspace import (
     IterationParams,
     StateAngles,
@@ -76,6 +75,10 @@ def cmd_increment(args: argparse.Namespace) -> int:
 def _columns(traj: engine.Trajectory, **fields: str) -> list[dict]:
     """Rows of a trajectory's steps: column name -> Trajectory.rows() field."""
     return [{name: row[key] for name, key in fields.items()} for row in traj.rows()]
+
+
+#: Rows of the published main-table excerpt: its four non-amplifying steps.
+MAIN_TABLE_ROWS = (9, 10, 11, 12)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -299,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv with the --config file's flags placed before the subcommand's own.
 
-    Config values are parsed as the text of their flags, so they get the
-    same type checks; later (command-line) flags win.
+    Config values are parsed as the text of their flags, so they get the same
+    type checks; `false` and `null` are skipped, and command-line flags win.
     """
     args = parser.parse_args(argv)
     if args.config is None:
@@ -314,7 +317,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     flags = [
         f"--{key}" if value is True else f"--{key}={value}"
         for key, value in overrides.items()
-        if value is not None
+        if value is not None and value is not False
     ]
     return parser.parse_known_args(argv[:1] + flags + argv[1:])[0]
 

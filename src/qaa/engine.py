@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import schedules, statevector as sv
-from .schedules import ParameterSequence
-from .subspace import advance, amplification_terms, initial_angles, qaao_bound
+from .schedules import ParameterSequence, StepRecord
+from .subspace import amplification_terms, initial_angles, qaao_bound
 
 BACKENDS = ("analytic", "statevector")
 
@@ -63,26 +63,6 @@ def format_rows(rows, fmt: str, header: Sequence[str] = ()) -> str:
 
 class BackendMismatchError(RuntimeError):
     """Analytic and state-vector backends disagree beyond tolerance."""
-
-
-class StepRecord(NamedTuple):
-    """One executed iteration; its fields are the CSV columns, in order.
-
-    (theta_before, phi_before) is the state the iteration G(beta, gamma)
-    acted on.  `qaao_flag` is True when the step amplified (positive
-    increment); use `classify` to re-annotate a trajectory with the strict
-    coefficient predicate instead.
-    """
-
-    index: int
-    theta_before: float
-    phi_before: float
-    beta: float
-    gamma: float
-    probability_after: float
-    increment: float
-    qaao_flag: bool
-    cumulative_queries: int
 
 
 CSV_HEADER = ",".join(StepRecord._fields)
@@ -142,13 +122,13 @@ def run_search(
     oracle: sv.OracleSpec,
     backend: str = "analytic",
 ) -> Trajectory:
-    """Execute a schedule from the uniform state, one StepRecord per iteration.
+    """Execute a schedule from the uniform state: its `schedules.trajectory` records.
 
     With the state-vector backend, every step is one checked blocked pass
     over the 2^n vector (`statevector.checked_step`), and the run raises
     unless the leakage, the squared distance of the state from the target
     plane, stays below 1e-12 and the measured target probability matches the
-    analytic model within 1e-10.
+    step's record within 1e-10.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -159,47 +139,28 @@ def run_search(
     if seq.n is not None and seq.m != oracle.m:
         raise ValueError(f"schedule m={seq.m} does not match oracle m={oracle.m}")
     n, m = oracle.n, oracle.m
-    theta0 = theta = initial_angles(n, m).theta
-    phi = 0.0
+    steps = schedules.trajectory(seq, n, m)
     state = None
     if backend == "statevector":
         state = sv.uniform_state(n)
         plan = sv.block_plan(state, oracle)
         plane = sv.measure(state, plan)
-    queries = seq.queries_per_iteration
-    steps: list[StepRecord] = []
-    for index, params in enumerate(seq.params, start=1):
-        beta, gamma = params.beta, params.gamma
-        theta_after, phi_after, delta = advance(beta, gamma, theta, phi, theta0)
-        probability = math.sin(0.5 * theta_after) ** 2
-        if state is not None:
+        checked = []
+        for params, record in zip(seq.params, steps):
             plane = sv.checked_step(state, params, plan, plane.total)
             if plane.leakage > LEAKAGE_TOL:
                 raise BackendMismatchError(
-                    f"leakage {plane.leakage} out of the target plane at step {index}"
+                    f"leakage {plane.leakage} out of the target plane at step {record.index}"
                 )
-            if abs(plane.probability - probability) > SEQUENCE_TOL:
+            if abs(plane.probability - record.probability_after) > SEQUENCE_TOL:
                 raise BackendMismatchError(
-                    f"backends disagree at step {index}: "
-                    f"statevector {plane.probability} vs analytic {probability}"
+                    f"backends disagree at step {record.index}: statevector "
+                    f"{plane.probability} vs analytic {record.probability_after}"
                 )
-            probability = plane.probability
-        steps.append(
-            StepRecord(
-                index, theta, phi, beta, gamma, probability, delta, delta > 0.0,
-                index * queries,
-            )
-        )
-        theta, phi = theta_after, phi_after
-    final = steps[-1].probability_after if steps else math.sin(0.5 * theta0) ** 2
-    return Trajectory(
-        n=n,
-        m=m,
-        kind=seq.kind,
-        steps=tuple(steps),
-        final_probability=final,
-        final_state=state,
-    )
+            checked.append(record._replace(probability_after=plane.probability))
+        steps = tuple(checked)
+    final = steps[-1].probability_after if steps else initial_angles(n, m).target_probability
+    return Trajectory(n, m, seq.kind, steps, final, final_state=state)
 
 
 def classify(traj: Trajectory, c: Optional[float] = None) -> Trajectory:

@@ -131,6 +131,9 @@ def replay_circuit(source: str) -> StateVector:
             pairs *= _R
             flips[q] = 0
         elif (m := _PHASE_RE.match(line)) is not None:
+            angle = float(m.group(2))
+            if not math.isfinite(angle):
+                raise ValueError(f"phase angle must be finite: {line!r}")
             qubits = [_qubit(q, n, line) for q in re.findall(r"q\[(\d+)\]", m.group(3))]
             if len(qubits) != int(m.group(1) or 0) + 1:
                 raise ValueError(f"control count does not match the qubit list: {line!r}")
@@ -140,7 +143,7 @@ def replay_circuit(source: str) -> StateVector:
             where = [slice(None)] * n
             for q in qubits:
                 where[q] = 1 ^ flips[q]
-            amps.reshape((2,) * n)[tuple(where)] *= np.exp(1j * float(m.group(2)))
+            amps.reshape((2,) * n)[tuple(where)] *= np.exp(1j * angle)
         else:
             raise ValueError(f"unsupported statement: {line!r}")
     if amps is None or n is None:

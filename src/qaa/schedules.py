@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,18 +54,42 @@ MAX_ITERATIONS = 2**16
 _DRAW_BLOCK = 512
 
 
+class StepRecord(NamedTuple):
+    """One executed iteration; its fields are the CSV columns, in order.
+
+    (theta_before, phi_before) is the state the iteration G(beta, gamma)
+    acted on.  `qaao_flag` is True when the step amplified (positive
+    increment); use `engine.classify` to re-annotate a trajectory with the
+    strict coefficient predicate instead.
+    """
+
+    index: int
+    theta_before: float
+    phi_before: float
+    beta: float
+    gamma: float
+    probability_after: float
+    increment: float
+    qaao_flag: bool
+    cumulative_queries: int
+
+
 @dataclass(frozen=True)
 class ParameterSequence:
     """An ordered (beta, gamma) schedule of one kind for n qubits and m targets.
 
     `n` may be None for schedules that do not depend on the register size
-    (the Chebyshev fixed-point family).
+    (the Chebyshev fixed-point family).  Only the generators set `steps`,
+    the 2D trajectory they walked; copies and `dataclasses.replace` hold None.
     """
 
     params: tuple[IterationParams, ...]
     kind: str
     n: Optional[int] = None
     m: int = 1
+    steps: Optional[tuple[StepRecord, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in BUILDERS:
@@ -86,6 +110,44 @@ class ParameterSequence:
 
     def __iter__(self) -> Iterator[IterationParams]:
         return iter(self.params)
+
+
+class _Walk:
+    """A schedule built step by step: its 2D state (theta, phi) and one StepRecord per step."""
+
+    def __init__(self, n: int, m: int, queries: int = 1) -> None:
+        self.theta0 = self.theta = initial_angles(n, m).theta
+        self.phi, self.n, self.m, self.queries = 0.0, n, m, queries
+        self.steps: list[StepRecord] = []
+
+    def step(self, beta: float, gamma: float) -> None:
+        """Apply G(beta, gamma) with `advance` and record the step."""
+        theta, phi, index = self.theta, self.phi, len(self.steps) + 1
+        self.theta, self.phi, delta = advance(beta, gamma, theta, phi, self.theta0)
+        probability = math.sin(0.5 * self.theta) ** 2
+        self.steps.append(StepRecord(
+            index, theta, phi, beta, gamma, probability, delta, delta > 0.0, index * self.queries
+        ))
+
+    def sequence(self, kind: str) -> ParameterSequence:
+        """The walked schedule, with its records attached."""
+        params = tuple(IterationParams(s.beta, s.gamma) for s in self.steps)
+        seq = ParameterSequence(params, kind, self.n, self.m)
+        object.__setattr__(seq, "steps", tuple(self.steps))
+        return seq
+
+
+def trajectory(seq: ParameterSequence, n: int, m: int = 1) -> tuple[StepRecord, ...]:
+    """One StepRecord per step of `seq`, run in the 2D model from the uniform state.
+
+    Returns the records a generator walked for these n and m, else walks `seq`.
+    """
+    if seq.steps is not None and (seq.n, seq.m) == (n, m):
+        return seq.steps
+    walk = _Walk(n, m, seq.queries_per_iteration)
+    for params in seq.params:
+        walk.step(params.beta, params.gamma)
+    return tuple(walk.steps)
 
 
 def k_star(n: int, m: int = 1) -> int:
@@ -116,8 +178,7 @@ def generate_qaao_sequence(
     the one that per-pair `rng.uniform(-pi, pi, 2)` calls give; a rejected
     pair is tested on plain floats and builds no objects.
     """
-    theta0 = theta = initial_angles(n, m).theta
-    phi = 0.0
+    walk = _Walk(n, m)
     big_n = 2**n
     bound = qaao_bound(c, big_n)
     if not 0.0 < target_threshold <= 1.0:
@@ -125,12 +186,11 @@ def generate_qaao_sequence(
     rng = np.random.default_rng(seed)
     draws: list[float] = []
     pos = 0
-    cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
+    cos_theta0, sin_theta0 = math.cos(walk.theta0), math.sin(walk.theta0)
     exact = target_threshold >= 1.0
-    params: list[IterationParams] = []
-    while exact or math.sin(0.5 * theta) ** 2 < target_threshold:
-        if theta >= math.pi - 2.0 * theta0:
-            params.append(IterationParams(*optimal_angles(theta, phi, theta0)))
+    while exact or math.sin(0.5 * walk.theta) ** 2 < target_threshold:
+        if walk.theta >= math.pi - 2.0 * walk.theta0:
+            walk.step(*optimal_angles(walk.theta, walk.phi, walk.theta0))
             break
         for _ in range(max_attempts):
             if pos == len(draws):
@@ -138,16 +198,15 @@ def generate_qaao_sequence(
                 pos = 0
             beta, gamma = draws[pos], draws[pos + 1]
             pos += 2
-            if amplification_terms(beta, gamma, phi, cos_theta0, sin_theta0)[1] > bound:
+            if amplification_terms(beta, gamma, walk.phi, cos_theta0, sin_theta0)[1] > bound:
                 break
         else:
             raise RuntimeError(
                 f"no amplifying parameters found in {max_attempts} draws; "
                 f"c={c} is likely too demanding for N={big_n}"
             )
-        params.append(IterationParams(beta, gamma))
-        theta, phi, _ = advance(beta, gamma, theta, phi, theta0)
-    return ParameterSequence(params=tuple(params), kind=RANDOM_QAAO, n=n, m=m)
+        walk.step(beta, gamma)
+    return walk.sequence(RANDOM_QAAO)
 
 
 def optimal_sequence(n: int, m: int = 1) -> ParameterSequence:
@@ -156,17 +215,13 @@ def optimal_sequence(n: int, m: int = 1) -> ParameterSequence:
     Valid in the regime 4*m <= N.  The closing parameters are computed at
     the evolved state and drive the target probability to exactly 1.
     """
-    theta0 = theta = initial_angles(n, m).theta
-    phi = 0.0
+    walk = _Walk(n, m)
     if 4 * m > 2**n:
         raise ValueError(f"need 4*m <= 2^n, got m={m}, n={n}")
-    params: list[IterationParams] = []
     for _ in range(k_star(n, m)):
-        gamma = wrap_pi(phi - math.pi)
-        params.append(IterationParams(math.pi, gamma))
-        theta, phi, _ = advance(math.pi, gamma, theta, phi, theta0)
-    params.append(IterationParams(*optimal_angles(theta, phi, theta0)))
-    return ParameterSequence(params=tuple(params), kind=OPTIMAL, n=n, m=m)
+        walk.step(math.pi, wrap_pi(walk.phi - math.pi))
+    walk.step(*optimal_angles(walk.theta, walk.phi, walk.theta0))
+    return walk.sequence(OPTIMAL)
 
 
 def noisy_optimal_sequence(
@@ -184,21 +239,17 @@ def noisy_optimal_sequence(
     leading parameters are (pi, pi) (mod 2*pi), so for small delta the
     draws stay inside [pi - delta, pi + delta] as in the noiseless case.
     """
-    theta0 = theta = initial_angles(n, m).theta
-    phi = 0.0
+    walk = _Walk(n, m)
     if not 0.0 <= delta < 0.5 * math.pi:
         raise ValueError(f"delta must lie in [0, pi/2), got {delta}")
     if 4 * m > 2**n:
         raise ValueError(f"need 4*m <= 2^n, got m={m}, n={n}")
     # One draw per step, in one call: the values of per-step scalar draws.
     errors = np.random.default_rng(seed).uniform(-delta, delta, k_star(n, m) + 1).tolist()
-    params: list[IterationParams] = []
     for error in errors:
-        ideal_beta, ideal_gamma = optimal_angles(theta, phi, theta0)
-        beta, gamma = wrap_pi(ideal_beta + error), wrap_pi(ideal_gamma + error)
-        params.append(IterationParams(beta, gamma))
-        theta, phi, _ = advance(beta, gamma, theta, phi, theta0)
-    return ParameterSequence(params=tuple(params), kind=NOISY_OPTIMAL, n=n, m=m)
+        beta, gamma = optimal_angles(walk.theta, walk.phi, walk.theta0)
+        walk.step(wrap_pi(beta + error), wrap_pi(gamma + error))
+    return walk.sequence(NOISY_OPTIMAL)
 
 
 def fixed_point_sequence(length: int, delta: float) -> ParameterSequence:

@@ -5,7 +5,8 @@ The library computes the target-plane model on scalar complex pairs
 (`statevector.iterate_in_place`).  These are the textbook forms: explicit
 2x2 matrices, the vectorized closed-form increment, the 2D step on
 `StateAngles` and `IterationParams` objects with the textbook a, b and c,
-and dense iterations on a copy.
+and dense iterations on a copy.  It also holds the published reference
+trajectory of the 8-qubit fixed-point schedule.
 """
 
 import cmath
@@ -92,3 +93,45 @@ def apply_iteration(state: StateVector, params: IterationParams, oracle) -> Stat
 def norm_defect(state: StateVector) -> float:
     """|<s|s> - 1| of a dense state."""
     return abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
+
+
+# --- published fixed-point trajectory --------------------------------------
+#
+# Golden values for the length-21, delta=0.316 Chebyshev schedule run on
+# 8 qubits with a single target: per-row state angles (theta, phi), iteration
+# parameters (beta, gamma), realized increment, and whether the step
+# amplified ("O") or not ("X").
+#
+# Note on the gamma column: the published listing prints gamma with the
+# opposite sign.  That sign is inconsistent with the schedule's own symmetry
+# relation beta_i = gamma_{L-i+1} and with the tabulated theta/phi/increment
+# trajectory, all of which this package reproduces to ~5e-5; the values here
+# carry the consistent sign (the gamma magnitudes match the listing exactly).
+
+# no, theta, phi, beta, gamma, increment, flag
+FIXED_POINT_N8_L21: tuple[tuple[int, float, float, float, float, float, str], ...] = (
+    (1, 0.1251, 0.0, 3.1291, -3.1354, 0.0309, "O"),
+    (2, 0.3752, 6.2727, 3.1162, -3.1228, 0.0598, "O"),
+    (3, 0.6252, 6.2440, 3.1020, -3.1093, 0.0847, "O"),
+    (4, 0.8746, 6.1934, 3.0857, -3.0941, 0.1036, "O"),
+    (5, 1.1218, 6.1143, 3.0659, -3.0763, 0.1141, "O"),
+    (6, 1.3633, 5.9948, 3.0401, -3.0539, 0.1133, "O"),
+    (7, 1.5914, 5.8145, 3.0033, -3.0235, 0.0975, "O"),
+    (8, 1.7881, 5.5385, 2.9433, -2.9775, 0.0608, "O"),
+    (9, 1.9147, 5.1123, 2.8209, -2.8950, -0.0061, "X"),
+    (10, 1.9018, 4.4555, 2.4078, -2.6915, -0.1007, "X"),
+    (11, 1.6947, 3.2412, -1.4255, -1.4255, -0.0596, "X"),
+    (12, 1.5752, 3.2562, -2.6915, 2.4078, -0.0575, "X"),
+    (13, 1.4600, 4.4549, -2.8950, 2.8209, 0.0245, "O"),
+    (14, 1.5091, 5.0453, -2.9775, 2.9433, 0.0719, "O"),
+    (15, 1.6530, 5.4069, -3.0235, 3.0033, 0.0946, "O"),
+    (16, 1.8456, 5.6353, -3.0539, 3.0401, 0.1001, "O"),
+    (17, 2.0619, 5.7743, -3.0763, 3.0659, 0.0931, "O"),
+    (18, 2.2888, 5.8423, -3.0941, 3.0857, 0.0770, "O"),
+    (19, 2.5180, 5.8340, -3.1093, 3.1020, 0.0541, "O"),
+    (20, 2.7389, 5.6917, -3.1228, 3.1162, 0.0269, "O"),
+    (21, 2.9120, 5.1506, -3.1354, 3.1291, -0.0028, "X"),
+)
+
+#: Row numbers flagged "X" (non-amplifying) in the full listing.
+NON_AMPLIFYING_ROWS = (9, 10, 11, 12, 21)

@@ -15,7 +15,6 @@ import numpy as np
 
 from qaa.engine import run_search
 from qaa.qasm import roundtrip_deviation
-from qaa.reference_tables import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS
 from qaa.schedules import (
     ParameterSequence,
     fixed_point_sequence,
@@ -37,7 +36,12 @@ from qaa.subspace import (
 )
 
 from reference import apply_iteration as sv_iteration
-from reference import closed_form_increment, norm_defect
+from reference import (
+    FIXED_POINT_N8_L21,
+    NON_AMPLIFYING_ROWS,
+    closed_form_increment,
+    norm_defect,
+)
 
 DELTA_FP = math.sqrt(0.1)
 
@@ -80,7 +84,7 @@ def test_appendix_table_reproduction():
         FIXED_POINT_N8_L21, seq.params
     ):
         # the reference gammas carry the sign consistent with the schedule's
-        # own reflection symmetry (see qaa.reference_tables)
+        # own reflection symmetry (see tests/reference.py)
         assert abs(p.beta - beta) < 1e-3
         assert abs(p.gamma - gamma) < 1e-3
         assert abs(theta - want_theta) < 1e-3

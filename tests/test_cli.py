@@ -296,6 +296,18 @@ class TestConfig:
             cfg.write_text(content)
         assert_cli_error("search", "optimal", "--config", str(cfg))
 
+    def test_false_switch_leaves_the_flag_off(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        args = ("export-qasm", "optimal", "--n", "4")
+        cfg.write_text(json.dumps({"verify": False}))
+        code, out, err = run_cli(capsys, *args, "--config", str(cfg))
+        _, want, _ = run_cli(capsys, *args)
+        assert (code, out, err) == (0, want, "")
+        cfg.write_text(json.dumps({"verify": True}))
+        code, out, err = run_cli(capsys, *args, "--config", str(cfg))
+        assert (code, out) == (0, want)
+        assert "replay max deviation" in err
+
     def test_config_values_convert_like_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": "4", "delta": 0.2, "seed": 3}))

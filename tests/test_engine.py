@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaa import engine, statevector as sv
+from qaa import engine, schedules, statevector as sv
 from qaa.engine import (
     CSV_HEADER,
     BackendMismatchError,
@@ -23,7 +24,7 @@ from qaa.schedules import (
     optimal_sequence,
 )
 from qaa.statevector import OracleSpec
-from qaa.subspace import IterationParams
+from qaa.subspace import IterationParams, advance
 
 
 class TestRunSearch:
@@ -116,15 +117,71 @@ class TestDenseGuards:
             run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
 
     def test_disagreement_with_the_model_raises(self, monkeypatch):
-        exact = engine.advance
+        # The generator's walk binds `advance`, so its records carry the skew.
+        exact = schedules.advance
 
         def skewed(*args):
             theta, phi, delta = exact(*args)
             return theta + 1e-6, phi, delta
 
-        monkeypatch.setattr(engine, "advance", skewed)
+        monkeypatch.setattr(schedules, "advance", skewed)
         with pytest.raises(BackendMismatchError, match="disagree at step 1:"):
             run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
+
+
+#: The adaptive kinds, whose generators walk the 2D model to choose each step.
+WALKED = {
+    "optimal": {},
+    "noisy-optimal": {"delta": 0.2, "seed": 3},
+    "random-qaao": {"seed": 3},
+}
+
+
+class TestOneWalk:
+    """A generated schedule's 2D trajectory is walked once, by its generator."""
+
+    @pytest.mark.parametrize("kind", WALKED)
+    def test_generate_and_run_advance_once_per_step(self, monkeypatch, kind):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return advance(*args)
+
+        # Every module that binds `advance` is counted, so a second walk shows.
+        for module in (schedules, engine):
+            if hasattr(module, "advance"):
+                monkeypatch.setattr(module, "advance", counted)
+        seq = build(kind, 10, **WALKED[kind])
+        run_search(seq, OracleSpec.standard(10))
+        assert len(calls) == len(seq)
+
+    def test_replaced_params_are_walked_afresh(self):
+        seq = optimal_sequence(8)
+        grover = (IterationParams(math.pi, math.pi),) * 3
+        replaced = dataclasses.replace(seq, params=grover)
+        assert replaced.steps is None
+        want = run_search(build("grover", 8, steps=3), OracleSpec.standard(8))
+        assert run_search(replaced, OracleSpec.standard(8)).to_csv() == want.to_csv()
+
+    def test_records_of_another_register_are_not_reused(self):
+        seq = optimal_sequence(6)
+        copy = ParameterSequence(seq.params, "optimal")
+        assert schedules.trajectory(seq, 8) == schedules.trajectory(copy, 8)
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("kind", WALKED)
+    def test_hand_built_copy_gives_the_same_bytes(self, kind, m, backend):
+        seq = build(kind, 10, m, **WALKED[kind])
+        copy = ParameterSequence(seq.params, kind, 10, m)
+        assert seq.steps is not None and copy.steps is None
+        # The records take no part in equality, hashing or repr.
+        assert (seq, hash(seq), repr(seq)) == (copy, hash(copy), repr(copy))
+        oracle = OracleSpec.standard(10, m)
+        walked, rerun = run_search(seq, oracle, backend), run_search(copy, oracle, backend)
+        assert walked.to_csv() == rerun.to_csv()
+        assert walked.to_json() == rerun.to_json()
 
 
 class TestClassify:

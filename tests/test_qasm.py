@@ -152,6 +152,12 @@ class TestReplay:
         with pytest.raises(ValueError, match=re.escape(line)):
             replay_circuit(f"OPENQASM 3.0;\nqubit[2] q;\nh q[0];\n{line}\n")
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_angle(self, angle):
+        line = f"ctrl(1) @ p({angle}) q[0], q[1];"
+        with pytest.raises(ValueError, match=re.escape(line)):
+            replay_circuit(f"OPENQASM 3.0;\nqubit[2] q;\nh q[0];\n{line}\n")
+
     @settings(max_examples=200, deadline=None)
     @given(PROGRAM)
     @example((2, [("h", 0), ("h", 1), ("x", 0), ("p", 0.7, [0, 1]), ("h", 0), ("x", 1)]))

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaa.reference_tables import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS
 from qaa.schedules import (
     BUILDERS,
     MAX_ITERATIONS,
@@ -32,6 +31,8 @@ from qaa.subspace import (
     optimal_angles,
     qaao_bound,
 )
+
+from reference import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS
 
 
 class TestKStar:
@@ -85,8 +86,11 @@ class TestParameterSequence:
 
     def test_has_only_the_fields_that_are_read(self):
         assert [f.name for f in dataclasses.fields(ParameterSequence)] == [
-            "params", "kind", "n", "m"
+            "params", "kind", "n", "m", "steps"
         ]
+        # The walked records are set by the generators only.
+        with pytest.raises(TypeError):
+            ParameterSequence((IterationParams(1.0, 1.0),), "grover", 4, steps=())
 
     @pytest.mark.parametrize("steps", [0, -2])
     def test_grover_needs_a_step(self, steps):

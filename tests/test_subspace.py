@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from qaa import subspace
 from qaa.engine import run_search
-from qaa.schedules import generate_qaao_sequence, noisy_optimal_sequence, optimal_sequence
+from qaa.schedules import (
+    ParameterSequence,
+    generate_qaao_sequence,
+    noisy_optimal_sequence,
+    optimal_sequence,
+)
 from qaa.statevector import OracleSpec
 from qaa.subspace import (
     MAX_QUBITS,
@@ -108,7 +113,7 @@ class TestCoefficients:
 class TestIncrement:
     def test_negative_published_row(self):
         # row 9 of the published trajectory; gamma carries the sign
-        # consistent with the schedule symmetry (see reference_tables)
+        # consistent with the schedule symmetry (see reference.py)
         theta0 = initial_angles(8).theta
         d = advance(2.8209, -2.8950, 1.9147, 5.1123, theta0)[2]
         assert d == pytest.approx(-0.0061, abs=1e-3)
@@ -177,7 +182,9 @@ class TestAdvance:
         ["optimal_sequence", "noisy_optimal_sequence", "generate_qaao_sequence", "run_search"],
     )
     def test_closed_form_check_guards_every_step(self, monkeypatch, name):
-        seq = optimal_sequence(6)  # built before b is skewed
+        # A hand-built copy, built before b is skewed, carries no walked
+        # records, so run_search must walk it.
+        seq = ParameterSequence(optimal_sequence(6).params, "optimal", 6)
         calls = {
             "optimal_sequence": lambda: optimal_sequence(6),
             "noisy_optimal_sequence": lambda: noisy_optimal_sequence(6, 0.1, seed=1),
