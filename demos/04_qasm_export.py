@@ -13,6 +13,9 @@ from qaa import OracleSpec, export_circuit, optimal_sequence, roundtrip_deviatio
 
 N_QUBITS = 3
 TARGET = "110"
+#: Bound on the replay deviation.  The value itself is rounding noise that
+#: differs between BLAS kernels, so the demo prints the bound it checked.
+REPLAY_TOL = 1e-12
 
 
 def main() -> None:
@@ -21,8 +24,8 @@ def main() -> None:
     source = export_circuit(seq, oracle)
     print(source)
     deviation = roundtrip_deviation(seq, oracle)
-    print(f"// replay max amplitude deviation: {deviation:.3e}")
-    assert deviation < 1e-9
+    assert deviation < REPLAY_TOL, deviation
+    print(f"// replay max amplitude deviation < {REPLAY_TOL:.0e}")
 
 
 if __name__ == "__main__":

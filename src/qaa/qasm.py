@@ -13,13 +13,15 @@ to round-trip any exported program through the simulator.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from typing import Iterable
 
 import numpy as np
 
 from .statevector import MAX_QUBITS, OracleSpec, StateVector, evolve
+
+_HEADER = ("OPENQASM 3.0;", 'include "stdgates.inc";')
 
 
 def export_circuit(seq, oracle: OracleSpec) -> str:
@@ -33,46 +35,31 @@ def export_circuit(seq, oracle: OracleSpec) -> str:
         raise ValueError("circuit export supports exactly one target string")
     (target,) = oracle.targets
     n = oracle.n
-    lines: list[str] = [
-        "OPENQASM 3.0;",
-        'include "stdgates.inc";',
-        f"qubit[{n}] q;",
-    ]
-    lines.extend(f"h q[{i}];" for i in range(n))
-    for k, p in enumerate(seq, start=1):
-        lines.append(f"// iteration {k}: beta={p.beta!r}, gamma={p.gamma!r}")
-        lines.extend(_oracle_gate(target, p.gamma))
-        lines.extend(_diffusion_gate(n, p.beta))
+    h = [f"h q[{i}];" for i in range(n)]
+    x = [f"x q[{i}];" for i in range(n)]
+    flips = [x[i] for i, bit in enumerate(target) if bit == "0"]
+    phase = ("" if n == 1 else f"ctrl({n - 1}) @ ") + "p({%d!r}) "
+    phase += ", ".join(f"q[{i}]" for i in range(n)) + ";"
+    # One iteration as a format string over (k, beta, gamma, -gamma, -beta).
+    step = "\n".join(
+        ["// iteration {0}: beta={1!r}, gamma={2!r}", *flips, phase % 3, *flips]
+        + [*h, *x, phase % 4, *x, *h]
+    )
+    lines = [*_HEADER, f"qubit[{n}] q;", *h]
+    lines.extend(step.format(k, p.beta, p.gamma, -p.gamma, -p.beta) for k, p in enumerate(seq, 1))
     return "\n".join(lines) + "\n"
-
-
-def _mcp(n: int, angle: float) -> str:
-    qubits = ", ".join(f"q[{i}]" for i in range(n))
-    if n == 1:
-        return f"p({angle!r}) q[0];"
-    return f"ctrl({n - 1}) @ p({angle!r}) {qubits};"
-
-
-def _oracle_gate(target: str, gamma: float) -> Iterable[str]:
-    flips = [f"x q[{i}];" for i, bit in enumerate(target) if bit == "0"]
-    yield from flips
-    yield _mcp(len(target), -gamma)
-    yield from flips
-
-
-def _diffusion_gate(n: int, beta: float) -> Iterable[str]:
-    yield from (f"h q[{i}];" for i in range(n))
-    yield from (f"x q[{i}];" for i in range(n))
-    yield _mcp(n, -beta)
-    yield from (f"x q[{i}];" for i in range(n))
-    yield from (f"h q[{i}];" for i in range(n))
 
 
 _QUBIT_RE = re.compile(r"^qubit\[(\d+)\] q;$")
 _ONE_Q_RE = re.compile(r"^(h|x) q\[(\d+)\];$")
 _PHASE_RE = re.compile(r"^(?:ctrl\((\d+)\) @ )?p\(([^)]+)\) (q\[\d+\](?:, q\[\d+\])*);$")
 
+#: Qubits per fused product: a flush applies pending one-qubit gates as one
+#: 2^CHUNK-square matrix product per CHUNK consecutive qubits.
+CHUNK = 4
+
 _R = 1.0 / math.sqrt(2.0)
+_GATES = {"h": np.array([[_R, _R], [_R, -_R]], complex), "x": np.array([[0, 1], [1, 0]], complex)}
 
 
 def _qubit(text: str, n: int, line: str) -> int:
@@ -82,76 +69,100 @@ def _qubit(text: str, n: int, line: str) -> int:
     return q
 
 
+def _parse(line: str, n: int) -> tuple:
+    """A gate line as ("h" or "x", qubit), or as (qubits, their all-ones index, phase factor)."""
+    if (m := _ONE_Q_RE.match(line)) is not None:
+        return m.group(1), _qubit(m.group(2), n, line)
+    if (m := _PHASE_RE.match(line)) is None:
+        raise ValueError(f"unsupported statement: {line!r}")
+    try:
+        angle = float(m.group(2))
+    except ValueError:
+        raise ValueError(f"phase angle is not a number: {line!r}") from None
+    if not math.isfinite(angle):
+        raise ValueError(f"phase angle must be finite: {line!r}")
+    qubits = [_qubit(q, n, line) for q in re.findall(r"q\[(\d+)\]", m.group(3))]
+    if len(qubits) != int(m.group(1) or 0) + 1:
+        raise ValueError(f"control count does not match the qubit list: {line!r}")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"repeated qubit in a phase gate: {line!r}")
+    # The phase acts on the basis states whose listed qubits are all 1.  A
+    # list, not a tuple: n-tuples kept until the end of a long replay fill
+    # the interpreter's free list for that tuple size, which holds them.
+    where = [1 if q in qubits else slice(None) for q in range(n)]
+    return qubits, where, np.exp(1j * angle)
+
+
+@functools.lru_cache(maxsize=256)
+def _chunk_matrix(words: tuple[str, ...]) -> np.ndarray:
+    """Transposed Kronecker product of the words' matrices; a word lists gates as applied.
+
+    Cached across replays: a program uses a few keys, and 256 of them hold
+    at most about 1 MB.
+    """
+    eye = np.identity(2, complex)
+    mats = [functools.reduce(lambda m, g: _GATES[g] @ m, w, eye) for w in words]
+    return functools.reduce(np.kron, mats).T
+
+
+def _flush(amps: np.ndarray, scratch: np.ndarray, words: list[list[str]]):
+    """Apply and clear the pending words; returns the (amplitudes, scratch) buffers.
+
+    Each product writes its result transposed, which moves its chunk's qubits
+    behind the others, so after the last chunk the order is q[0]..q[n-1].
+    """
+    for lo in range(0, len(words), CHUNK):
+        # A list, not a generator: tuple() resizes a tuple built from a
+        # generator, and freed resized tuples pile up on the free list.
+        k = _chunk_matrix(tuple(["".join(w) for w in words[lo : lo + CHUNK]]))
+        np.matmul(amps.reshape(len(k), -1).T, k, out=scratch.reshape(-1, len(k)))
+        amps, scratch = scratch, amps
+    for w in words:
+        w.clear()
+    return amps, scratch
+
+
 def replay_circuit(source: str) -> StateVector:
     """Simulate a program emitted by export_circuit, starting from |0...0>.
 
-    Every gate updates one amplitude buffer in place through reshaped views.
-    An `x` moves no amplitudes: it toggles the qubit's pending flip bit, so
-    that the true amplitude at basis index i is the stored one at i XOR the
-    flips.  An `h` on a flipped qubit uses H X = Z H and clears the bit; a
-    phase selects the stored slice where each listed qubit equals 1 XOR its
-    flip.  Flips still pending at the end are applied once.
+    An `h` or `x` line moves no amplitudes: it appends its gate to the
+    qubit's pending word.  A phase gate first flushes the pending words if
+    one of its own qubits has any (gates on other qubits commute with it),
+    and the end of the program flushes once.  Each distinct line is parsed
+    and checked once.
     """
-    n = None
-    amps = None
+    n = amps = None
+    parsed: dict[str, tuple] = {}
     for raw in source.splitlines():
         line = raw.strip()
-        if not line or line.startswith("//"):
-            continue
-        if line in ("OPENQASM 3.0;", 'include "stdgates.inc";'):
-            continue
-        if (m := _QUBIT_RE.match(line)) is not None:
-            if amps is not None:
-                raise ValueError(f"second qubit declaration: {line!r}")
-            n = int(m.group(1))
-            if n > MAX_QUBITS:
-                raise ValueError(f"qubit count must be at most {MAX_QUBITS}, got {n}")
-            amps = np.zeros(2**n, dtype=complex)
-            amps[0] = 1.0
-            scratch = np.empty(2**n // 2, dtype=complex)
-            flips = [0] * n
-            continue
-        if amps is None or n is None:
-            raise ValueError(f"gate before qubit declaration: {line!r}")
-        if (m := _ONE_Q_RE.match(line)) is not None:
-            q = _qubit(m.group(2), n, line)
-            if m.group(1) == "x":
-                flips[q] ^= 1
+        if (op := parsed.get(line)) is None:
+            if not line or line.startswith("//") or line in _HEADER:
                 continue
-            # Big-endian: qubit q splits the index into (2^q, 2, rest).
-            pairs = amps.reshape(2**q, 2, -1)
-            lo, hi = pairs[:, 0], pairs[:, 1]
-            diff = scratch.reshape(lo.shape)
-            if flips[q]:  # H X = Z H: the |1> half takes the opposite sign
-                np.subtract(hi, lo, out=diff)
-            else:
-                np.subtract(lo, hi, out=diff)
-            lo += hi
-            hi[...] = diff
-            pairs *= _R
-            flips[q] = 0
-        elif (m := _PHASE_RE.match(line)) is not None:
-            angle = float(m.group(2))
-            if not math.isfinite(angle):
-                raise ValueError(f"phase angle must be finite: {line!r}")
-            qubits = [_qubit(q, n, line) for q in re.findall(r"q\[(\d+)\]", m.group(3))]
-            if len(qubits) != int(m.group(1) or 0) + 1:
-                raise ValueError(f"control count does not match the qubit list: {line!r}")
-            if len(set(qubits)) != len(qubits):
-                raise ValueError(f"repeated qubit in a phase gate: {line!r}")
-            # The phase acts on the basis states whose listed qubits are all 1.
-            where = [slice(None)] * n
-            for q in qubits:
-                where[q] = 1 ^ flips[q]
-            amps.reshape((2,) * n)[tuple(where)] *= np.exp(1j * angle)
-        else:
-            raise ValueError(f"unsupported statement: {line!r}")
+            if (m := _QUBIT_RE.match(line)) is not None:
+                if amps is not None:
+                    raise ValueError(f"second qubit declaration: {line!r}")
+                n = int(m.group(1))
+                if n > MAX_QUBITS:
+                    raise ValueError(f"qubit count must be at most {MAX_QUBITS}, got {n}")
+                amps = np.zeros(2**n, dtype=complex)
+                amps[0] = 1.0
+                scratch = np.empty_like(amps)
+                words: list[list[str]] = [[] for _ in range(n)]
+                continue
+            if amps is None or n is None:
+                raise ValueError(f"gate before qubit declaration: {line!r}")
+            op = parsed[line] = _parse(line, n)
+        if len(op) == 2:
+            words[op[1]].append(op[0])
+            continue
+        qubits, where, factor = op
+        if any(words[q] for q in qubits):
+            amps, scratch = _flush(amps, scratch, words)
+        amps.reshape((2,) * n)[tuple(where)] *= factor
     if amps is None or n is None:
         raise ValueError("no qubit declaration found")
-    if any(flips):
-        # Reversing a length-2 axis flips that qubit's bit of every index.
-        unflip = tuple(slice(None, None, -1 if f else 1) for f in flips)
-        amps = amps.reshape((2,) * n)[unflip].reshape(-1)
+    if any(words):
+        amps, _ = _flush(amps, scratch, words)
     return StateVector(n, amps)
 
 

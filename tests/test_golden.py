@@ -28,6 +28,8 @@ COMMANDS = {
     ),
     "export_qasm_random_qaao_n5_seed3": "export-qasm random-qaao --n 5 --seed 3",
     "export_qasm_random_qaao_n4_verify": "export-qasm random-qaao --n 4 --seed 1 --verify",
+    "export_qasm_grover_n1_steps2": "export-qasm grover --n 1 --steps 2 --target 1",
+    "export_qasm_fixed_point_n6_L5": "export-qasm fixed-point --n 6 --L 5 --target 010011",
     "search_noisy_optimal_delta0_3_seed4": "search noisy-optimal --delta 0.3 --seed 4",
     "table_appendix": "table appendix",
     "figure_fig1b": "figure fig1b",

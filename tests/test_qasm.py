@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaa.qasm import export_circuit, replay_circuit, roundtrip_deviation
+from qaa import qasm
+from qaa.qasm import CHUNK, export_circuit, replay_circuit, roundtrip_deviation
 from qaa.schedules import fixed_point_sequence, optimal_sequence
-from qaa.statevector import MAX_QUBITS, OracleSpec, uniform_state
+from qaa.statevector import MAX_QUBITS, OracleSpec, evolve, uniform_state
 from qaa.subspace import IterationParams
 
 from reference import apply_iteration
@@ -76,7 +77,8 @@ def _program(n):
     return st.tuples(st.just(n), st.builds(lambda b, t: start + b + t, body, tail))
 
 
-PROGRAM = st.integers(1, 5).flatmap(_program)
+# Registers up to two chunks and one qubit, so that flushes cross chunk boundaries.
+PROGRAM = st.integers(1, 2 * CHUNK + 1).flatmap(_program)
 
 
 class TestExport:
@@ -158,9 +160,46 @@ class TestReplay:
         with pytest.raises(ValueError, match=re.escape(line)):
             replay_circuit(f"OPENQASM 3.0;\nqubit[2] q;\nh q[0];\n{line}\n")
 
+    @pytest.mark.parametrize("angle", ["abc", "1e400x"])
+    def test_rejects_non_numeric_angle(self, angle):
+        line = f"p({angle}) q[0];"
+        with pytest.raises(ValueError, match=re.escape(line)):
+            replay_circuit(f"OPENQASM 3.0;\nqubit[2] q;\nh q[0];\n{line}\n")
+
+    def test_x_only_program_is_the_exact_basis_vector(self):
+        n = 2 * CHUNK + 1
+        flips = [0, 3, n - 1, 3, 1, CHUNK]
+        program = render(n, [("x", q) for q in flips])
+        want = np.zeros(2**n, dtype=complex)
+        want[sum(1 << (n - 1 - q) for q in {0, 1, CHUNK, n - 1})] = 1.0
+        assert np.array_equal(replay_circuit(program).amplitudes, want)
+
+    def test_each_run_of_one_qubit_gates_is_one_product_per_chunk(self, monkeypatch):
+        n = 2 * CHUNK + 1
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(qasm.np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
+        run = [("h", q) for q in range(n)] + [("x", q) for q in range(0, n, 2)]
+        # Three runs: two closed by a phase on a pending qubit, one by the end.
+        gates = run + [("p", 0.3, [0])] + run + [("p", 0.7, list(range(n)))] + run
+        got = replay_circuit(render(n, gates)).amplitudes
+        assert len(calls) == 3 * math.ceil(n / CHUNK)
+        np.testing.assert_allclose(got, reference_replay(n, gates), rtol=0, atol=1e-12)
+
     @settings(max_examples=200, deadline=None)
     @given(PROGRAM)
     @example((2, [("h", 0), ("h", 1), ("x", 0), ("p", 0.7, [0, 1]), ("h", 0), ("x", 1)]))
+    # Phases on some qubits while others have pending gates: after the first
+    # phase flushes the start, the second leaves the gates pending on q[1]
+    # and q[CHUNK], and the third has one of them on its own qubit q[1].
+    @example(
+        (
+            CHUNK + 1,
+            [("h", q) for q in range(CHUNK + 1)]
+            + [("p", 0.4, [0]), ("x", CHUNK), ("h", 1), ("p", 0.9, [0, 2])]
+            + [("x", 2), ("p", -2.1, [1, CHUNK - 1]), ("h", 0)]
+        )
+    )
     def test_matches_reference_replay(self, program):
         n, gates = program
         got = replay_circuit(render(n, gates)).amplitudes
@@ -176,6 +215,14 @@ class TestRoundTrip:
 
     def test_optimal_schedule_n5(self):
         assert roundtrip_deviation(optimal_sequence(5), OracleSpec.single("10110")) < 1e-9
+
+    def test_optimal_schedule_n12_matches_evolve(self):
+        seq, spec = optimal_sequence(12), OracleSpec.single("010011010110")
+        got = replay_circuit(export_circuit(seq, spec)).amplitudes
+        want = evolve(seq, spec).amplitudes
+        k = int(np.argmax(np.abs(want)))
+        np.testing.assert_allclose(got, got[k] / want[k] * want, rtol=0, atol=1e-12)
+        assert abs(abs(got[k] / want[k]) - 1.0) < 1e-12
 
     def test_fixed_point_schedule(self):
         seq = fixed_point_sequence(6, 0.1)
