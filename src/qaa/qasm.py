@@ -50,9 +50,13 @@ def export_circuit(seq, oracle: OracleSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-_QUBIT_RE = re.compile(r"^qubit\[(\d+)\] q;$")
-_ONE_Q_RE = re.compile(r"^(h|x) q\[(\d+)\];$")
-_PHASE_RE = re.compile(r"^(?:ctrl\((\d+)\) @ )?p\(([^)]+)\) (q\[\d+\](?:, q\[\d+\])*);$")
+# Counts and indices have at most 9 digits, far below CPython's 4,300-digit
+# limit on int(), so a longer one reaches the errors that quote the line.
+_QUBIT_RE = re.compile(r"^qubit\[(\d{1,9})\] q;$")
+_ONE_Q_RE = re.compile(r"^(h|x) q\[(\d{1,9})\];$")
+_PHASE_RE = re.compile(
+    r"^(?:ctrl\((\d{1,9})\) @ )?p\(([^)]+)\) (q\[\d{1,9}\](?:, q\[\d{1,9}\])*);$"
+)
 
 #: Qubits per fused product: a flush applies pending one-qubit gates as one
 #: 2^CHUNK-square matrix product per CHUNK consecutive qubits.
@@ -69,28 +73,31 @@ def _qubit(text: str, n: int, line: str) -> int:
     return q
 
 
-def _parse(line: str, n: int) -> tuple:
-    """A gate line as ("h" or "x", qubit), or as (qubits, their all-ones index, phase factor)."""
-    if (m := _ONE_Q_RE.match(line)) is not None:
-        return m.group(1), _qubit(m.group(2), n, line)
-    if (m := _PHASE_RE.match(line)) is None:
-        raise ValueError(f"unsupported statement: {line!r}")
+@functools.lru_cache(maxsize=8)
+def _factor(text: str, line: str) -> complex:
+    """The phase factor e^{i*angle} of a phase line's angle text.
+
+    Cached: Grover-like schedules repeat a few angles, and np.exp of a
+    scalar costs about a microsecond.  `line` only quotes the line in an error.
+    """
     try:
-        angle = float(m.group(2))
+        angle = float(text)
     except ValueError:
         raise ValueError(f"phase angle is not a number: {line!r}") from None
     if not math.isfinite(angle):
         raise ValueError(f"phase angle must be finite: {line!r}")
+    return np.exp(1j * angle)
+
+
+def _phase_qubits(m: re.Match, n: int, line: str) -> tuple[list[int], tuple]:
+    """A phase line's qubits, and the index of the basis states they select."""
     qubits = [_qubit(q, n, line) for q in re.findall(r"q\[(\d+)\]", m.group(3))]
     if len(qubits) != int(m.group(1) or 0) + 1:
         raise ValueError(f"control count does not match the qubit list: {line!r}")
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"repeated qubit in a phase gate: {line!r}")
-    # The phase acts on the basis states whose listed qubits are all 1.  A
-    # list, not a tuple: n-tuples kept until the end of a long replay fill
-    # the interpreter's free list for that tuple size, which holds them.
-    where = [1 if q in qubits else slice(None) for q in range(n)]
-    return qubits, where, np.exp(1j * angle)
+    # The phase acts on the basis states whose listed qubits are all 1.
+    return qubits, tuple(1 if q in qubits else slice(None) for q in range(n))
 
 
 @functools.lru_cache(maxsize=256)
@@ -128,14 +135,18 @@ def replay_circuit(source: str) -> StateVector:
     An `h` or `x` line moves no amplitudes: it appends its gate to the
     qubit's pending word.  A phase gate first flushes the pending words if
     one of its own qubits has any (gates on other qubits commute with it),
-    and the end of the program flushes once.  Each distinct line is parsed
-    and checked once.
+    and the end of the program flushes once.  Each distinct one-qubit line
+    and each distinct qubit list of a phase line is parsed and checked
+    once.  Only a phase line's angle, which changes from iteration to
+    iteration, is read every time, through a bounded cache, so memory does
+    not grow with the program.
     """
     n = amps = None
-    parsed: dict[str, tuple] = {}
+    gates: dict[str, tuple[str, int]] = {}
+    phases: dict[tuple, tuple[list[int], tuple]] = {}
     for raw in source.splitlines():
         line = raw.strip()
-        if (op := parsed.get(line)) is None:
+        if (gate := gates.get(line)) is None:
             if not line or line.startswith("//") or line in _HEADER:
                 continue
             if (m := _QUBIT_RE.match(line)) is not None:
@@ -151,14 +162,19 @@ def replay_circuit(source: str) -> StateVector:
                 continue
             if amps is None or n is None:
                 raise ValueError(f"gate before qubit declaration: {line!r}")
-            op = parsed[line] = _parse(line, n)
-        if len(op) == 2:
-            words[op[1]].append(op[0])
-            continue
-        qubits, where, factor = op
-        if any(words[q] for q in qubits):
-            amps, scratch = _flush(amps, scratch, words)
-        amps.reshape((2,) * n)[tuple(where)] *= factor
+            if (m := _PHASE_RE.match(line)) is not None:
+                factor = _factor(m.group(2), line)
+                if (op := phases.get(key := m.group(1, 3))) is None:
+                    op = phases[key] = _phase_qubits(m, n, line)
+                qubits, where = op
+                if any(words[q] for q in qubits):
+                    amps, scratch = _flush(amps, scratch, words)
+                amps.reshape((2,) * n)[where] *= factor
+                continue
+            if (m := _ONE_Q_RE.match(line)) is None:
+                raise ValueError(f"unsupported statement: {line!r}")
+            gate = gates[line] = m.group(1), _qubit(m.group(2), n, line)
+        words[gate[1]].append(gate[0])
     if amps is None or n is None:
         raise ValueError("no qubit declaration found")
     if any(words):

@@ -19,10 +19,11 @@ from .subspace import IterationParams, StateAngles, initial_angles
 #: Largest supported register; 2^24 amplitudes is the desk-scale cap.
 MAX_QUBITS = 24
 
-#: Amplitudes per block of the checked pass: 2^17 complex values (2 MiB).
-#: A block's update and its measurement read it while it is still cached;
-#: larger blocks make fewer numpy calls per pass.
-BLOCK = 2**17
+#: Amplitudes per block of the checked pass: 2^15 complex values (512 KiB).
+#: A block and its scratch copy must fit in L2 together, so that the update
+#: and the passes that measure it run from cache.  Of 2^13..2^18, this
+#: was fastest at n = 20 on a host with 2 MiB of L2 per core.
+BLOCK = 2**15
 
 
 @dataclass(frozen=True)

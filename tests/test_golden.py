@@ -26,6 +26,9 @@ COMMANDS = {
     "search_random_qaao_n14_statevector": (
         "search random-qaao --n 14 --seed 2 --backend statevector"
     ),
+    "search_optimal_n16_statevector": (
+        "search optimal --n 16 --backend statevector --target 1011001110001011"
+    ),
     "export_qasm_random_qaao_n5_seed3": "export-qasm random-qaao --n 5 --seed 3",
     "export_qasm_random_qaao_n4_verify": "export-qasm random-qaao --n 4 --seed 1 --verify",
     "export_qasm_grover_n1_steps2": "export-qasm grover --n 1 --steps 2 --target 1",

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,39 @@ class TestReplay:
         line = f"p({angle}) q[0];"
         with pytest.raises(ValueError, match=re.escape(line)):
             replay_circuit(f"OPENQASM 3.0;\nqubit[2] q;\nh q[0];\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "qubit[{}] q;",
+            "qubit[2] q;\nh q[{}];",
+            "qubit[2] q;\np(0.5) q[{}];",
+            "qubit[2] q;\nctrl({}) @ p(0.5) q[0], q[1];",
+        ],
+        ids=["declaration", "h", "p", "ctrl"],
+    )
+    def test_overlong_number_quotes_the_line(self, body):
+        # More digits than CPython's int() converts (4,300).
+        body = body.format("9" * 5000)
+        with pytest.raises(ValueError, match=re.escape(body.splitlines()[-1])):
+            replay_circuit(f"OPENQASM 3.0;\n{body}\n")
+
+    def test_memory_does_not_grow_with_the_program(self):
+        # Every phase line carries its iteration's angle, so a replay that
+        # kept an entry per distinct line would grow with the schedule.
+        def beyond_the_lines(length):
+            source = export_circuit(fixed_point_sequence(length, 0.1), OracleSpec.single("0110"))
+            tracemalloc.start()
+            try:
+                source.splitlines()
+                lines = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                replay_circuit(source)
+                return tracemalloc.get_traced_memory()[1] - lines
+            finally:
+                tracemalloc.stop()
+
+        assert beyond_the_lines(4000) - beyond_the_lines(400) < 128 * 1024
 
     def test_x_only_program_is_the_exact_basis_vector(self):
         n = 2 * CHUNK + 1

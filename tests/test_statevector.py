@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qaa import statevector
 from qaa.engine import run_search
 from qaa.schedules import optimal_sequence
 from qaa.statevector import (
@@ -273,6 +274,32 @@ class TestCheckedStep:
             assert abs(plane.norm_defect) < 1e-12
         assert plane.probability == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(state.amplitudes, evolve(seq, spec).amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("indices", [(40000,), (3, 1025, 9000, 40000, 65535)])
+    def test_block_size_does_not_change_the_result(self, indices, monkeypatch):
+        n = 16
+        spec = OracleSpec(n, frozenset(format(i, f"0{n}b") for i in indices))
+        seq = optimal_sequence(n, len(indices))
+        want = evolve(seq, spec).amplitudes
+        runs = []
+        for size in (2**10, 2**13, 2**16):
+            monkeypatch.setattr(statevector, "BLOCK", size)
+            state = uniform_state(n)
+            plan = block_plan(state, spec)
+            assert len(plan.blocks) == 2**n // size
+            plane = measure(state, plan)
+            planes = []
+            for params in seq.params:
+                plane = checked_step(state, params, plan, plane.total)
+                planes.append((plane.probability, plane.norm_defect, plane.leakage))
+            np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-12)
+            runs.append(np.array(planes))
+        for other in runs[1:]:
+            np.testing.assert_allclose(other[:, 0], runs[0][:, 0], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(other[:, 1:], runs[0][:, 1:], rtol=0, atol=1e-12)
+        assert runs[0][-1, 0] == pytest.approx(1.0, abs=1e-10)
+        assert np.abs(runs[0][:, 1]).max() < 1e-12
+        assert runs[0][:, 2].max() < 1e-12
 
     def test_norm_defect_reads_a_scaled_state(self):
         spec = OracleSpec.standard(10, 3)
