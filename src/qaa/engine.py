@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import schedules, statevector as sv
@@ -37,11 +39,11 @@ def _csv_format(value) -> str:
 
 
 def format_rows(rows, fmt: str, header: Sequence[str] = ()) -> str:
-    """Newline-terminated CSV or JSON text of a list of row dicts.
+    """Newline-terminated CSV or JSON text of a list of rows.
 
     JSON keeps full double precision with sorted keys, and `rows` may be any
-    JSON value.  CSV prints `header`, then the header's fields of each row
-    through one printf-style row format built from the first row's cell
+    JSON value.  CSV prints `header`, then each row (dict or header-ordered
+    tuple) through one printf-style format built from the first row's cell
     types: floats with CSV_DECIMALS places, ints as integers, booleans as the
     O/X amplification flag, anything else as str.  Every row has the first
     row's cell types.
@@ -50,15 +52,23 @@ def format_rows(rows, fmt: str, header: Sequence[str] = ()) -> str:
         return json.dumps(rows, sort_keys=True) + "\n"
     lines = [",".join(header)]
     if rows:
-        first = [rows[0][key] for key in header]
-        row_format = ",".join(map(_csv_format, first))
-        flags = [i for i, value in enumerate(first) if isinstance(value, bool)]
+        if isinstance(rows[0], dict):
+            rows = [[row[key] for key in header] for row in rows]
+        row_format = ",".join(map(_csv_format, rows[0]))
+        flags = [i for i, value in enumerate(rows[0]) if isinstance(value, bool)]
         for row in rows:
-            cells = [row[key] for key in header]
+            cells = list(row)
             for i in flags:
                 cells[i] = "XO"[cells[i]]
             lines.append(row_format % tuple(cells))
     return "\n".join(lines) + "\n"
+
+
+#: A StepRecord's cells in sorted-key order, the %-format of each cell type in
+#: a JSON row (%r is json's float repr) and the cells %r writes unlike json.
+_SORTED = itemgetter(*sorted(range(len(StepRecord._fields)), key=StepRecord._fields.__getitem__))
+_JSON_FORMATS = {float: "%r", int: "%d", bool: "%s"}
+_NONFINITE = re.compile(r": (-?inf|nan)\b")
 
 
 class BackendMismatchError(RuntimeError):
@@ -103,7 +113,7 @@ class Trajectory:
         return [s._asdict() for s in self.steps]
 
     def to_csv(self) -> str:
-        return format_rows(self.rows(), "csv", StepRecord._fields)
+        return format_rows(self.steps, "csv", StepRecord._fields)
 
     def to_json(self) -> str:
         payload = {
@@ -112,9 +122,22 @@ class Trajectory:
             "kind": self.kind,
             "final_probability": self.final_probability,
             "turning_index": self.turning_index,
-            "steps": self.rows(),
+            "steps": [],
         }
-        return format_rows(payload, "json").rstrip("\n")
+        # turning_index, the one key after "steps", holds an int or null.
+        head, _, tail = json.dumps(payload, sort_keys=True).rpartition("[]")
+        if not self.steps:
+            return head + "[]" + tail
+        # The same bytes from one %-template built from the first row's cell
+        # types; bools, nan and inf are then respelled as json spells them.
+        template = "{%s}" % ", ".join(
+            '"%s": %s' % (name, _JSON_FORMATS[type(cell)])
+            for name, cell in zip(_SORTED(StepRecord._fields), _SORTED(self.steps[0]))
+        )
+        body = ", ".join([template % row for row in map(_SORTED, self.steps)])
+        body = body.replace(": True", ": true").replace(": False", ": false")
+        body = _NONFINITE.sub(lambda cell: ": " + json.dumps(float(cell[1])), body)
+        return f"{head}[{body}]{tail}"
 
 
 def run_search(
@@ -148,11 +171,11 @@ def run_search(
         checked = []
         for params, record in zip(seq.params, steps):
             plane = sv.checked_step(state, params, plan, plane.total)
-            if plane.leakage > LEAKAGE_TOL:
+            if not (plane.leakage <= LEAKAGE_TOL):
                 raise BackendMismatchError(
                     f"leakage {plane.leakage} out of the target plane at step {record.index}"
                 )
-            if abs(plane.probability - record.probability_after) > SEQUENCE_TOL:
+            if not (abs(plane.probability - record.probability_after) <= SEQUENCE_TOL):
                 raise BackendMismatchError(
                     f"backends disagree at step {record.index}: statevector "
                     f"{plane.probability} vs analytic {record.probability_after}"
@@ -179,7 +202,7 @@ def classify(traj: Trajectory, c: Optional[float] = None) -> Trajectory:
     steps = []
     for s in traj.steps:
         b = amplification_terms(s.beta, s.gamma, s.phi_before, cos_theta0, sin_theta0)[1]
-        steps.append(s._replace(qaao_flag=b > threshold))
+        steps.append(StepRecord(*s[:7], b > threshold, s[8]))
     return replace(traj, steps=tuple(steps))
 
 

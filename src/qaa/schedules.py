@@ -24,6 +24,7 @@ import numpy as np
 from .subspace import (
     IterationParams,
     advance,
+    amplification_coefficient,
     amplification_terms,
     diffuse,
     initial_angles,
@@ -175,8 +176,9 @@ def generate_qaao_sequence(
 
     The draws come in blocks of _DRAW_BLOCK values from one generator and
     are consumed in (beta, gamma) pairs in stream order, so the schedule is
-    the one that per-pair `rng.uniform(-pi, pi, 2)` calls give; a rejected
-    pair is tested on plain floats and builds no objects.
+    the one that per-pair `rng.uniform(-pi, pi, 2)` calls give.  A pair
+    whose b from `_draw_block` reads more than 1e-12 below the bound is
+    rejected on that one multiply-add; `amplification_terms` decides the rest.
     """
     walk = _Walk(n, m)
     big_n = 2**n
@@ -184,29 +186,44 @@ def generate_qaao_sequence(
     if not 0.0 < target_threshold <= 1.0:
         raise ValueError(f"target_threshold must lie in (0, 1], got {target_threshold}")
     rng = np.random.default_rng(seed)
-    draws: list[float] = []
+    betas: list[float] = []
     pos = 0
     cos_theta0, sin_theta0 = math.cos(walk.theta0), math.sin(walk.theta0)
+    # The two forms of b differ by about 1e-15; the bound is above 1.5e-5.
+    loose = bound - 1e-12
     exact = target_threshold >= 1.0
     while exact or math.sin(0.5 * walk.theta) ** 2 < target_threshold:
         if walk.theta >= math.pi - 2.0 * walk.theta0:
             walk.step(*optimal_angles(walk.theta, walk.phi, walk.theta0))
             break
+        sin_phi, cos_phi = math.sin(walk.phi), math.cos(walk.phi)
         for _ in range(max_attempts):
-            if pos == len(draws):
-                draws = rng.uniform(-math.pi, math.pi, _DRAW_BLOCK).tolist()
+            if pos == len(betas):
+                betas, gammas, ps, qs = _draw_block(rng, walk.theta0)
                 pos = 0
-            beta, gamma = draws[pos], draws[pos + 1]
-            pos += 2
-            if amplification_terms(beta, gamma, walk.phi, cos_theta0, sin_theta0)[1] > bound:
+            i, pos = pos, pos + 1
+            if sin_phi * ps[i] + cos_phi * qs[i] > loose and amplification_terms(
+                betas[i], gammas[i], walk.phi, cos_theta0, sin_theta0
+            )[1] > bound:
                 break
         else:
             raise RuntimeError(
                 f"no amplifying parameters found in {max_attempts} draws; "
                 f"c={c} is likely too demanding for N={big_n}"
             )
-        walk.step(beta, gamma)
+        walk.step(betas[i], gammas[i])
     return walk.sequence(RANDOM_QAAO)
+
+
+def _draw_block(rng, theta0: float) -> tuple[list[float], ...]:
+    """The next _DRAW_BLOCK // 2 pairs: lists beta, gamma, P = b(pi/2), Q = b(0).
+
+    b is linear in (sin(phi), cos(phi)), so b(phi) = sin(phi) * P + cos(phi) * Q.
+    """
+    beta, gamma = rng.uniform(-math.pi, math.pi, _DRAW_BLOCK).reshape(-1, 2).T
+    p = amplification_coefficient(beta, gamma, 0.5 * math.pi, theta0)
+    q = amplification_coefficient(beta, gamma, 0.0, theta0)
+    return beta.tolist(), gamma.tolist(), p.tolist(), q.tolist()
 
 
 def optimal_sequence(n: int, m: int = 1) -> ParameterSequence:

@@ -170,9 +170,9 @@ def advance(
     e^{-i*gamma}, then `diffuse` applies D(beta); the global phase is
     discarded.  The increment, the change in target probability, must agree
     with the closed form a*cos(theta) + b*sin(theta) of `amplification_terms`
-    to ALGEBRAIC_TOL or a ModelConsistencyError is raised.  The angles are
-    not validated; callers check outside input with `StateAngles` and
-    `IterationParams`.
+    to ALGEBRAIC_TOL or a ModelConsistencyError is raised, as it is when
+    either is NaN.  The angles are not validated; callers check outside
+    input with `StateAngles` and `IterationParams`.
     """
     half = 0.5 * theta
     sin_half = math.sin(half)
@@ -181,7 +181,7 @@ def advance(
     matrix = abs(a_t) ** 2 - sin_half**2
     a, b, _ = amplification_terms(beta, gamma, phi, math.cos(theta0), math.sin(theta0))
     closed = a * math.cos(theta) + b * math.sin(theta)
-    if abs(matrix - closed) > ALGEBRAIC_TOL:
+    if not (abs(matrix - closed) <= ALGEBRAIC_TOL):
         raise ModelConsistencyError(
             f"closed-form increment {closed!r} deviates from matrix value {matrix!r} at "
             f"beta={beta!r}, gamma={gamma!r}, theta={theta!r}, phi={phi!r}, theta0={theta0!r}"

@@ -5,15 +5,19 @@ The library computes the target-plane model on scalar complex pairs
 (`statevector.iterate_in_place`).  These are the textbook forms: explicit
 2x2 matrices, the vectorized closed-form increment, the 2D step on
 `StateAngles` and `IterationParams` objects with the textbook a, b and c,
-and dense iterations on a copy.  It also holds the published reference
-trajectory of the 8-qubit fixed-point schedule.
+and dense iterations on a copy.  It also holds the trajectory serializers
+that go through one dict per step, and the published reference trajectory
+of the 8-qubit fixed-point schedule.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
 
+from qaa.engine import Trajectory, format_rows
+from qaa.schedules import StepRecord
 from qaa.statevector import StateVector, iterate_in_place
 from qaa.subspace import (
     IterationParams,
@@ -93,6 +97,24 @@ def apply_iteration(state: StateVector, params: IterationParams, oracle) -> Stat
 def norm_defect(state: StateVector) -> float:
     """|<s|s> - 1| of a dense state."""
     return abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
+
+
+def dict_rows_csv(traj: Trajectory) -> str:
+    """`Trajectory.to_csv` from one dict per step."""
+    return format_rows([s._asdict() for s in traj.steps], "csv", StepRecord._fields)
+
+
+def dict_rows_json(traj: Trajectory) -> str:
+    """`Trajectory.to_json` as one `json.dumps` of a payload with one dict per step."""
+    payload = {
+        "n": traj.n,
+        "m": traj.m,
+        "kind": traj.kind,
+        "final_probability": traj.final_probability,
+        "turning_index": traj.turning_index,
+        "steps": [s._asdict() for s in traj.steps],
+    }
+    return json.dumps(payload, sort_keys=True)
 
 
 # --- published fixed-point trajectory --------------------------------------

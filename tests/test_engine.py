@@ -10,6 +10,7 @@ from qaa import engine, schedules, statevector as sv
 from qaa.engine import (
     CSV_HEADER,
     BackendMismatchError,
+    Trajectory,
     classify,
     compare,
     grover_baseline,
@@ -18,6 +19,7 @@ from qaa.engine import (
 from qaa.schedules import (
     BUILDERS,
     ParameterSequence,
+    StepRecord,
     build,
     fixed_point_sequence,
     generate_qaao_sequence,
@@ -25,6 +27,8 @@ from qaa.schedules import (
 )
 from qaa.statevector import OracleSpec
 from qaa.subspace import IterationParams, advance
+
+from reference import dict_rows_csv, dict_rows_json
 
 
 class TestRunSearch:
@@ -126,6 +130,19 @@ class TestDenseGuards:
 
         monkeypatch.setattr(schedules, "advance", skewed)
         with pytest.raises(BackendMismatchError, match="disagree at step 1:"):
+            run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
+
+    @pytest.mark.parametrize(
+        "cell, message", [("leakage", "leakage nan"), ("probability", "statevector nan")]
+    )
+    def test_nan_plane_raises(self, monkeypatch, cell, message):
+        exact = sv.checked_step
+
+        def poisoned(*args):
+            return exact(*args)._replace(**{cell: math.nan})
+
+        monkeypatch.setattr(sv, "checked_step", poisoned)
+        with pytest.raises(BackendMismatchError, match=message):
             run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
 
 
@@ -233,6 +250,19 @@ class TestGroverBaseline:
         assert traj.turning_index is not None
 
 
+#: Float cells with the edge cases of repr and %.6f: signed zero, the
+#: smallest subnormal, the first integer-valued float repr writes with an
+#: exponent, and a float with 300 digits before the point.
+CELL_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+CELL_INTS = st.integers(-(2**70), 2**70)
+RECORDS = st.builds(
+    StepRecord, CELL_INTS, CELL_FLOATS, CELL_FLOATS, CELL_FLOATS, CELL_FLOATS,
+    CELL_FLOATS, CELL_FLOATS, st.booleans(), CELL_INTS,
+)
+
+
 class TestSerialization:
     def test_csv_header_and_shape(self):
         traj = run_search(optimal_sequence(4), OracleSpec.single("1010"))
@@ -251,6 +281,34 @@ class TestSerialization:
         )
         flags = [line.split(",")[7] for line in traj.to_csv().splitlines()[1:]]
         assert [i + 1 for i, f in enumerate(flags) if f == "X"] == [9, 10, 11, 12, 21]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(
+        Trajectory,
+        n=st.none() | st.integers(1, 32),
+        m=st.integers(1, 2**40),
+        kind=st.text(),
+        steps=st.lists(RECORDS, max_size=12).map(tuple),
+        final_probability=CELL_FLOATS,
+    ))
+    def test_matches_the_dict_rows(self, traj):
+        assert traj.to_csv() == dict_rows_csv(traj)
+        assert traj.to_json() == dict_rows_json(traj)
+
+    def test_empty_trajectory(self):
+        traj = run_search(ParameterSequence((), "optimal", 4), OracleSpec.standard(4))
+        assert traj.to_csv() == dict_rows_csv(traj) == CSV_HEADER + "\n"
+        assert traj.to_json() == dict_rows_json(traj)
+        assert json.loads(traj.to_json())["steps"] == []
+
+    def test_nonfinite_cells_are_spelled_as_json_spells_them(self):
+        cells = (math.nan, math.inf, -math.inf, -0.0, 1e300, math.nan)
+        steps = (StepRecord(1, *cells, False, 1), StepRecord(2, *cells[::-1], True, 2))
+        traj = Trajectory(8, 1, "optimal", steps, math.nan)
+        text = traj.to_json()
+        assert text == dict_rows_json(traj)
+        assert "NaN" in text and "-Infinity" in text and "nan" not in text
+        assert traj.to_csv() == dict_rows_csv(traj)
 
     def test_json_roundtrips_through_loads(self):
         traj = run_search(optimal_sequence(4), OracleSpec.single("0101"))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qaa import schedules
 from qaa.schedules import (
     BUILDERS,
     MAX_ITERATIONS,
@@ -238,6 +239,9 @@ class TestRandomQaao:
     @given(qaao_settings())
     @example((16, 1, 1.5, 0, 1.0))
     @example((14, 3, 1.2, 7, 0.9))
+    @example((10, 1, 1.000001, 5, 1.0))
+    @example((4, 1, 1.5, 0, 1.0))
+    @example((4, 3, 1.5, 2, 0.9))
     def test_matches_per_draw_reference(self, setting):
         n, m, c, seed, threshold = setting
         try:
@@ -248,6 +252,19 @@ class TestRandomQaao:
             return
         seq = generate_qaao_sequence(n, m, c=c, seed=seed, target_threshold=threshold)
         assert seq.params == want
+
+    def test_prefilter_is_the_exact_coefficient(self):
+        # The sampler rejects a pair whose prefiltered b reads more than
+        # 1e-12 below the bound, so the two must agree far inside that.
+        rng = np.random.default_rng(11)
+        for _ in range(48):  # 48 blocks of 256 pairs
+            n = int(rng.integers(2, MAX_QUBITS + 1))
+            theta0 = initial_angles(n, int(rng.integers(1, 2 ** (n - 1)))).theta
+            cos_theta0, sin_theta0 = math.cos(theta0), math.sin(theta0)
+            for beta, gamma, p, q in zip(*schedules._draw_block(rng, theta0)):
+                phi = float(rng.uniform(0.0, 2.0 * math.pi))
+                b = amplification_terms(beta, gamma, phi, cos_theta0, sin_theta0)[1]
+                assert abs(math.sin(phi) * p + math.cos(phi) * q - b) <= 1e-14
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,13 @@ class TestAdvance:
         theta, phi = subspace._plane_angles(complex(0.6, -1e-17), 0.8)
         assert (theta, phi) == (StateAngles.from_amplitudes(complex(0.6, -1e-17), 0.8).theta, 0.0)
 
+    @pytest.mark.parametrize("position", range(5))
+    def test_nan_angle_raises(self, position):
+        args = [1.0, 0.5, 0.5, 0.1, 0.01]
+        args[position] = math.nan
+        with pytest.raises(ModelConsistencyError, match="closed-form increment nan"):
+            advance(*args)
+
     @pytest.mark.parametrize(
         "name",
         ["optimal_sequence", "noisy_optimal_sequence", "generate_qaao_sequence", "run_search"],
