@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qaa import qasm
 from qaa.qasm import CHUNK, export_circuit, replay_circuit, roundtrip_deviation
-from qaa.schedules import fixed_point_sequence, optimal_sequence
+from qaa.schedules import fixed_point_sequence, grover_sequence, optimal_sequence
 from qaa.statevector import MAX_QUBITS, OracleSpec, evolve, uniform_state
 from qaa.subspace import IterationParams
 
@@ -137,6 +137,10 @@ class TestReplay:
         with pytest.raises(ValueError, match="at most"):
             replay_circuit(f"OPENQASM 3.0;\nqubit[{MAX_QUBITS + 1}] q;\n")
 
+    def test_rejects_empty_register(self):
+        with pytest.raises(ValueError, match=re.escape("'qubit[0] q;'")):
+            replay_circuit("OPENQASM 3.0;\nqubit[0] q;\n")
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -208,17 +212,60 @@ class TestReplay:
         want[sum(1 << (n - 1 - q) for q in {0, 1, CHUNK, n - 1})] = 1.0
         assert np.array_equal(replay_circuit(program).amplitudes, want)
 
-    def test_each_run_of_one_qubit_gates_is_one_product_per_chunk(self, monkeypatch):
+    def test_only_partial_phases_and_the_end_run_products(self, monkeypatch):
         n = 2 * CHUNK + 1
         calls = []
-        matmul = np.matmul
-        monkeypatch.setattr(qasm.np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
+        chunk_matrix = qasm._chunk_matrix
+        monkeypatch.setattr(qasm, "_chunk_matrix", lambda f: calls.append(f) or chunk_matrix(f))
         run = [("h", q) for q in range(n)] + [("x", q) for q in range(0, n, 2)]
-        # Three runs: two closed by a phase on a pending qubit, one by the end.
-        gates = run + [("p", 0.3, [0])] + run + [("p", 0.7, list(range(n)))] + run
-        got = replay_circuit(render(n, gates)).amplitudes
-        assert len(calls) == 3 * math.ceil(n / CHUNK)
-        np.testing.assert_allclose(got, reference_replay(n, gates), rtol=0, atol=1e-12)
+        everywhere = list(range(n))
+        # A full-register phase is a rank-1 update in the frame: only the end applies it.
+        full = run + [("p", 0.7, everywhere)] + run + [("p", -1.9, everywhere)] + run
+        # A phase on a qubit with pending gates applies the frame once, the end once more.
+        partial = run + [("p", 0.3, [0])] + run + [("p", 0.7, everywhere)] + run
+        for gates, products in ((full, 1), (partial, 2)):
+            calls.clear()
+            got = replay_circuit(render(n, gates)).amplitudes
+            assert len(calls) == products * math.ceil(n / CHUNK)
+            np.testing.assert_allclose(got, reference_replay(n, gates), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_every_frame_element(self, n):
+        # Breadth-first words over {h, x}, kept while they reach a new matrix:
+        # the group H and X generate has 16 elements.
+        words, seen = [""], {}
+        for word in words:
+            matrix = np.identity(2)
+            for g in word:
+                matrix = (_H if g == "h" else _X) @ matrix
+            key = tuple(np.round(matrix, 9).ravel())
+            if key not in seen:
+                seen[key] = word
+                words.extend(word + g for g in "hx")
+        assert len(seen) == 16
+        q = n // 2
+        others = [("h", r) for r in range(n) if r != q]
+        for word in seen.values():
+            gates = others + [(g, q) for g in word]
+            gates += [("p", 0.7, list(range(n))), ("p", -1.3, [q]), ("h", q)]
+            got = replay_circuit(render(n, gates)).amplitudes
+            np.testing.assert_allclose(got, reference_replay(n, gates), rtol=0, atol=1e-12)
+
+    def test_long_grover_keeps_its_precision(self):
+        seq = grover_sequence(16, 1, 768)
+        assert roundtrip_deviation(seq, OracleSpec.single("1011001110001011")) <= 1e-12
+
+    def test_replay_holds_two_vectors(self):
+        n = 16
+        source = export_circuit(grover_sequence(n, 1, 8), OracleSpec.single("0110" * 4))
+        replay_circuit(source)  # fill the caches
+        tracemalloc.start()
+        try:
+            replay_circuit(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 2**n * np.dtype(complex).itemsize
 
     @settings(max_examples=200, deadline=None)
     @given(PROGRAM)
