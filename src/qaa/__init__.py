@@ -34,9 +34,7 @@ from .statevector import (
     OracleSpec,
     StateVector,
     iterate_in_place,
-    project_to_angles,
     sample_measurements,
-    target_probability,
     uniform_state,
 )
 from .subspace import (

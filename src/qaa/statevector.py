@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .subspace import IterationParams, StateAngles, initial_angles
+from .subspace import IterationParams, initial_angles
 
 #: Largest supported register; 2^24 amplitudes is the desk-scale cap.
 MAX_QUBITS = 24
@@ -130,11 +130,6 @@ def evolve(seq: Iterable[IterationParams], oracle: OracleSpec) -> StateVector:
     return state
 
 
-def target_probability(state: StateVector, oracle: OracleSpec) -> float:
-    _check_dims(state, oracle)
-    return float(np.sum(np.abs(state.amplitudes[oracle.target_indices()]) ** 2))
-
-
 class BlockPlan(NamedTuple):
     """An oracle's targets laid out on the blocks of one 2^n vector.
 
@@ -189,6 +184,11 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
     amplitudes that went through the same operations give d = 0 exactly, so
     the sum s and squared norm q of the d's resolve any departure from the
     plane, with nothing to cancel against.
+
+    A block adds to s only when its part qb of q is nonzero.  qb == 0 puts
+    every component of every d in the block below 2^-537, so the skipped sum
+    is exactly zero when those d are (as in every run that stays in the
+    plane) and below 2^-522 otherwise.  A NaN or inf qb is summed.
     """
     r = complex(amps[plan.reference] - shift)
     s, q = 0j, 0.0
@@ -200,9 +200,11 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
         np.subtract(block, r, out=diff)
         if offsets is not None:
             diff[offsets] = 0.0
-        s += complex(diff.sum())
         flat = diff.view(np.float64)
-        q += float(flat @ flat)
+        qb = float(flat @ flat)
+        if qb:
+            s += complex(diff.sum())
+            q += qb
     at = amps[plan.targets]
     m = at.size
     rest = amps.size - m
@@ -244,19 +246,6 @@ def checked_step(
     amps[plan.targets] = after
     mean = (total + complex((after - before).sum())) / amps.size
     return _sweep(amps, plan, (1.0 - np.exp(-1j * params.beta)) * mean)
-
-
-def project_to_angles(state: StateVector, oracle: OracleSpec) -> tuple[StateAngles, float]:
-    """Decompose onto the plane spanned by |t> and |t_perp>.
-
-    |t> is the uniform superposition of the m target strings and |t_perp>
-    the normalized non-target part of the uniform state.  Returns the plane
-    angles and the leakage: the squared distance of the state from the
-    plane, zero for any product of diffusion/oracle gates applied to the
-    uniform state.
-    """
-    plane = measure(state, block_plan(state, oracle))
-    return StateAngles.from_amplitudes(plane.a_target, plane.a_perp), plane.leakage
 
 
 def sample_measurements(state: StateVector, shots: int, seed: int) -> dict[str, int]:

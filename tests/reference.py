@@ -5,7 +5,8 @@ The library computes the target-plane model on scalar complex pairs
 (`statevector.iterate_in_place`).  These are the textbook forms: explicit
 2x2 matrices, the vectorized closed-form increment, the 2D step on
 `StateAngles` and `IterationParams` objects with the textbook a, b and c,
-and dense iterations on a copy.  It also holds the trajectory serializers
+dense iterations on a copy, the naive target probability, and the checked
+pass that sums every block.  It also holds the trajectory serializers
 that go through one dict per step, and the published reference trajectory
 of the 8-qubit fixed-point schedule.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from qaa.engine import Trajectory, format_rows
 from qaa.schedules import StepRecord
-from qaa.statevector import StateVector, iterate_in_place
+from qaa.statevector import BlockPlan, OracleSpec, Plane, StateVector, iterate_in_place
 from qaa.subspace import (
     IterationParams,
     StateAngles,
@@ -92,6 +93,45 @@ def apply_iteration(state: StateVector, params: IterationParams, oracle) -> Stat
     out = StateVector(state.n, state.amplitudes.copy())
     iterate_in_place(out, params, oracle)
     return out
+
+
+def target_probability(state: StateVector, oracle: OracleSpec) -> float:
+    """Sum of |a_t|^2 over the target amplitudes of a dense state."""
+    return float(np.sum(np.abs(state.amplitudes[oracle.target_indices()]) ** 2))
+
+
+def reference_sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
+    """`statevector._sweep` with every block summed, whatever its squared norm."""
+    r = complex(amps[plan.reference] - shift)
+    s, q = 0j, 0.0
+    for lo, hi, offsets in plan.blocks:
+        block = amps[lo:hi]
+        if shift:
+            np.subtract(block, shift, out=block)
+        diff = plan.scratch[: hi - lo]
+        np.subtract(block, r, out=diff)
+        if offsets is not None:
+            diff[offsets] = 0.0
+        s += complex(diff.sum())
+        flat = diff.view(np.float64)
+        q += float(flat @ flat)
+    at = amps[plan.targets]
+    m = at.size
+    rest = amps.size - m
+    t_sum = complex(at.sum())
+    total = s + rest * r + t_sum
+    probability = float(np.vdot(at, at).real)
+    spread = at - t_sum / m
+    leakage = q - abs(s) ** 2 / rest + float(np.vdot(spread, spread).real)
+    norm = probability + rest * abs(r) ** 2 + 2.0 * (r.conjugate() * s).real + q
+    return Plane(
+        probability,
+        t_sum / math.sqrt(m),
+        (total - t_sum) / math.sqrt(rest),
+        leakage,
+        norm - 1.0,
+        total,
+    )
 
 
 def norm_defect(state: StateVector) -> float:

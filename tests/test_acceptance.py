@@ -23,7 +23,7 @@ from qaa.schedules import (
     pi3_failure_probability,
     pi3_queries,
 )
-from qaa.statevector import OracleSpec, target_probability, uniform_state
+from qaa.statevector import OracleSpec, uniform_state
 from qaa.subspace import (
     IterationParams,
     advance,
@@ -41,6 +41,7 @@ from reference import (
     NON_AMPLIFYING_ROWS,
     closed_form_increment,
     norm_defect,
+    target_probability,
 )
 
 DELTA_FP = math.sqrt(0.1)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qaa import statevector
-from qaa.engine import run_search
+from qaa import schedules, statevector
+from qaa.engine import BackendMismatchError, run_search
 from qaa.schedules import optimal_sequence
 from qaa.statevector import (
     BLOCK,
@@ -17,17 +17,21 @@ from qaa.statevector import (
     checked_step,
     evolve,
     iterate_in_place,
-    project_to_angles,
     measure,
     sample_measurements,
-    target_probability,
     uniform_state,
 )
-from qaa.subspace import MAX_QUBITS, IterationParams, advance, initial_angles
+from qaa.subspace import MAX_QUBITS, IterationParams, StateAngles, advance, initial_angles
 
-from reference import apply_iteration, norm_defect
+from reference import apply_iteration, norm_defect, reference_sweep, target_probability
 
 ANGLE = st.floats(-math.pi, math.pi)
+
+
+def project(state, spec):
+    """The plane angles of `state` and its leakage, from one `measure`."""
+    plane = measure(state, block_plan(state, spec))
+    return StateAngles.from_amplitudes(plane.a_target, plane.a_perp), plane.leakage
 
 
 def dense_oracle(n, targets, gamma):
@@ -206,7 +210,7 @@ class TestNormPreservation:
 class TestProjection:
     def test_uniform_state_matches_initial_angles(self):
         spec = OracleSpec.single("10011010")
-        angles, leakage = project_to_angles(uniform_state(8), spec)
+        angles, leakage = project(uniform_state(8), spec)
         want = initial_angles(8)
         assert angles.theta == pytest.approx(want.theta, abs=1e-12)
         assert angles.phi == pytest.approx(0.0, abs=1e-12)
@@ -214,7 +218,7 @@ class TestProjection:
 
     def test_multi_target(self):
         spec = OracleSpec(4, frozenset({"0000", "1111", "0101"}))
-        angles, leakage = project_to_angles(uniform_state(4), spec)
+        angles, leakage = project(uniform_state(4), spec)
         assert angles.theta == pytest.approx(initial_angles(4, 3).theta, abs=1e-12)
         assert leakage < 1e-15
 
@@ -228,7 +232,7 @@ class TestProjection:
         for beta, gamma in ((b1, g1), (b2, g2)):
             sv = apply_iteration(sv, IterationParams(beta, gamma), spec)
             theta, phi, _ = advance(beta, gamma, theta, phi, theta0)
-        projected, leakage = project_to_angles(sv, spec)
+        projected, leakage = project(sv, spec)
         assert leakage < 1e-12
         assert projected.theta == pytest.approx(theta, abs=1e-10)
         assert target_probability(sv, spec) == pytest.approx(
@@ -244,7 +248,7 @@ class TestCheckedStep:
         want = eps**2 * (1.0 - 1.0 / (2**n - 4))
         state = uniform_state(n)
         state.amplitudes[100] += eps
-        _, leakage = project_to_angles(state, spec)
+        _, leakage = project(state, spec)
         assert leakage == pytest.approx(want, rel=0.01)
         plan = block_plan(state, spec)
         plane = measure(state, plan)
@@ -308,6 +312,73 @@ class TestCheckedStep:
         assert plane.norm_defect == pytest.approx(2e-6 + 1e-12, rel=1e-6)
         assert plane.leakage == 0.0
 
+
+def plane_bits(plane):
+    """Every field of a `Plane` as exact hex text, so -0.0 and 0.0 differ."""
+    return tuple(
+        (x.real.hex(), x.imag.hex()) if isinstance(x, complex) else x.hex() for x in plane
+    )
+
+
+class TestBlockSkip:
+    """`_sweep` sums a block only where its squared distance from the plane is nonzero."""
+
+    @pytest.mark.parametrize("size", [2**10, BLOCK])
+    @pytest.mark.parametrize(
+        "kind",
+        [schedules.OPTIMAL, schedules.NOISY_OPTIMAL, schedules.RANDOM_QAAO, schedules.FIXED_POINT],
+    )
+    def test_matches_the_summing_sweep_bit_for_bit(self, kind, size, monkeypatch):
+        monkeypatch.setattr(statevector, "BLOCK", size)
+        sweeps = (statevector._sweep, reference_sweep)
+        for n in range(8, 17):
+            for m in (1, 3, 16):
+                spec = OracleSpec.standard(n, m)
+                seq = schedules.build(kind, n, m, seed=n * m, delta=0.3)
+                runs = []
+                for sweep in sweeps:
+                    monkeypatch.setattr(statevector, "_sweep", sweep)
+                    state = uniform_state(n)
+                    plan = block_plan(state, spec)
+                    plane = measure(state, plan)
+                    planes = [plane_bits(plane)]
+                    for params in seq.params:
+                        plane = checked_step(state, params, plan, plane.total)
+                        planes.append(plane_bits(plane))
+                    runs.append((planes, state.amplitudes))
+                (planes, amps), (want_planes, want_amps) = runs
+                assert planes == want_planes, (kind, n, m)
+                assert np.array_equal(amps, want_amps), (kind, n, m)
+
+    @staticmethod
+    def _with_defect(n, value):
+        # One non-target amplitude in the third of four 2^10 blocks.
+        state = uniform_state(n)
+        state.amplitudes[2500] = value
+        return state
+
+    # n = 12 amplitudes are 2^-6; the last value is one ulp above that.
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, np.nextafter(2.0**-6, 1.0)], ids=["nan", "inf", "ulp"]
+    )
+    def test_a_defect_in_a_later_block_reaches_the_leakage(self, value, monkeypatch):
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        spec = OracleSpec.standard(12, 3)
+        state = self._with_defect(12, value)
+        plan = block_plan(state, spec)
+        assert len(plan.blocks) == 4
+        plane = measure(state, plan)
+        for params in optimal_sequence(12, 3).params[:2]:
+            plane = checked_step(state, params, plan, plane.total)
+            assert math.isnan(plane.leakage) or plane.leakage > 0.0
+            # A one-ulp change is far below what <a|a> - 1 resolves.
+            assert math.isfinite(value) or not math.isfinite(plane.norm_defect)
+
+    def test_a_nan_in_a_later_block_fails_the_run(self, monkeypatch):
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        monkeypatch.setattr(statevector, "uniform_state", lambda n: self._with_defect(n, math.nan))
+        with pytest.raises(BackendMismatchError, match="leakage nan"):
+            run_search(optimal_sequence(12, 3), OracleSpec.standard(12, 3), "statevector")
 
 class TestSampling:
     def test_counts_sum_to_shots(self):
