@@ -14,7 +14,10 @@ Replay keeps the h and x gates as a frame U = (x)_q U_q, each U_q one of
 the 16 elements of the dihedral group H and X generate, and stores
 a' = U^T a for the state a.  A phase f on every qubit, the only kind export
 writes, is the rank-1 update a' += (f - 1) <u|a'> u with u = U^T|1...1>.
-Other phases on framed qubits apply the frame first; the end applies it once.
+Up to TERMS such terms c_u u stay pending, so a phase line in a frame already
+met is scalar work; they are written into the vector before any other phase,
+when a new frame would exceed TERMS, and at the end.  Other phases on framed
+qubits apply the frame first; the end applies it once.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ _PHASE_RE = re.compile(
 #: Qubits per fused product: applying the frame takes one 2^CHUNK-square
 #: matrix product over the vector per CHUNK consecutive qubits.
 CHUNK = 4
+
+#: Most full-register phase terms kept pending; a phase in one more frame
+#: writes them out first, so memory and the work per line stay bounded.
+TERMS = 16
 
 # Frame element g = 8e + k is the real matrix R_k Z^e, with R_k the rotation
 # by k*pi/4: H = R_1 Z is 9 and X = R_2 Z is 10.  Its entries are exactly 0,
@@ -148,15 +155,34 @@ def _flush(amps: np.ndarray, scratch: np.ndarray, frame: list[int]):
     return amps, scratch
 
 
-def _phase_all(amps: np.ndarray, scratch: np.ndarray, frame: list[int], factor: complex):
-    """A phase on every qubit, in the frame: a' += (factor - 1) <u|a'> u."""
-    hi, lo = _halves(tuple(frame))
-    shaped = amps.reshape(len(hi), len(lo))
-    # Two short reductions: one flat dot over 2^n terms loses ~5x more precision.
-    weight = (factor - 1.0) * (hi @ (shaped @ lo))
-    # A one-term product: a broadcast multiply allocates 128 KiB ufunc buffers.
-    np.matmul((weight * hi)[:, None], lo[None, :], out=scratch.reshape(shaped.shape))
-    amps += scratch
+def _pend(terms: dict, amps: np.ndarray, scratch: np.ndarray, frame: list[int], factor: complex):
+    """A phase on every qubit, in the frame, kept pending: c_u += (factor - 1) <u|a'>.
+
+    a' = amps + sum_v c_v v.  A new term costs one product over `amps` and
+    half-register dots for its Gram row <u|v> = (hi_u.hi_v)(lo_u.lo_v); u is
+    real, so the unconjugated @ gives <u|.>.
+    """
+    if (term := terms.get(key := tuple(frame))) is None:
+        if len(terms) == TERMS:
+            _write_out(amps, scratch, terms)
+        hi, lo = _halves(key)
+        row = [(hi @ v[0]) * (lo @ v[1]) for v in terms.values()] + [(hi @ hi) * (lo @ lo)]
+        for v, g in zip(terms.values(), row):
+            v[3].append(g)
+        # Two short reductions: one flat dot over 2^n terms loses ~5x more precision.
+        overlap = hi @ (amps.reshape(len(hi), len(lo)) @ lo)
+        term = terms[key] = [hi, lo, overlap, row, 0j]  # u's halves, <u|base>, <u|v>, c_u
+    term[4] += (factor - 1.0) * (term[2] + sum(g * v[4] for g, v in zip(term[3], terms.values())))
+
+
+def _write_out(amps: np.ndarray, scratch: np.ndarray, terms: dict) -> None:
+    """Add the pending terms c_u u to the amplitudes and drop them."""
+    for hi, lo, _, _, c in terms.values():
+        if c:
+            # A one-term product: a broadcast multiply allocates 128 KiB ufunc buffers.
+            np.matmul((c * hi)[:, None], lo[None, :], out=scratch.reshape(len(hi), len(lo)))
+            amps += scratch
+    terms.clear()
 
 
 def replay_circuit(source: str) -> StateVector:
@@ -185,6 +211,7 @@ def replay_circuit(source: str) -> StateVector:
                 amps[0] = 1.0
                 scratch = np.empty_like(amps)
                 frame = [0] * n
+                terms: dict[tuple[int, ...], list] = {}
                 continue
             if amps is None or n is None:
                 raise ValueError(f"gate before qubit declaration: {line!r}")
@@ -194,8 +221,9 @@ def replay_circuit(source: str) -> StateVector:
                     op = phases[key] = _phase_qubits(m, n, line)
                 qubits, where = op
                 if len(qubits) == n:
-                    _phase_all(amps, scratch, frame, factor)
+                    _pend(terms, amps, scratch, frame, factor)
                     continue
+                _write_out(amps, scratch, terms)
                 if any(frame[q] for q in qubits):  # gates on other qubits commute with it
                     amps, scratch = _flush(amps, scratch, frame)
                 amps.reshape((2,) * n)[where] *= factor
@@ -207,6 +235,7 @@ def replay_circuit(source: str) -> StateVector:
         frame[q] = table[frame[q]]
     if amps is None or n is None:
         raise ValueError("no qubit declaration found")
+    _write_out(amps, scratch, terms)
     if any(frame):
         amps, _ = _flush(amps, scratch, frame)
     return StateVector(n, amps)

@@ -119,7 +119,8 @@ def iterate_in_place(state: StateVector, params: IterationParams, oracle: Oracle
     _check_dims(state, oracle)
     amps = state.amplitudes
     amps[oracle.target_indices()] *= np.exp(-1j * params.gamma)
-    amps -= (1.0 - np.exp(-1j * params.beta)) * amps.mean()
+    # The same bits as amps.mean(), without its Python wrapper (~3 us a step).
+    amps -= (1.0 - np.exp(-1j * params.beta)) * (amps.sum() / amps.size)
 
 
 def evolve(seq: Iterable[IterationParams], oracle: OracleSpec) -> StateVector:

@@ -1,4 +1,6 @@
+import collections
 import math
+import random
 import re
 import tracemalloc
 
@@ -229,6 +231,41 @@ class TestReplay:
             assert len(calls) == products * math.ceil(n / CHUNK)
             np.testing.assert_allclose(got, reference_replay(n, gates), rtol=0, atol=1e-12)
 
+    def test_vector_work_does_not_grow_with_the_program(self, monkeypatch):
+        # Full-register phases stay pending: a frame's first phase takes one
+        # product over the vector, and the end writes the terms out once.
+        calls = collections.Counter()
+        for name in ("_halves", "_write_out"):
+            real = getattr(qasm, name)
+            monkeypatch.setattr(qasm, name, lambda *a, f=real, k=name: calls.update([k]) or f(*a))
+
+        def work(k):
+            calls.clear()
+            replay_circuit(export_circuit(grover_sequence(10, 1, k), OracleSpec.single("0110100101")))
+            return dict(calls)
+
+        assert work(8) == work(64) == {"_halves": 2, "_write_out": 1}
+
+    def test_more_frames_than_pending_terms(self, monkeypatch):
+        n, rng = CHUNK + 2, random.Random(18)
+        write_outs = []
+        write_out = qasm._write_out
+        monkeypatch.setattr(qasm, "_write_out", lambda *a: write_outs.append(len(a[2])) or write_out(*a))
+        everywhere = list(range(n))
+        gates = [("h", q) for q in range(n)]
+        for segment in range(3):
+            # More full-register phases than TERMS, each after a random h/x word,
+            # every third one repeated in the same frame.
+            for i in range(qasm.TERMS + 6):
+                word = [(rng.choice("hx"), rng.randrange(n)) for _ in range(3)]
+                gates += word + [("p", rng.uniform(-math.pi, math.pi), everywhere)] * (1 + (i % 3 == 0))
+            # A phase on a qubit with pending gates, then one after the flush.
+            gates += [("p", 0.3 + segment, [word[-1][1]]), ("p", -0.8, [0, n - 1])]
+        gates += [("x", 1), ("x", n - 1)]
+        got = replay_circuit(render(n, gates)).amplitudes
+        np.testing.assert_allclose(got, reference_replay(n, gates), rtol=0, atol=1e-12)
+        assert write_outs.count(qasm.TERMS) >= 3  # the cap wrote out full sets mid-segment
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_every_frame_element(self, n):
         # Breadth-first words over {h, x}, kept while they reach a new matrix:
@@ -254,6 +291,17 @@ class TestReplay:
     def test_long_grover_keeps_its_precision(self):
         seq = grover_sequence(16, 1, 768)
         assert roundtrip_deviation(seq, OracleSpec.single("1011001110001011")) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "seq, target, tol",
+        [
+            (optimal_sequence(16), "1011001110001011", 1e-12),
+            (fixed_point_sequence(4000, 0.1), "0110", 1e-11),
+        ],
+        ids=["optimal-n16", "fixed-point-4000"],
+    )
+    def test_accumulated_coefficients_keep_their_precision(self, seq, target, tol):
+        assert roundtrip_deviation(seq, OracleSpec.single(target)) <= tol
 
     def test_replay_holds_two_vectors(self):
         n = 16
