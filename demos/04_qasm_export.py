@@ -4,7 +4,7 @@ Each iteration is two standard gate blocks: the oracle phase (an
 X-conjugated multi-controlled phase selecting the marked bit string) and
 the diffusion about the uniform state (the same construction conjugated by
 Hadamards).  The replay parser re-simulates the emitted text and compares
-it with the direct simulation up to global phase.
+it, up to global phase, with the final state of the 2D target-plane model.
 
 Run:  python demos/04_qasm_export.py
 """

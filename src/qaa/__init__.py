@@ -33,7 +33,6 @@ from .schedules import (
 from .statevector import (
     OracleSpec,
     StateVector,
-    iterate_in_place,
     sample_measurements,
     uniform_state,
 )

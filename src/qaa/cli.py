@@ -209,7 +209,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     text = traj.to_json() + "\n" if args.format == "json" else traj.to_csv()
     _write(text, args.out)
     if args.shots:
-        state = traj.final_state if traj.final_state is not None else sv.evolve(seq, oracle)
+        if (state := traj.final_state) is None:
+            state = engine.run_search(seq, oracle, "statevector").final_state
         histogram = sv.sample_measurements(state, args.shots, args.seed)
         hist_text = engine.format_rows(histogram, "json")
         _write(hist_text, args.out + ".hist.json" if args.out else None)

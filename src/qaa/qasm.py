@@ -22,13 +22,15 @@ qubits apply the frame first; the end applies it once.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import re
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, OracleSpec, StateVector, evolve
+from .statevector import MAX_QUBITS, OracleSpec, StateVector
+from .subspace import advance, initial_angles
 
 _HEADER = ("OPENQASM 3.0;", 'include "stdgates.inc";')
 
@@ -242,10 +244,21 @@ def replay_circuit(source: str) -> StateVector:
 
 
 def roundtrip_deviation(seq, oracle: OracleSpec) -> float:
-    """Max amplitude deviation, up to global phase, between export-replay and direct simulation."""
-    direct = evolve(seq, oracle).amplitudes
-    other = replay_circuit(export_circuit(seq, oracle)).amplitudes
-    k = int(np.argmax(np.abs(direct)))
-    phase = other[k] / direct[k] if abs(direct[k]) > 0 else 1.0
+    """Max amplitude deviation, up to global phase, between export-replay and the 2D model.
+
+    The model's final state, walked from the uniform state with `advance`, is
+    e^{i*phi} sin(theta/2) at the target and cos(theta/2) / sqrt(N - 1) elsewhere.
+    """
+    seq = tuple(seq)
+    source = export_circuit(seq, oracle)
+    theta0 = theta = initial_angles(oracle.n).theta
+    phi = 0.0
+    for p in seq:
+        theta, phi, _ = advance(p.beta, p.gamma, theta, phi, theta0)
+    plane = np.full(2**oracle.n, math.cos(0.5 * theta) / math.sqrt(2**oracle.n - 1), complex)
+    plane[oracle.target_indices()] = cmath.exp(1j * phi) * math.sin(0.5 * theta)
+    other = replay_circuit(source).amplitudes
+    k = int(np.argmax(np.abs(plane)))
+    phase = other[k] / plane[k] if abs(plane[k]) > 0 else 1.0
     phase /= abs(phase)
-    return float(np.max(np.abs(other - phase * direct)))
+    return float(np.max(np.abs(other - phase * plane)))

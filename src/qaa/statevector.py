@@ -1,16 +1,17 @@
 """Full 2^n state-vector simulation of amplification circuits.
 
-Ground truth for the analytic two-level model: the oracle phase and the
-diffusion about the uniform state are applied exactly on all 2^n complex
-amplitudes.  Basis ordering is big-endian: the leftmost character of a bit
-string is qubit 0 and the most significant bit of the basis index.
+Ground truth for the analytic two-level model: `checked_step`, the one
+dense kernel, applies the oracle phase and the diffusion about the uniform
+state exactly on all 2^n complex amplitudes.  Basis ordering is big-endian:
+the leftmost character of a bit string is qubit 0 and the most significant
+bit of the basis index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,27 +109,6 @@ def uniform_state(n: int) -> StateVector:
     check_qubits(n)
     big_n = 2**n
     return StateVector(n, np.full(big_n, big_n**-0.5, dtype=complex))
-
-
-def iterate_in_place(state: StateVector, params: IterationParams, oracle: OracleSpec) -> None:
-    """Apply G(beta, gamma) to the amplitudes of `state`, overwriting them.
-
-    R(gamma) multiplies every target amplitude by e^{-i*gamma}; D(beta), the phase
-    rotation about the uniform state, is the exact rank-1 update a -= (1 - e^{-i*beta}) * mean.
-    """
-    _check_dims(state, oracle)
-    amps = state.amplitudes
-    amps[oracle.target_indices()] *= np.exp(-1j * params.gamma)
-    # The same bits as amps.mean(), without its Python wrapper (~3 us a step).
-    amps -= (1.0 - np.exp(-1j * params.beta)) * (amps.sum() / amps.size)
-
-
-def evolve(seq: Iterable[IterationParams], oracle: OracleSpec) -> StateVector:
-    """The uniform state after every iteration of `seq`, in order."""
-    state = uniform_state(oracle.n)
-    for params in seq:
-        iterate_in_place(state, params, oracle)
-    return state
 
 
 class BlockPlan(NamedTuple):

@@ -1,14 +1,14 @@
 """numpy references that the scalar and in-place library code is checked against.
 
 The library computes the target-plane model on scalar complex pairs
-(`subspace.advance`, the pi/3 level loop) and the dense model on one buffer
-(`statevector.iterate_in_place`).  These are the textbook forms: explicit
-2x2 matrices, the vectorized closed-form increment, the 2D step on
+(`subspace.advance`, the pi/3 level loop) and the dense model in one checked
+blocked pass (`statevector.checked_step`).  These are the textbook forms:
+explicit 2x2 matrices, the vectorized closed-form increment, the 2D step on
 `StateAngles` and `IterationParams` objects with the textbook a, b and c,
-dense iterations on a copy, the naive target probability, and the checked
-pass that sums every block.  It also holds the trajectory serializers
-that go through one dict per step, and the published reference trajectory
-of the 8-qubit fixed-point schedule.
+the naive dense iteration (in place, on a copy and over a whole schedule),
+the naive target probability, and the checked pass that sums every block.
+It also holds the trajectory serializers that go through one dict per step,
+and the published reference trajectory of the 8-qubit fixed-point schedule.
 """
 
 import cmath
@@ -19,7 +19,7 @@ import numpy as np
 
 from qaa.engine import Trajectory, format_rows
 from qaa.schedules import StepRecord
-from qaa.statevector import BlockPlan, OracleSpec, Plane, StateVector, iterate_in_place
+from qaa.statevector import BlockPlan, OracleSpec, Plane, StateVector, uniform_state
 from qaa.subspace import (
     IterationParams,
     StateAngles,
@@ -86,6 +86,25 @@ def closed_form_increment(beta, gamma, theta: float, phi: float, theta0: float) 
     a = np.sin(0.5 * np.asarray(beta)) ** 2 * math.sin(theta0) ** 2
     b = amplification_coefficient(beta, gamma, phi, theta0)
     return a * math.cos(theta) + b * math.sin(theta)
+
+
+def iterate_in_place(state: StateVector, params: IterationParams, oracle: OracleSpec) -> None:
+    """Apply G(beta, gamma) to the amplitudes of `state`, overwriting them.
+
+    R(gamma) multiplies every target amplitude by e^{-i*gamma}; D(beta), the phase
+    rotation about the uniform state, is the exact rank-1 update a -= (1 - e^{-i*beta}) * mean.
+    """
+    amps = state.amplitudes
+    amps[oracle.target_indices()] *= np.exp(-1j * params.gamma)
+    amps -= (1.0 - np.exp(-1j * params.beta)) * (amps.sum() / amps.size)
+
+
+def evolve(seq, oracle: OracleSpec) -> StateVector:
+    """The uniform state after every iteration of `seq`, in order."""
+    state = uniform_state(oracle.n)
+    for params in seq:
+        iterate_in_place(state, params, oracle)
+    return state
 
 
 def apply_iteration(state: StateVector, params: IterationParams, oracle) -> StateVector:

@@ -126,18 +126,25 @@ class TestSearch:
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_shots_evolve_the_state_once(self, capsys, monkeypatch, backend):
-        # 201 dense steps: the statevector run makes one checked pass per step
-        # and its final state is sampled; the analytic run evolves a dense
-        # state once.
+        # 201 dense steps: one checked pass per step, whose final state is
+        # sampled; the analytic run makes that dense run once for the shots.
         calls = []
-        name = "checked_step" if backend == "statevector" else "iterate_in_place"
-        kernel = getattr(sv, name)
-        monkeypatch.setattr(sv, name, lambda *a: calls.append(a) or kernel(*a))
+        kernel = sv.checked_step
+        monkeypatch.setattr(sv, "checked_step", lambda *a: calls.append(a) or kernel(*a))
         code, _, _ = run_cli(
             capsys, "search", "optimal", "--n", "16", "--backend", backend, "--shots", "10"
         )
         assert code == 0
         assert len(calls) == 201
+
+    def test_shots_do_not_depend_on_the_backend(self, capsys):
+        argv = ["search", "fixed-point", "--n", "2", "--delta", "0.2", "--shots", "50"]
+        hists = []
+        for backend in ("analytic", "statevector"):
+            code, out, _ = run_cli(capsys, *argv, "--seed", "0", "--backend", backend)
+            assert code == 0
+            hists.append(out.splitlines()[-1])
+        assert hists[0] == hists[1]
 
     def test_deterministic_byte_identical(self, capsys):
         outputs = [

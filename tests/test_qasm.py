@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaa import qasm
+from qaa import qasm, statevector
 from qaa.qasm import CHUNK, export_circuit, replay_circuit, roundtrip_deviation
 from qaa.schedules import fixed_point_sequence, grover_sequence, optimal_sequence
-from qaa.statevector import MAX_QUBITS, OracleSpec, evolve, uniform_state
+from qaa.statevector import MAX_QUBITS, OracleSpec, uniform_state
 from qaa.subspace import IterationParams
 
-from reference import apply_iteration
+from reference import apply_iteration, evolve
 
 ANGLE = st.floats(-math.pi, math.pi)
 TARGET = st.integers(1, 5).flatmap(
@@ -352,6 +352,23 @@ class TestRoundTrip:
         k = int(np.argmax(np.abs(want)))
         np.testing.assert_allclose(got, got[k] / want[k] * want, rtol=0, atol=1e-12)
         assert abs(abs(got[k] / want[k]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "once", [iter, lambda params: (p for p in params)], ids=["iterator", "generator"]
+    )
+    def test_single_use_schedule(self, once):
+        # The schedule is read once for both the export and the 2D reference.
+        seq = once(optimal_sequence(5).params)
+        assert roundtrip_deviation(seq, OracleSpec.single("10110")) < 1e-12
+
+    def test_reference_is_the_2d_model(self, monkeypatch):
+        # No dense simulation: the replay is compared with the target-plane state.
+        def dense(*args):
+            raise AssertionError("roundtrip_deviation ran a dense simulation")
+
+        monkeypatch.setattr(statevector, "uniform_state", dense)
+        monkeypatch.setattr(statevector, "checked_step", dense)
+        assert roundtrip_deviation(optimal_sequence(8), OracleSpec.single("01101001")) <= 1e-12
 
     def test_fixed_point_schedule(self):
         seq = fixed_point_sequence(6, 0.1)
