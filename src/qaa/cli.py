@@ -56,10 +56,8 @@ def cmd_increment(args: argparse.Namespace) -> int:
     state = StateAngles(args.theta, args.phi)
     theta0 = initial_angles(args.n, args.m).theta
     params = IterationParams(args.beta, args.gamma)
-    delta = advance(params.beta, params.gamma, state.theta, state.phi, theta0)[2]
-    a, b, c = amplification_terms(
-        params.beta, params.gamma, state.phi, math.cos(theta0), math.sin(theta0)
-    )
+    delta = advance(*params, state.theta, state.phi, theta0)[2]
+    a, b, c = amplification_terms(*params, state.phi, math.cos(theta0), math.sin(theta0))
     amplifying = b > qaao_bound(args.c, 2**args.n)
     lines = [
         f"increment {delta:.6f}",

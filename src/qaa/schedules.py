@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import chain, count, islice
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from .subspace import (
     IterationParams,
     advance,
-    amplification_coefficient,
     amplification_terms,
     diffuse,
     initial_angles,
@@ -50,9 +50,10 @@ FIXED_POINT_DELTA = 0.316
 #: ln(2/delta) sqrt(N) / 2 = 60,463).
 MAX_ITERATIONS = 2**16
 
-#: Uniform values drawn per generator call by the random-qaao sampler (even,
-#: so that no (beta, gamma) pair straddles two blocks).
-_DRAW_BLOCK = 512
+#: Uniform values in the random-qaao sampler's first and largest blocks (even,
+#: so that no (beta, gamma) pair straddles two blocks).  Each block doubles the
+#: last, up to the size past which the cost per pair rose again.
+_DRAW_BLOCK, _DRAW_BLOCK_MAX = 512, 2**13
 
 
 class StepRecord(NamedTuple):
@@ -174,11 +175,11 @@ def generate_qaao_sequence(
     which drives the target probability to 1.  Deterministic for a fixed
     seed.
 
-    The draws come in blocks of _DRAW_BLOCK values from one generator and
-    are consumed in (beta, gamma) pairs in stream order, so the schedule is
-    the one that per-pair `rng.uniform(-pi, pi, 2)` calls give.  A pair
-    whose b from `_draw_block` reads more than 1e-12 below the bound is
-    rejected on that one multiply-add; `amplification_terms` decides the rest.
+    The draws come in doubling blocks from one generator and are consumed in
+    (beta, gamma) pairs in stream order, so the schedule is the one that
+    per-pair `rng.uniform(-pi, pi, 2)` calls give.  A pair whose b from
+    `_draw_block` reads more than 1e-12 below the bound is rejected on that
+    one multiply-add; `amplification_terms` decides the rest.
     """
     walk = _Walk(n, m)
     big_n = 2**n
@@ -186,8 +187,8 @@ def generate_qaao_sequence(
     if not 0.0 < target_threshold <= 1.0:
         raise ValueError(f"target_threshold must lie in (0, 1], got {target_threshold}")
     rng = np.random.default_rng(seed)
-    betas: list[float] = []
-    pos = 0
+    sizes = (min(_DRAW_BLOCK << k, _DRAW_BLOCK_MAX) for k in count())
+    pairs = chain.from_iterable(zip(*_draw_block(rng, walk.theta0, size)) for size in sizes)
     cos_theta0, sin_theta0 = math.cos(walk.theta0), math.sin(walk.theta0)
     # The two forms of b differ by about 1e-15; the bound is above 1.5e-5.
     loose = bound - 1e-12
@@ -197,13 +198,9 @@ def generate_qaao_sequence(
             walk.step(*optimal_angles(walk.theta, walk.phi, walk.theta0))
             break
         sin_phi, cos_phi = math.sin(walk.phi), math.cos(walk.phi)
-        for _ in range(max_attempts):
-            if pos == len(betas):
-                betas, gammas, ps, qs = _draw_block(rng, walk.theta0)
-                pos = 0
-            i, pos = pos, pos + 1
-            if sin_phi * ps[i] + cos_phi * qs[i] > loose and amplification_terms(
-                betas[i], gammas[i], walk.phi, cos_theta0, sin_theta0
+        for beta, gamma, p, q in islice(pairs, max_attempts):
+            if sin_phi * p + cos_phi * q > loose and amplification_terms(
+                beta, gamma, walk.phi, cos_theta0, sin_theta0
             )[1] > bound:
                 break
         else:
@@ -211,18 +208,21 @@ def generate_qaao_sequence(
                 f"no amplifying parameters found in {max_attempts} draws; "
                 f"c={c} is likely too demanding for N={big_n}"
             )
-        walk.step(betas[i], gammas[i])
+        walk.step(beta, gamma)
     return walk.sequence(RANDOM_QAAO)
 
 
-def _draw_block(rng, theta0: float) -> tuple[list[float], ...]:
-    """The next _DRAW_BLOCK // 2 pairs: lists beta, gamma, P = b(pi/2), Q = b(0).
+def _draw_block(rng, theta0: float, size: int = _DRAW_BLOCK) -> tuple[list[float], ...]:
+    """The next size // 2 pairs: lists beta, gamma, P = b(pi/2), Q = b(0).
 
     b is linear in (sin(phi), cos(phi)), so b(phi) = sin(phi) * P + cos(phi) * Q.
     """
-    beta, gamma = rng.uniform(-math.pi, math.pi, _DRAW_BLOCK).reshape(-1, 2).T
-    p = amplification_coefficient(beta, gamma, 0.5 * math.pi, theta0)
-    q = amplification_coefficient(beta, gamma, 0.0, theta0)
+    beta, gamma = rng.uniform(-math.pi, math.pi, size).reshape(-1, 2).T
+    sin_half, cos_half = np.sin(0.5 * beta), np.cos(0.5 * beta)
+    sin_gamma, cos_gamma = np.sin(gamma), np.cos(gamma)
+    scale, tilt = -sin_half * math.sin(theta0), sin_half * math.cos(theta0)
+    p = (cos_half * cos_gamma + tilt * sin_gamma) * scale
+    q = (tilt * cos_gamma - cos_half * sin_gamma) * scale
     return beta.tolist(), gamma.tolist(), p.tolist(), q.tolist()
 
 
@@ -295,14 +295,13 @@ def fixed_point_sequence(length: int, delta: float) -> ParameterSequence:
         2.0 * math.atan(1.0 / (math.tan(2.0 * math.pi * i / odd) * spread))
         for i in range(1, length + 1)
     ]
-    params = tuple(
-        IterationParams(betas[i], betas[length - 1 - i]) for i in range(length)
-    )
+    params = tuple(map(IterationParams, betas, reversed(betas)))
     return ParameterSequence(params=params, kind=FIXED_POINT)
 
 
 def grover_sequence(n: int, m: int = 1, steps: int = 1) -> ParameterSequence:
     """`steps` standard Grover iterations G(pi, pi), at least one."""
+    initial_angles(n, m)  # the n and m checks every other generator makes
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     if steps > MAX_ITERATIONS:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,8 @@ TWO_PI = 2.0 * math.pi
 
 #: Tolerance for algebraic identities evaluated in double precision.
 ALGEBRAIC_TOL = 1e-12
+#: Largest |beta| and |gamma| that IterationParams accepts.
+_ANGLE_LIMIT = math.pi + ALGEBRAIC_TOL
 
 #: Gauge cutoff: below this squared amplitude the relative phase is undefined.
 _POLE_EPS = 1e-300
@@ -62,6 +66,8 @@ class StateAngles:
     def __post_init__(self) -> None:
         if not -ALGEBRAIC_TOL <= self.theta <= math.pi + ALGEBRAIC_TOL:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
         object.__setattr__(self, "phi", wrap_2pi(self.phi))
 
@@ -82,30 +88,33 @@ def _plane_angles(a_target: complex, a_perp: complex) -> tuple[float, float]:
     theta = 2.0 * math.atan2(r_t, r_p)
     if r_t * r_t < _POLE_EPS or r_p * r_p < _POLE_EPS:
         return theta, 0.0
-    # Wrapped twice, as StateAngles does: a phase a hair below 0 wraps to
-    # 2*pi itself, and the second wrap maps that to 0.
-    return theta, wrap_2pi(wrap_2pi(cmath.phase(a_target) - cmath.phase(a_perp)))
+    # Wrapped twice (wrap_2pi, inlined on this per-step path), as StateAngles does:
+    # a phase a hair below 0 wraps to 2*pi itself, and the second wrap maps that to 0.
+    return theta, (cmath.phase(a_target) - cmath.phase(a_perp)) % TWO_PI % TWO_PI
 
 
-@dataclass(frozen=True)
-class IterationParams:
-    """A single (beta, gamma) pair defining one iteration G(beta, gamma)."""
+class IterationParams(NamedTuple("IterationParams", [("beta", float), ("gamma", float)])):
+    """One iteration G(beta, gamma) as an immutable, validated named tuple of floats."""
 
-    beta: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in (("beta", self.beta), ("gamma", self.gamma)):
-            if not -math.pi - ALGEBRAIC_TOL <= value <= math.pi + ALGEBRAIC_TOL:
-                raise ValueError(f"{name} must lie in [-pi, pi], got {value}")
-            object.__setattr__(self, name, float(value))
+    def __new__(cls, beta: float, gamma: float) -> "IterationParams":
+        beta_ok = -_ANGLE_LIMIT <= beta <= _ANGLE_LIMIT
+        if not (beta_ok and -_ANGLE_LIMIT <= gamma <= _ANGLE_LIMIT):
+            name, value = ("gamma", gamma) if beta_ok else ("beta", beta)
+            raise ValueError(f"{name} must lie in [-pi, pi], got {value}")
+        return tuple.__new__(cls, (float(beta), float(gamma)))
+
+    # `_replace` builds through `_make`, so both validate as construction does.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def initial_angles(n: int, m: int = 1) -> StateAngles:
     """Angles of the uniform superposition over n qubits with m targets.
 
-    theta_0 = 2*arcsin(sqrt(m/N)), phi_0 = 0, where N = 2^n and 1 <= n <= MAX_QUBITS.
+    theta_0 = 2*arcsin(sqrt(m/N)), phi_0 = 0, for integers 1 <= n <= MAX_QUBITS, 1 <= m < N = 2^n.
     """
+    n, m = operator.index(n), operator.index(m)
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     if n > MAX_QUBITS:
@@ -130,7 +139,7 @@ def amplification_terms(
     random-schedule sampler, `engine.classify` and the CLI read b here for
     the QAAO test b > qaao_bound(c, N).
     """
-    varphi = wrap_2pi(phi - gamma)
+    varphi = (phi - gamma) % TWO_PI  # wrap_2pi, inlined on the per-step path
     half = 0.5 * beta
     sin_half = math.sin(half)
     c = math.cos(half) * math.sin(varphi) + sin_half * math.cos(varphi) * cos_theta0

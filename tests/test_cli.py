@@ -64,6 +64,15 @@ class TestIncrement:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_phi_is_bad_input(self, capsys, phi):
+        # Rejected as input, not reported as a closed-form/matrix disagreement.
+        code, out, err = run_cli(
+            capsys, "increment", "--beta", "1", "--gamma", "1", "--theta", "1", f"--phi={phi}"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: phi must be finite, got {float(phi)}\n"
+
 
 class TestTable:
     def test_appendix_first_row(self, capsys):

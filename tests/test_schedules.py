@@ -15,6 +15,7 @@ from qaa.schedules import (
     build,
     fixed_point_sequence,
     generate_qaao_sequence,
+    grover_sequence,
     k_star,
     noisy_optimal_sequence,
     optimal_sequence,
@@ -253,6 +254,34 @@ class TestRandomQaao:
         seq = generate_qaao_sequence(n, m, c=c, seed=seed, target_threshold=threshold)
         assert seq.params == want
 
+    @pytest.mark.parametrize(
+        "first, largest", [(2, 2), (6, 6), (2, 2**14)], ids=["one-pair", "three-pairs", "doubling"]
+    )
+    def test_blocks_do_not_change_the_schedule(self, monkeypatch, first, largest):
+        # The draws are one stream whatever the block sizes: the same pairs are
+        # accepted, and the same step runs out of attempts.
+        cases = [
+            dict(n=8, m=1, c=1.5, seed=0),
+            dict(n=10, m=3, c=1.2, seed=7),
+            dict(n=12, m=1, c=1.05, seed=4, target_threshold=0.9),
+            dict(n=14, m=2, c=2.0, seed=11),
+            dict(n=6, m=1, c=1.5, seed=2, max_attempts=3),
+            dict(n=3, m=1, c=1.5, seed=0),
+        ]
+
+        def outcome(case):
+            try:
+                seq = generate_qaao_sequence(**case)
+            except RuntimeError as exc:
+                return str(exc)
+            return seq.params, seq.steps
+
+        want = [outcome(case) for case in cases]
+        assert {type(w) for w in want} == {tuple, str}
+        monkeypatch.setattr(schedules, "_DRAW_BLOCK", first)
+        monkeypatch.setattr(schedules, "_DRAW_BLOCK_MAX", largest, raising=False)
+        assert [outcome(case) for case in cases] == want
+
     def test_prefilter_is_the_exact_coefficient(self):
         # The sampler rejects a pair whose prefiltered b reads more than
         # 1e-12 below the bound, so the two must agree far inside that.
@@ -273,8 +302,9 @@ class TestRandomQaao:
         optimal_sequence,
         lambda n: noisy_optimal_sequence(n, 0.1),
         generate_qaao_sequence,
+        grover_sequence,
     ],
-    ids=["optimal", "noisy-optimal", "random-qaao"],
+    ids=["optimal", "noisy-optimal", "random-qaao", "grover"],
 )
 def test_generators_cap_the_register(generate):
     with pytest.raises(ValueError, match=f"at most {MAX_QUBITS}"):

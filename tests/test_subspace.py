@@ -9,6 +9,7 @@ from qaa import subspace
 from qaa.engine import run_search
 from qaa.schedules import (
     ParameterSequence,
+    build,
     generate_qaao_sequence,
     noisy_optimal_sequence,
     optimal_sequence,
@@ -78,6 +79,88 @@ class TestInitialAngles:
     def test_rejects_bad_counts(self, n, m):
         with pytest.raises(ValueError):
             initial_angles(n, m)
+
+    @pytest.mark.parametrize("n,m", [(8.5, 1), (8, 1.5), (8.0, 1), (8, 1.0)])
+    @pytest.mark.parametrize("kind", ["grover", "random-qaao", "optimal", "noisy-optimal"])
+    def test_rejects_non_integer_counts(self, n, m, kind):
+        # Every generator with a register starts here: optimal_sequence(8, 1.5)
+        # used to build a 10-step schedule with m=1.5, optimal_sequence(8.5) a
+        # 15-step one and grover_sequence(8.5) a schedule with n=8.5.
+        with pytest.raises(TypeError):
+            initial_angles(n, m)
+        with pytest.raises(TypeError):
+            build(kind, n, m)
+
+    def test_accepts_numpy_integers(self):
+        assert initial_angles(np.int64(8), np.int32(2)) == initial_angles(8, 2)
+        assert optimal_sequence(np.int64(8), np.int64(2)).params == optimal_sequence(8, 2).params
+
+
+class TestStateAngles:
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phi(self, phi):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            StateAngles(1.0, phi)
+
+    def test_wraps_finite_phi(self):
+        assert StateAngles(1.0, -0.5).phi == pytest.approx(2.0 * math.pi - 0.5)
+        assert StateAngles(1.0, 4.0 * math.pi + 0.25).phi == pytest.approx(0.25)
+
+
+class TestIterationParams:
+    """The validated (beta, gamma) contract, whatever type carries it."""
+
+    LIMIT = math.pi + 1e-12
+
+    @pytest.mark.parametrize("value", [LIMIT, -LIMIT, math.pi, -math.pi, 0.0])
+    def test_accepts_the_closed_range(self, value):
+        assert IterationParams(value, 0.0).beta == value
+        assert IterationParams(0.0, value).gamma == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nextafter(LIMIT, math.inf), -math.nextafter(LIMIT, math.inf), math.nan,
+         math.inf, -math.inf, 7.0],
+    )
+    def test_rejects_outside_and_non_finite(self, value):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            IterationParams(value, 0.0)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            IterationParams(0.0, value)
+
+    def test_reports_beta_first(self):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            IterationParams(math.nan, math.nan)
+
+    def test_coerces_to_float(self):
+        params = IterationParams(1, np.float32(0.5))
+        assert type(params.beta) is float and type(params.gamma) is float
+        assert (params.beta, params.gamma) == (1.0, 0.5)
+        assert IterationParams(True, -2) == IterationParams(1.0, -2.0)
+
+    def test_repr(self):
+        assert repr(IterationParams(1.0, 2.0)) == "IterationParams(beta=1.0, gamma=2.0)"
+        assert repr(IterationParams(1, 2)) == "IterationParams(beta=1.0, gamma=2.0)"
+
+    def test_immutable_and_hashable(self):
+        params = IterationParams(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            params.beta = 0.5
+        with pytest.raises(AttributeError):
+            params.extra = 0.5
+        assert hash(params) == hash(IterationParams(1, 2))
+        assert params == IterationParams(1, 2) != IterationParams(2.0, 1.0)
+
+    def test_tuple_constructors_validate(self):
+        # As a named tuple it unpacks as (beta, gamma); `_make` and `_replace`
+        # build through the same checks as the constructor.
+        params = IterationParams(1.0, 2.0)
+        assert tuple(params) == (1.0, 2.0)
+        assert params._replace(gamma=-1) == IterationParams._make([1, -1.0]) == (1.0, -1.0)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            params._replace(gamma=7.0)
+        with pytest.raises(ValueError, match="beta must lie in"):
+            IterationParams._make((math.nan, 0.0))
 
 
 class TestCoefficients:
