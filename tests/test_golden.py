@@ -6,13 +6,20 @@ version; these files pin the output across versions.  Regenerate a file only
 for an intended change of output, with
 
     PYTHONPATH=src python -m qaa.cli ARGS > tests/golden/NAME.out
+
+The last test pins the library serializers the same way, by one sha256 over
+the text of a fixed sweep of analytic trajectories.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from qaa.cli import main
+from qaa.engine import classify, run_search
+from qaa.schedules import generate_qaao_sequence, noisy_optimal_sequence, optimal_sequence
+from qaa.statevector import OracleSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,6 +60,13 @@ COMMANDS = {
     "search_noisy_optimal_n10_delta0_2_seed3_json": (
         "search noisy-optimal --n 10 --delta 0.2 --seed 3 --format json"
     ),
+    "table_appendix_json": "table appendix --format json",
+    "table_main": "table main",
+    "figure_fig1b_json": "figure fig1b --format json",
+    "figure_fig3_n6_json": "figure fig3 --n 6 --format json",
+    "figure_fig7": "figure fig7",
+    "figure_fig7_json": "figure fig7 --format json",
+    "search_pi3_n8_json": "search pi3 --n 8 --format json",
 }
 
 
@@ -64,3 +78,30 @@ def test_every_golden_file_has_a_command():
 def test_output_matches_golden(name, capsys):
     assert main(COMMANDS[name].split()) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+#: sha256 of the analytic serialization sweep below, as first recorded with
+#: the release that introduced it; it pins `to_json`, `to_csv` and `classify`
+#: over 153 trajectories that no CLI golden covers.
+SWEEP_SHA256 = "2911de8ad3738b82ff8218edcc727516ee1291d20eb55bcc099bf5dbec433186"
+
+
+def test_analytic_serialization_sweep_is_unchanged():
+    digest = hashlib.sha256()
+    kinds = (
+        lambda n, m: optimal_sequence(n, m),
+        lambda n, m: noisy_optimal_sequence(n, 0.2, seed=n + m, m=m),
+        lambda n, m: generate_qaao_sequence(n, m, seed=7 * n + m),
+    )
+    for build in kinds:
+        for n in range(6, 23):
+            for m in (1, 2, 4):
+                traj = run_search(build(n, m), OracleSpec.standard(n, m))
+                for text in (
+                    traj.to_json(),
+                    traj.to_csv(),
+                    classify(traj).to_json(),
+                    classify(traj, c=1.5).to_json(),
+                ):
+                    digest.update(text.encode())
+    assert digest.hexdigest() == SWEEP_SHA256
