@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import engine, qasm, schedules, statevector as sv
@@ -70,9 +71,10 @@ def cmd_increment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _columns(traj: engine.Trajectory, **fields: str) -> list[dict]:
-    """Rows of a trajectory's steps: column name -> Trajectory.rows() field."""
-    return [{name: row[key] for name, key in fields.items()} for row in traj.rows()]
+def _columns(traj: engine.Trajectory, **fields: str) -> tuple[tuple[str, ...], list[tuple]]:
+    """Header and rows of a trajectory's steps: column name -> StepRecord field."""
+    pick = itemgetter(*map(schedules.StepRecord._fields.index, fields.values()))
+    return tuple(fields), list(map(pick, traj.steps))
 
 
 #: Rows of the published main-table excerpt: its four non-amplifying steps.
@@ -82,38 +84,32 @@ MAIN_TABLE_ROWS = (9, 10, 11, 12)
 def cmd_table(args: argparse.Namespace) -> int:
     seq = schedules.fixed_point_sequence(args.L, args.delta)
     traj = engine.run_search(seq, sv.OracleSpec.standard(args.n, args.m))
-    rows = _columns(
-        traj, no="index", theta="theta_before", phi="phi_before", beta="beta",
-        gamma="gamma", increment="increment", qaao="qaao_flag",
-    )
-    header = list(rows[0])
-    for r in rows:
-        r["qaao"] = "O" if r["qaao"] else "X"
-    if args.kind == "main":
-        rows = [r for r in rows if r["no"] in MAIN_TABLE_ROWS]
+    header = ("no", "theta", "phi", "beta", "gamma", "increment", "qaao")
+    rows = [
+        (s.index, s.theta_before, s.phi_before, s.beta, s.gamma, s.increment, "XO"[s.qaao_flag])
+        for s in traj.steps
+        if args.kind == "appendix" or s.index in MAIN_TABLE_ROWS
+    ]
     _write(engine.format_rows(rows, args.format, header), args.out)
     return 0
 
 
-def _figure_fig1b(args) -> list[dict]:
+def _figure_fig1b(args) -> tuple[tuple[str, ...], list[tuple]]:
     traj = engine.grover_baseline(args.n, args.m, schedules.k_star(args.n, args.m))
     return _columns(traj, step="index", probability="probability_after")
 
 
-def _figure_fig3(args) -> list[dict]:
+def _figure_fig3(args) -> tuple[tuple[str, ...], list[tuple]]:
     oracle = sv.OracleSpec.standard(args.n, args.m)
     rows = []
     for delta in (0.05 * math.pi, 0.2 * math.pi, 0.3 * math.pi):
         seq = schedules.noisy_optimal_sequence(args.n, delta, seed=args.seed, m=args.m)
         traj = engine.run_search(seq, oracle)
-        rows += [
-            {"delta": delta, **r}
-            for r in _columns(
-                traj, step="index", queries="cumulative_queries",
-                probability="probability_after",
-            )
-        ]
-    return rows
+        header, series = _columns(
+            traj, step="index", queries="cumulative_queries", probability="probability_after"
+        )
+        rows += [(delta, *r) for r in series]
+    return ("delta", *header), rows
 
 
 def _figure_fig4(args) -> dict:
@@ -156,7 +152,7 @@ def _figure_region(args) -> dict:
     }
 
 
-def _figure_fig7(args) -> list[dict]:
+def _figure_fig7(args) -> tuple[tuple[str, ...], list[tuple]]:
     seq = schedules.fixed_point_sequence(args.L, schedules.FIXED_POINT_DELTA)
     traj = engine.run_search(seq, sv.OracleSpec.standard(args.n, args.m))
     return _columns(
@@ -167,15 +163,14 @@ def _figure_fig7(args) -> list[dict]:
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.id in ("fig4", "region"):
         payload = _figure_fig4(args) if args.id == "fig4" else _figure_region(args)
-        _write(engine.format_rows(payload, "json"), args.out)
+        _write(json.dumps(payload, sort_keys=True) + "\n", args.out)
         return 0
-    # The generators reject empty schedules, so every series has a first row.
-    rows = {
+    header, rows = {
         "fig1b": _figure_fig1b,
         "fig3": _figure_fig3,
         "fig7": _figure_fig7,
     }[args.id](args)
-    _write(engine.format_rows(rows, args.format, list(rows[0])), args.out)
+    _write(engine.format_rows(rows, args.format, header), args.out)
     return 0
 
 
@@ -198,8 +193,9 @@ def cmd_search(args: argparse.Namespace) -> int:
         sv.check_qubits(args.n)
     oracle = sv.OracleSpec.standard(args.n, args.m, args.target)
     if args.kind == schedules.PI3:
-        rows = schedules.pi3_series(initial_angles(args.n, args.m).theta)
         header = ("depth", "queries", "probability")
+        series = schedules.pi3_series(initial_angles(args.n, args.m).theta)
+        rows = list(map(itemgetter(*header), series))
         _write(engine.format_rows(rows, args.format, header), args.out)
         return 0
     seq = _build_sequence(args)
@@ -210,7 +206,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         if (state := traj.final_state) is None:
             state = engine.run_search(seq, oracle, "statevector").final_state
         histogram = sv.sample_measurements(state, args.shots, args.seed)
-        hist_text = engine.format_rows(histogram, "json")
+        hist_text = json.dumps(histogram, sort_keys=True) + "\n"
         _write(hist_text, args.out + ".hist.json" if args.out else None)
     return 0
 

@@ -30,45 +30,49 @@ LEAKAGE_TOL = 1e-12
 CSV_DECIMALS = 6
 
 
-def _csv_format(value) -> str:
-    if isinstance(value, float):
-        return f"%.{CSV_DECIMALS}f"
-    if isinstance(value, int) and not isinstance(value, bool):
+def _cell_format(value, fmt: str) -> str:
+    if isinstance(value, bool):
+        return "%s"  # CSV maps it to its O/X flag first, JSON respells True/False
+    if isinstance(value, int):
         return "%d"
-    return "%s"  # str, and a bool once mapped to its O/X flag
+    if isinstance(value, float):
+        return "%r" if fmt == "json" else f"%.{CSV_DECIMALS}f"  # %r: json's float repr
+    return '"%s"' if fmt == "json" else "%s"
 
 
-def format_rows(rows, fmt: str, header: Sequence[str] = ()) -> str:
-    """Newline-terminated CSV or JSON text of a list of rows.
-
-    JSON keeps full double precision with sorted keys, and `rows` may be any
-    JSON value.  CSV prints `header`, then each row (dict or header-ordered
-    tuple) through one printf-style format built from the first row's cell
-    types: floats with CSV_DECIMALS places, ints as integers, booleans as the
-    O/X amplification flag, anything else as str.  Every row has the first
-    row's cell types.
-    """
-    if fmt == "json":
-        return json.dumps(rows, sort_keys=True) + "\n"
-    lines = [",".join(header)]
-    if rows:
-        if isinstance(rows[0], dict):
-            rows = [[row[key] for key in header] for row in rows]
-        row_format = ",".join(map(_csv_format, rows[0]))
-        flags = [i for i, value in enumerate(rows[0]) if isinstance(value, bool)]
-        for row in rows:
-            cells = list(row)
-            for i in flags:
-                cells[i] = "XO"[cells[i]]
-            lines.append(row_format % tuple(cells))
-    return "\n".join(lines) + "\n"
-
-
-#: A StepRecord's cells in sorted-key order, the %-format of each cell type in
-#: a JSON row (%r is json's float repr) and the cells %r writes unlike json.
-_SORTED = itemgetter(*sorted(range(len(StepRecord._fields)), key=StepRecord._fields.__getitem__))
-_JSON_FORMATS = {float: "%r", int: "%d", bool: "%s"}
 _NONFINITE = re.compile(r": (-?inf|nan)\b")
+
+
+def format_rows(rows: Sequence[tuple], fmt: str, header: Sequence[str]) -> str:
+    """Newline-terminated CSV or JSON text of header-ordered tuples.
+
+    Every row goes through one printf-style template built from the first
+    row's cell types, so every row must have them.  CSV prints `header`, then
+    floats with CSV_DECIMALS places, ints as integers, bools as the O/X
+    amplification flag and strs as they are.  JSON writes a list of objects
+    with sorted keys: floats at full precision, bools as true/false, nan and
+    inf as json spells them, and strs quoted with no escaping (a str cell must
+    need none), so the bytes are those of `json.dumps(..., sort_keys=True)`.
+    """
+    if not rows:
+        return "[]\n" if fmt == "json" else ",".join(header) + "\n"
+    formats = [_cell_format(cell, fmt) for cell in rows[0]]
+    if fmt == "json":
+        order = sorted(range(len(header)), key=header.__getitem__)
+        template = "{%s}" % ", ".join('"%s": %s' % (header[i], formats[i]) for i in order)
+        body = ", ".join([template % row for row in map(itemgetter(*order), rows)])
+        body = body.replace(": True", ": true").replace(": False", ": false")
+        body = _NONFINITE.sub(lambda cell: ": " + json.dumps(float(cell[1])), body)
+        return f"[{body}]\n"
+    row_format = ",".join(formats)
+    flags = [i for i, value in enumerate(rows[0]) if isinstance(value, bool)]
+    lines = [",".join(header)]
+    for row in rows:
+        cells = list(row)
+        for i in flags:
+            cells[i] = "XO"[cells[i]]
+        lines.append(row_format % tuple(cells))
+    return "\n".join(lines) + "\n"
 
 
 class BackendMismatchError(RuntimeError):
@@ -108,10 +112,6 @@ class Trajectory:
         """
         return next((s.index - 1 for s in self.steps if s.increment < 0.0), None)
 
-    def rows(self) -> list[dict]:
-        """One dict per step, keyed by the CSV_HEADER fields."""
-        return [s._asdict() for s in self.steps]
-
     def to_csv(self) -> str:
         return format_rows(self.steps, "csv", StepRecord._fields)
 
@@ -126,18 +126,8 @@ class Trajectory:
         }
         # turning_index, the one key after "steps", holds an int or null.
         head, _, tail = json.dumps(payload, sort_keys=True).rpartition("[]")
-        if not self.steps:
-            return head + "[]" + tail
-        # The same bytes from one %-template built from the first row's cell
-        # types; bools, nan and inf are then respelled as json spells them.
-        template = "{%s}" % ", ".join(
-            '"%s": %s' % (name, _JSON_FORMATS[type(cell)])
-            for name, cell in zip(_SORTED(StepRecord._fields), _SORTED(self.steps[0]))
-        )
-        body = ", ".join([template % row for row in map(_SORTED, self.steps)])
-        body = body.replace(": True", ": true").replace(": False", ": false")
-        body = _NONFINITE.sub(lambda cell: ": " + json.dumps(float(cell[1])), body)
-        return f"{head}[{body}]{tail}"
+        rows = format_rows(self.steps, "json", StepRecord._fields)
+        return f"{head}{rows[:-1]}{tail}"  # rows without its newline
 
 
 def run_search(

@@ -7,7 +7,8 @@ explicit 2x2 matrices, the vectorized closed-form increment, the 2D step on
 `StateAngles` and `IterationParams` objects with the textbook a, b and c,
 the naive dense iteration (in place, on a copy and over a whole schedule),
 the naive target probability, and the checked pass that sums every block.
-It also holds the trajectory serializers that go through one dict per step,
+It also holds the trajectory serializers that write one cell or one dict at
+a time,
 and the published reference trajectory of the 8-qubit fixed-point schedule.
 """
 
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from qaa.engine import Trajectory, format_rows
+from qaa.engine import Trajectory
 from qaa.schedules import StepRecord
 from qaa.statevector import BlockPlan, OracleSpec, Plane, StateVector, uniform_state
 from qaa.subspace import (
@@ -158,9 +159,16 @@ def norm_defect(state: StateVector) -> float:
     return abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
 
 
-def dict_rows_csv(traj: Trajectory) -> str:
-    """`Trajectory.to_csv` from one dict per step."""
-    return format_rows([s._asdict() for s in traj.steps], "csv", StepRecord._fields)
+def cellwise_csv(traj: Trajectory) -> str:
+    """`Trajectory.to_csv` one cell at a time: %.6f, %d and the O/X flag."""
+
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return "XO"[value]
+        return "%d" % value if isinstance(value, int) else "%.6f" % value
+
+    lines = [",".join(StepRecord._fields)] + [",".join(map(cell, s)) for s in traj.steps]
+    return "\n".join(lines) + "\n"
 
 
 def dict_rows_json(traj: Trajectory) -> str:

@@ -28,7 +28,7 @@ from qaa.schedules import (
 from qaa.statevector import OracleSpec
 from qaa.subspace import IterationParams, advance
 
-from reference import dict_rows_csv, dict_rows_json
+from reference import cellwise_csv, dict_rows_json
 
 
 class TestRunSearch:
@@ -262,6 +262,14 @@ RECORDS = st.builds(
     CELL_FLOATS, CELL_FLOATS, st.booleans(), CELL_INTS,
 )
 
+#: Rows of the fixed-point table's columns, with a bool column added, whose
+#: floats also take nan and +-inf; the header is not in sorted order.
+TABLE_HEADER = ("no", "theta", "phi", "increment", "amplified", "qaao")
+JSON_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]) | st.floats()
+TABLE_ROWS = st.tuples(
+    CELL_INTS, JSON_FLOATS, JSON_FLOATS, JSON_FLOATS, st.booleans(), st.sampled_from("OX")
+)
+
 
 class TestSerialization:
     def test_csv_header_and_shape(self):
@@ -270,10 +278,6 @@ class TestSerialization:
         assert lines[0] == CSV_HEADER
         assert len(lines) == len(traj.steps) + 1
         assert all(len(line.split(",")) == 9 for line in lines)
-
-    def test_row_keys_are_the_csv_header(self):
-        traj = run_search(optimal_sequence(4), OracleSpec.single("1010"))
-        assert all(list(row) == CSV_HEADER.split(",") for row in traj.rows())
 
     def test_csv_flags(self):
         traj = run_search(
@@ -290,14 +294,17 @@ class TestSerialization:
         kind=st.text(),
         steps=st.lists(RECORDS, max_size=12).map(tuple),
         final_probability=CELL_FLOATS,
-    ))
-    def test_matches_the_dict_rows(self, traj):
-        assert traj.to_csv() == dict_rows_csv(traj)
+    ), st.lists(TABLE_ROWS, max_size=12))
+    def test_matches_the_dict_rows(self, traj, table):
+        assert traj.to_csv() == cellwise_csv(traj)
         assert traj.to_json() == dict_rows_json(traj)
+        dicts = [dict(zip(TABLE_HEADER, row)) for row in table]
+        expected = json.dumps(dicts, sort_keys=True) + "\n"
+        assert engine.format_rows(table, "json", TABLE_HEADER) == expected
 
     def test_empty_trajectory(self):
         traj = run_search(ParameterSequence((), "optimal", 4), OracleSpec.standard(4))
-        assert traj.to_csv() == dict_rows_csv(traj) == CSV_HEADER + "\n"
+        assert traj.to_csv() == cellwise_csv(traj) == CSV_HEADER + "\n"
         assert traj.to_json() == dict_rows_json(traj)
         assert json.loads(traj.to_json())["steps"] == []
 
@@ -308,7 +315,7 @@ class TestSerialization:
         text = traj.to_json()
         assert text == dict_rows_json(traj)
         assert "NaN" in text and "-Infinity" in text and "nan" not in text
-        assert traj.to_csv() == dict_rows_csv(traj)
+        assert traj.to_csv() == cellwise_csv(traj)
 
     def test_json_roundtrips_through_loads(self):
         traj = run_search(optimal_sequence(4), OracleSpec.single("0101"))
