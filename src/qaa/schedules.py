@@ -289,8 +289,7 @@ def fixed_point_sequence(length: int, delta: float) -> ParameterSequence:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     odd = 2 * length + 1
-    eta = 1.0 / math.cosh(math.acosh(1.0 / delta) / odd)
-    spread = math.sqrt(1.0 - eta * eta)
+    spread = math.tanh(math.acosh(1.0 / delta) / odd)  # sqrt(1 - eta^2), without cancellation
     betas = [
         2.0 * math.atan(1.0 / (math.tan(2.0 * math.pi * i / odd) * spread))
         for i in range(1, length + 1)

@@ -8,8 +8,8 @@ explicit 2x2 matrices, the vectorized closed-form increment, the 2D step on
 the naive dense iteration (in place, on a copy and over a whole schedule),
 the naive target probability, and the checked pass that sums every block.
 It also holds the trajectory serializers that write one cell or one dict at
-a time,
-and the published reference trajectory of the 8-qubit fixed-point schedule.
+a time, the closed-form final probability of the fixed-point schedule, and
+the published reference trajectory of the 8-qubit fixed-point schedule.
 """
 
 import cmath
@@ -182,6 +182,27 @@ def dict_rows_json(traj: Trajectory) -> str:
         "steps": [s._asdict() for s in traj.steps],
     }
     return json.dumps(payload, sort_keys=True)
+
+
+def fixed_point_probability(length: int, delta: float, n: int, m: int = 1) -> float:
+    """Final target probability of the Chebyshev fixed-point schedule, in closed form.
+
+    Yoder, Low and Chuang (PRL 113, 210501, 2014): with l = 2*length + 1,
+    P = 1 - delta^2 T_l(T_{1/l}(1/delta) sqrt(1 - m/N))^2.  The Chebyshev
+    argument is written as 1 + eps with eps free of cancellation, and
+    T_l(1 + eps) is cosh(l acosh(1 + eps)) above 1 and cos(l acos(1 + eps))
+    below it, each through log1p or asin of a small quantity.
+    """
+    odd = 2 * length + 1
+    x = math.acosh(1.0 / delta) / odd
+    fraction = m / 2**n
+    shrink = fraction / (1.0 + math.sqrt(1.0 - fraction))  # 1 - sqrt(1 - m/N)
+    eps = 2.0 * math.sinh(0.5 * x) ** 2 - shrink * math.cosh(x)
+    if eps >= 0.0:
+        t = math.cosh(odd * math.log1p(eps + math.sqrt(eps * (2.0 + eps))))
+    else:
+        t = math.cos(2.0 * odd * math.asin(math.sqrt(-0.5 * eps)))
+    return 1.0 - delta**2 * t**2
 
 
 # --- published fixed-point trajectory --------------------------------------

@@ -34,7 +34,7 @@ from qaa.subspace import (
     qaao_bound,
 )
 
-from reference import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS
+from reference import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS, fixed_point_probability
 
 
 class TestKStar:
@@ -354,6 +354,10 @@ class TestNoisyOptimal:
         assert final_probability(seq.params, 8) > 0.9
 
 
+#: (n, m) registers of the closed-form check, from n = 2 to the qubit cap.
+FIXED_POINT_REGISTERS = ((2, 1), (2, 3), (4, 2), (8, 1), (12, 3), (20, 1), (26, 2), (32, 3))
+
+
 class TestFixedPoint:
     def test_reproduces_published_n8_schedule(self):
         seq = fixed_point_sequence(21, math.sqrt(0.1))
@@ -401,6 +405,27 @@ class TestFixedPoint:
             for length in lengths:
                 final = final_probability(fixed_point_sequence(length, delta).params, n)
                 assert final >= 1.0 - delta**2 - 1e-9
+
+    @pytest.mark.parametrize(
+        "length, deltas, registers",
+        [
+            (21, (0.1, 0.316, 0.5, 0.9), FIXED_POINT_REGISTERS),
+            (1000, (0.1, 0.316, 0.5, 0.9), FIXED_POINT_REGISTERS),
+            (4000, (0.1, 0.316, 0.5, 0.9), FIXED_POINT_REGISTERS),
+            (10_000, (0.1, 0.316, 0.5, 0.9), FIXED_POINT_REGISTERS),
+            (MAX_ITERATIONS, (0.05, 0.316, 0.9), ((2, 3), (20, 1), (32, 1))),
+        ],
+        ids=["L21", "L1000", "L4000", "L10000", "cap"],
+    )
+    def test_final_probability_matches_the_closed_form(self, length, deltas, registers):
+        # At 1e-10 the angles must be exact to rounding: a spread computed as
+        # sqrt(1 - eta^2) cancels in long schedules, and misses by 3e-8 at 10,000.
+        for delta in deltas:
+            seq = fixed_point_sequence(length, delta)
+            for n, m in registers:
+                final = schedules.trajectory(seq, n, m)[-1].probability_after
+                expected = fixed_point_probability(length, delta, n, m)
+                assert final == pytest.approx(expected, abs=1e-10), (n, m, delta)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 2.0])
     def test_rejects_bad_delta(self, bad):
