@@ -40,6 +40,7 @@ def _cell_format(value, fmt: str) -> str:
     return '"%s"' if fmt == "json" else "%s"
 
 
+#: A nan or inf cell as %r writes it; json writes NaN, Infinity or -Infinity.
 _NONFINITE = re.compile(r": (-?inf|nan)\b")
 
 

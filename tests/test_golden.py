@@ -80,16 +80,16 @@ def test_output_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
-#: sha256 of the analytic serialization sweep below, as first recorded with
-#: the release that introduced it; it pins `to_json`, `to_csv` and `classify`
-#: over 153 trajectories that no CLI golden covers.
+#: sha256 of the analytic serialization sweep below, as recorded in
+#: BENCH_15.json; it pins `to_json`, `to_csv` and `classify` over 153
+#: trajectories that no CLI golden covers.
 SWEEP_SHA256 = "2911de8ad3738b82ff8218edcc727516ee1291d20eb55bcc099bf5dbec433186"
 
 
 def test_analytic_serialization_sweep_is_unchanged():
     digest = hashlib.sha256()
     kinds = (
-        lambda n, m: optimal_sequence(n, m),
+        optimal_sequence,
         lambda n, m: noisy_optimal_sequence(n, 0.2, seed=n + m, m=m),
         lambda n, m: generate_qaao_sequence(n, m, seed=7 * n + m),
     )

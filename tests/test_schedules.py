@@ -354,7 +354,9 @@ class TestNoisyOptimal:
         assert final_probability(seq.params, 8) > 0.9
 
 
-#: (n, m) registers of the closed-form check, from n = 2 to the qubit cap.
+#: Error budgets and (n, m) registers of the closed-form check, the registers
+#: from n = 2 to the qubit cap.
+FIXED_POINT_DELTAS = (0.1, 0.316, 0.5, 0.9)
 FIXED_POINT_REGISTERS = ((2, 1), (2, 3), (4, 2), (8, 1), (12, 3), (20, 1), (26, 2), (32, 3))
 
 
@@ -409,10 +411,10 @@ class TestFixedPoint:
     @pytest.mark.parametrize(
         "length, deltas, registers",
         [
-            (21, (0.1, 0.316, 0.5, 0.9), FIXED_POINT_REGISTERS),
-            (1000, (0.1, 0.316, 0.5, 0.9), FIXED_POINT_REGISTERS),
-            (4000, (0.1, 0.316, 0.5, 0.9), FIXED_POINT_REGISTERS),
-            (10_000, (0.1, 0.316, 0.5, 0.9), FIXED_POINT_REGISTERS),
+            (21, FIXED_POINT_DELTAS, FIXED_POINT_REGISTERS),
+            (1000, FIXED_POINT_DELTAS, FIXED_POINT_REGISTERS),
+            (4000, FIXED_POINT_DELTAS, FIXED_POINT_REGISTERS),
+            (10_000, FIXED_POINT_DELTAS, FIXED_POINT_REGISTERS),
             (MAX_ITERATIONS, (0.05, 0.316, 0.9), ((2, 3), (20, 1), (32, 1))),
         ],
         ids=["L21", "L1000", "L4000", "L10000", "cap"],
