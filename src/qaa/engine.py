@@ -138,10 +138,11 @@ def run_search(
 ) -> Trajectory:
     """Execute a schedule from the uniform state: its `schedules.trajectory` records.
 
-    With the state-vector backend, every step is one checked blocked pass
-    over the 2^n vector (`statevector.checked_step`), and the run raises
-    unless the leakage, the squared distance of the state from the target
-    plane, stays below 1e-12 and the measured target probability matches the
+    With the state-vector backend, each window of `statevector.WINDOW` steps
+    is one checked blocked pass over the 2^n vector
+    (`statevector.checked_steps`), and the run raises unless, at every step,
+    the leakage, the squared distance of the state from the target plane,
+    stays below 1e-12 and the measured target probability matches the
     step's record within 1e-10.
     """
     if backend not in BACKENDS:
@@ -158,20 +159,24 @@ def run_search(
     if backend == "statevector":
         state = sv.uniform_state(n)
         plan = sv.block_plan(state, oracle)
-        plane = sv.measure(state, plan)
+        total = sv.measure(state, plan).total
         checked = []
-        for params, record in zip(seq.params, steps):
-            plane = sv.checked_step(state, params, plan, plane.total)
-            if not (plane.leakage <= LEAKAGE_TOL):
-                raise BackendMismatchError(
-                    f"leakage {plane.leakage} out of the target plane at step {record.index}"
-                )
-            if not (abs(plane.probability - record.probability_after) <= SEQUENCE_TOL):
-                raise BackendMismatchError(
-                    f"backends disagree at step {record.index}: statevector "
-                    f"{plane.probability} vs analytic {record.probability_after}"
-                )
-            checked.append(record._replace(probability_after=plane.probability))
+        for start in range(0, len(steps), sv.WINDOW):
+            window = seq.params[start : start + sv.WINDOW]
+            planes = sv.checked_steps(state, window, plan, total)
+            for plane, record in zip(planes, steps[start : start + sv.WINDOW]):
+                if not (plane.leakage <= LEAKAGE_TOL):
+                    raise BackendMismatchError(
+                        f"leakage {plane.leakage} out of the target plane "
+                        f"at step {record.index}"
+                    )
+                if not (abs(plane.probability - record.probability_after) <= SEQUENCE_TOL):
+                    raise BackendMismatchError(
+                        f"backends disagree at step {record.index}: statevector "
+                        f"{plane.probability} vs analytic {record.probability_after}"
+                    )
+                checked.append(record._replace(probability_after=plane.probability))
+            total = planes[-1].total
         steps = tuple(checked)
     final = steps[-1].probability_after if steps else initial_angles(n, m).target_probability
     return Trajectory(n, m, seq.kind, steps, final, final_state=state)

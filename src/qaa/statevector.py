@@ -1,17 +1,18 @@
 """Full 2^n state-vector simulation of amplification circuits.
 
-Ground truth for the analytic two-level model: `checked_step`, the one
+Ground truth for the analytic two-level model: `checked_steps`, the one
 dense kernel, applies the oracle phase and the diffusion about the uniform
-state exactly on all 2^n complex amplitudes.  Basis ordering is big-endian:
-the leftmost character of a bit string is qubit 0 and the most significant
-bit of the basis index.
+state exactly on all 2^n complex amplitudes, a window of up to `WINDOW`
+steps per pass over the vector.  Basis ordering is big-endian: the leftmost
+character of a bit string is qubit 0 and the most significant bit of the
+basis index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +26,12 @@ MAX_QUBITS = 24
 #: and the passes that measure it run from cache.  Of 2^13..2^18, this
 #: was fastest at n = 20 on a host with 2 MiB of L2 per core.
 BLOCK = 2**15
+
+#: Steps per checked pass: each block takes up to this many steps while it
+#: sits in L2, so the vector makes one trip to memory per window, not per
+#: step.  Of 1..32, at n = 20 on the host that chose BLOCK, one step per
+#: pass took 1.2-1.4x as long as 8..32, which were within noise; 32 was lowest.
+WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -115,12 +122,13 @@ class BlockPlan(NamedTuple):
     """An oracle's targets laid out on the blocks of one 2^n vector.
 
     `reference` is the first non-target index.  Each block is (start, stop,
-    the offsets of its targets or None), and `scratch` holds one block.
+    the offsets of its targets or None, the slice of `targets` they are),
+    and `scratch` holds one block.
     """
 
     targets: np.ndarray
     reference: int
-    blocks: tuple[tuple[int, int, np.ndarray | None], ...]
+    blocks: tuple[tuple[int, int, np.ndarray | None, slice], ...]
     scratch: np.ndarray
 
 
@@ -129,7 +137,7 @@ class Plane(NamedTuple):
 
     `leakage` is the squared distance of the state from the plane, and
     `norm_defect` is <a|a> - 1.  `total`, the sum of all amplitudes, is what
-    the next `checked_step` takes its diffusion mean from.
+    the next `checked_steps` takes its diffusion mean from.
     """
 
     probability: float
@@ -141,7 +149,7 @@ class Plane(NamedTuple):
 
 
 def block_plan(state: StateVector, oracle: OracleSpec) -> BlockPlan:
-    """The block layout that `measure` and `checked_step` sweep `state` with."""
+    """The block layout that `measure` and `checked_steps` sweep `state` with."""
     _check_dims(state, oracle)
     idx = oracle.target_indices()
     big_n = state.amplitudes.size
@@ -151,17 +159,22 @@ def block_plan(state: StateVector, oracle: OracleSpec) -> BlockPlan:
     starts = range(0, big_n, BLOCK)
     cuts = np.searchsorted(idx, [*starts, big_n]).tolist()
     blocks = tuple(
-        (lo, min(lo + BLOCK, big_n), idx[a:b] - lo if b > a else None)
+        (lo, min(lo + BLOCK, big_n), idx[a:b] - lo if b > a else None, slice(a, b))
         for lo, a, b in zip(starts, cuts, cuts[1:])
     )
     return BlockPlan(idx, reference, blocks, np.empty(min(BLOCK, big_n), dtype=complex))
 
 
-def _sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
-    """Subtract `shift` from every amplitude, measuring the result in the same pass.
+def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]:
+    """Apply `steps` to each block in turn, measuring each step's result.
+
+    A step is (its phased targets or None, the diffusion shift, then the
+    reference amplitude and the targets after the step).  Each block takes
+    every step while it is in cache: the targets are written, the shift is
+    subtracted, and the result is measured.
 
     Each non-target amplitude is read as its difference d from the reference
-    amplitude r, which goes through the same float operation.  Non-target
+    amplitude r, which goes through the same float operations.  Non-target
     amplitudes that went through the same operations give d = 0 exactly, so
     the sum s and squared norm q of the d's resolve any departure from the
     plane, with nothing to cancel against.
@@ -171,24 +184,30 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
     is exactly zero when those d are (as in every run that stays in the
     plane) and below 2^-522 otherwise.  A NaN or inf qb is summed.
     """
-    r = complex(amps[plan.reference] - shift)
-    s, q = 0j, 0.0
-    for lo, hi, offsets in plan.blocks:
+    sums = [[0j, 0.0] for _ in steps]
+    for lo, hi, offsets, part in plan.blocks:
         block = amps[lo:hi]
-        if shift:
-            np.subtract(block, shift, out=block)
         diff = plan.scratch[: hi - lo]
-        np.subtract(block, r, out=diff)
-        if offsets is not None:
-            diff[offsets] = 0.0
-        flat = diff.view(np.float64)
-        qb = float(flat @ flat)
-        if qb:
-            s += complex(diff.sum())
-            q += qb
-    at = amps[plan.targets]
+        for (phased, shift, r, _), acc in zip(steps, sums):
+            if offsets is not None and phased is not None:
+                block[offsets] = phased[part]
+            if shift:
+                np.subtract(block, shift, out=block)
+            np.subtract(block, r, out=diff)
+            if offsets is not None:
+                diff[offsets] = 0.0
+            flat = diff.view(np.float64)
+            qb = float(flat @ flat)
+            if qb:
+                acc[0] += complex(diff.sum())
+                acc[1] += qb
+    rest = amps.size - plan.targets.size
+    return [_plane(r, at, s, q, rest) for (_, _, r, at), (s, q) in zip(steps, sums)]
+
+
+def _plane(r: complex, at: np.ndarray, s: complex, q: float, rest: int) -> Plane:
+    """The `Plane` of a state from its reference amplitude, its targets and its d's."""
     m = at.size
-    rest = amps.size - m
     t_sum = complex(at.sum())
     total = s + rest * r + t_sum
     probability = float(np.vdot(at, at).real)
@@ -208,25 +227,43 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
 
 def measure(state: StateVector, plan: BlockPlan) -> Plane:
     """The state against the target plane, in one read of the vector."""
-    return _sweep(state.amplitudes, plan, 0j)
+    amps = state.amplitudes
+    return _sweep(amps, plan, [(None, 0j, complex(amps[plan.reference]), amps[plan.targets])])[0]
 
 
-def checked_step(
-    state: StateVector, params: IterationParams, plan: BlockPlan, total: complex
-) -> Plane:
-    """Apply G(beta, gamma) to `state` and measure the result, in one blocked pass.
+def checked_steps(
+    state: StateVector, window: Sequence[IterationParams], plan: BlockPlan, total: complex
+) -> list[Plane]:
+    """Apply each G(beta, gamma) of `window` to `state`, in one blocked pass.
 
-    `total` is the sum of the amplitudes before the step, as the last
-    `measure` or `checked_step` returned it.  The oracle phase touches only
-    the m targets and corrects `total` into the diffusion mean, so the pass
-    is one read and one write of the vector in cache-sized blocks.
+    `total` is the sum of the amplitudes before the window, as the last
+    `measure` or `checked_steps` returned it.  The oracle phase touches only
+    the m targets and corrects the running sum into the diffusion mean, so
+    every step's scalars come first, from the targets and the reference
+    amplitude alone; then each cache-sized block takes every step in turn,
+    and the pass is one read and one write of the vector.  Returns the
+    measured state after each step.
+
+    A later step's sum is its own targets and reference plus the off-plane
+    sum s carried from the window's start.  s is exactly 0 in the plane, so
+    that sum is the one a per-step pass would take; off the plane, s is
+    invariant under G and the two differ only by rounding.
     """
     amps = state.amplitudes
-    before = amps[plan.targets]
-    after = before * np.exp(-1j * params.gamma)
-    amps[plan.targets] = after
-    mean = (total + complex((after - before).sum())) / amps.size
-    return _sweep(amps, plan, (1.0 - np.exp(-1j * params.beta)) * mean)
+    rest = amps.size - plan.targets.size
+    at = amps[plan.targets]
+    r = complex(amps[plan.reference])
+    carried = total - (rest * r + complex(at.sum()))
+    steps = []
+    for params in window:
+        phased = at * np.exp(-1j * params.gamma)
+        mean = (total + complex((phased - at).sum())) / amps.size
+        shift = (1.0 - np.exp(-1j * params.beta)) * mean
+        r = complex(r - shift)
+        at = phased - shift
+        total = carried + rest * r + complex(at.sum())
+        steps.append((phased, shift, r, at))
+    return _sweep(amps, plan, steps)
 
 
 def sample_measurements(state: StateVector, shots: int, seed: int) -> dict[str, int]:

@@ -2,11 +2,12 @@
 
 The library computes the target-plane model on scalar complex pairs
 (`subspace.advance`, the pi/3 level loop) and the dense model in one checked
-blocked pass (`statevector.checked_step`).  These are the textbook forms:
-explicit 2x2 matrices, the vectorized closed-form increment, the 2D step on
-`StateAngles` and `IterationParams` objects with the textbook a, b and c,
-the naive dense iteration (in place, on a copy and over a whole schedule),
-the naive target probability, and the checked pass that sums every block.
+blocked pass per window of steps (`statevector.checked_steps`).  These are
+the textbook forms: explicit 2x2 matrices, the vectorized closed-form
+increment, the 2D step on `StateAngles` and `IterationParams` objects with
+the textbook a, b and c, the naive dense iteration (in place, on a copy and
+over a whole schedule), the naive target probability, and the checked step
+that makes one pass per step and sums every block.
 It also holds the trajectory serializers that write one cell or one dict at
 a time, the closed-form final probability of the fixed-point schedule, and
 the published reference trajectory of the 8-qubit fixed-point schedule.
@@ -120,11 +121,32 @@ def target_probability(state: StateVector, oracle: OracleSpec) -> float:
     return float(np.sum(np.abs(state.amplitudes[oracle.target_indices()]) ** 2))
 
 
+def checked_step(
+    state: StateVector, params: IterationParams, plan: BlockPlan, total: complex
+) -> Plane:
+    """`statevector.checked_steps` one step per pass, over `reference_sweep`.
+
+    `total` is the sum of the amplitudes before the step, as the last
+    `measure` or `checked_step` returned it.  The oracle phase writes the m
+    targets first and corrects `total` into the diffusion mean.
+    """
+    amps = state.amplitudes
+    before = amps[plan.targets]
+    after = before * np.exp(-1j * params.gamma)
+    amps[plan.targets] = after
+    mean = (total + complex((after - before).sum())) / amps.size
+    return reference_sweep(amps, plan, (1.0 - np.exp(-1j * params.beta)) * mean)
+
+
 def reference_sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
-    """`statevector._sweep` with every block summed, whatever its squared norm."""
+    """Subtract `shift` from every amplitude and measure the result, summing every block.
+
+    `statevector` sums a block's differences only where their squared norm is
+    nonzero; this sums them whatever it is.
+    """
     r = complex(amps[plan.reference] - shift)
     s, q = 0j, 0.0
-    for lo, hi, offsets in plan.blocks:
+    for lo, hi, offsets, _ in plan.blocks:
         block = amps[lo:hi]
         if shift:
             np.subtract(block, shift, out=block)

@@ -135,16 +135,19 @@ class TestSearch:
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_shots_evolve_the_state_once(self, capsys, monkeypatch, backend):
-        # 201 dense steps: one checked pass per step, whose final state is
-        # sampled; the analytic run makes that dense run once for the shots.
-        calls = []
-        kernel = sv.checked_step
-        monkeypatch.setattr(sv, "checked_step", lambda *a: calls.append(a) or kernel(*a))
+        # 201 dense steps, in checked passes of up to WINDOW steps, whose final
+        # state is sampled; the analytic run makes that dense run once for the shots.
+        windows = []
+        kernel = sv.checked_steps
+        monkeypatch.setattr(
+            sv, "checked_steps", lambda *a: windows.append(len(a[1])) or kernel(*a)
+        )
         code, _, _ = run_cli(
             capsys, "search", "optimal", "--n", "16", "--backend", backend, "--shots", "10"
         )
         assert code == 0
-        assert len(calls) == 201
+        assert sum(windows) == 201
+        assert len(windows) == -(-201 // sv.WINDOW)
 
     def test_shots_do_not_depend_on_the_backend(self, capsys):
         argv = ["search", "fixed-point", "--n", "2", "--delta", "0.2", "--shots", "50"]

@@ -136,14 +136,22 @@ class TestDenseGuards:
         "cell, message", [("leakage", "leakage nan"), ("probability", "statevector nan")]
     )
     def test_nan_plane_raises(self, monkeypatch, cell, message):
-        exact = sv.checked_step
+        # One Plane, the third of the first window, is poisoned.
+        exact = sv.checked_steps
+        windows = []
 
         def poisoned(*args):
-            return exact(*args)._replace(**{cell: math.nan})
+            planes = exact(*args)
+            if not windows:
+                planes[2] = planes[2]._replace(**{cell: math.nan})
+            windows.append(len(planes))
+            return planes
 
-        monkeypatch.setattr(sv, "checked_step", poisoned)
-        with pytest.raises(BackendMismatchError, match=message):
+        monkeypatch.setattr(sv, "checked_steps", poisoned)
+        with pytest.raises(BackendMismatchError, match=message) as raised:
             run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
+        assert "at step 3" in str(raised.value)
+        assert len(windows) == 1
 
 
 #: The adaptive kinds, whose generators walk the 2D model to choose each step.

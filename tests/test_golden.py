@@ -7,8 +7,9 @@ for an intended change of output, with
 
     PYTHONPATH=src python -m qaa.cli ARGS > tests/golden/NAME.out
 
-The last test pins the library serializers the same way, by one sha256 over
-the text of a fixed sweep of analytic trajectories.
+The last two tests pin the library the same way, each by one sha256: the
+serializers over a fixed sweep of analytic trajectories, and the dense
+kernel over the final amplitudes and JSON of a sweep of statevector runs.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from qaa import schedules
 from qaa.cli import main
 from qaa.engine import classify, run_search
 from qaa.schedules import generate_qaao_sequence, noisy_optimal_sequence, optimal_sequence
@@ -105,3 +107,25 @@ def test_analytic_serialization_sweep_is_unchanged():
                 ):
                     digest.update(text.encode())
     assert digest.hexdigest() == SWEEP_SHA256
+
+
+#: sha256 of the dense sweep below, computed with the per-step kernel that
+#: applied one step per pass over the vector.  n = 16 and 17 span several
+#: `statevector.BLOCK`s.
+DENSE_SHA256 = "dfb9907a0e3bed4f828c4eb527c29e9c5f2ac3535f6f4df9945657eff02d5f70"
+
+
+def test_dense_sweep_is_unchanged():
+    digest = hashlib.sha256()
+    for kind in schedules.BUILDERS:
+        # The optimal builders need 4m <= 2^n; every other kind needs m < 2^n.
+        quarter = kind in (schedules.OPTIMAL, schedules.NOISY_OPTIMAL)
+        for n in (2, 5, 8, 11, 14, 16, 17):
+            for m in (1, 2, 4):
+                if m > (2**n // 4 if quarter else 2**n - 1):
+                    continue
+                seq = schedules.build(kind, n, m, seed=n * m + 1, delta=0.2, steps=3)
+                traj = run_search(seq, OracleSpec.standard(n, m), "statevector")
+                digest.update(traj.final_state.amplitudes.tobytes())
+                digest.update(traj.to_json().encode())
+    assert digest.hexdigest() == DENSE_SHA256

@@ -367,7 +367,7 @@ class TestRoundTrip:
             raise AssertionError("roundtrip_deviation ran a dense simulation")
 
         monkeypatch.setattr(statevector, "uniform_state", dense)
-        monkeypatch.setattr(statevector, "checked_step", dense)
+        monkeypatch.setattr(statevector, "checked_steps", dense)
         assert roundtrip_deviation(optimal_sequence(8), OracleSpec.single("01101001")) <= 1e-12
 
     def test_fixed_point_schedule(self):

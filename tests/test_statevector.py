@@ -11,10 +11,11 @@ from qaa.engine import BackendMismatchError, run_search
 from qaa.schedules import optimal_sequence
 from qaa.statevector import (
     BLOCK,
+    WINDOW,
     OracleSpec,
     StateVector,
     block_plan,
-    checked_step,
+    checked_steps,
     measure,
     sample_measurements,
     uniform_state,
@@ -23,10 +24,10 @@ from qaa.subspace import MAX_QUBITS, IterationParams, StateAngles, advance, init
 
 from reference import (
     apply_iteration,
+    checked_step,
     evolve,
     iterate_in_place,
     norm_defect,
-    reference_sweep,
     target_probability,
 )
 
@@ -53,9 +54,52 @@ def dense_diffusion(n, beta):
 
 
 def library_step(state, params, spec):
-    """One `checked_step` of `state`, its diffusion mean taken from a `measure`."""
+    """One `checked_steps` step of `state`, its diffusion mean taken from a `measure`."""
     plan = block_plan(state, spec)
-    checked_step(state, params, plan, measure(state, plan).total)
+    checked_steps(state, [params], plan, measure(state, plan).total)
+
+
+def windowed_run(state, params, plan):
+    """The `Plane` of `state` before `params` and after each of them.
+
+    The steps go through `checked_steps` a window at a time, as `run_search`
+    runs them.
+    """
+    planes = [measure(state, plan)]
+    for start in range(0, len(params), WINDOW):
+        planes += checked_steps(state, params[start : start + WINDOW], plan, planes[-1].total)
+    return planes
+
+
+def stepwise_run(state, params, plan):
+    """`windowed_run` through the reference `checked_step`, one pass per step."""
+    planes = [measure(state, plan)]
+    for p in params:
+        planes.append(checked_step(state, p, plan, planes[-1].total))
+    return planes
+
+
+def plane_bits(plane):
+    """Every field of a `Plane` as exact hex text, so -0.0 and 0.0 differ."""
+    return tuple(
+        (x.real.hex(), x.imag.hex()) if isinstance(x, complex) else x.hex() for x in plane
+    )
+
+
+def assert_one_pass_per_step_bits(n, spec, params):
+    """The windowed and the stepwise run of `params` agree bit for bit.
+
+    Returns the windowed run's `plane_bits`, its initial `measure` first.
+    """
+    runs = []
+    for run in (windowed_run, stepwise_run):
+        state = uniform_state(n)
+        planes = run(state, params, block_plan(state, spec))
+        runs.append((list(map(plane_bits, planes)), state.amplitudes))
+    (planes, amps), (want_planes, want_amps) = runs
+    assert planes == want_planes
+    assert np.array_equal(amps, want_amps)
+    return planes
 
 
 class TestOracleSpec:
@@ -261,10 +305,7 @@ class TestCheckedStep:
         state.amplitudes[100] += eps
         _, leakage = project(state, spec)
         assert leakage == pytest.approx(want, rel=0.01)
-        plan = block_plan(state, spec)
-        plane = measure(state, plan)
-        for params in optimal_sequence(n, 4).params:
-            plane = checked_step(state, params, plan, plane.total)
+        for plane in windowed_run(state, optimal_sequence(n, 4).params, block_plan(state, spec)):
             assert plane.leakage == pytest.approx(want, rel=0.01)
 
     def test_targets_on_block_edges(self):
@@ -278,11 +319,10 @@ class TestCheckedStep:
         plan = block_plan(state, spec)
         assert plan.reference == 1
         assert [b[2].tolist() for b in plan.blocks] == [[0, BLOCK - 1], [0, BLOCK - 1]]
-        plane = measure(state, plan)
         theta0 = theta = initial_angles(n, 4).theta
         phi = 0.0
-        for params in seq.params:
-            plane = checked_step(state, params, plan, plane.total)
+        planes = windowed_run(state, seq.params, plan)
+        for params, plane in zip(seq.params, planes[1:]):
             theta, phi, _ = advance(params.beta, params.gamma, theta, phi, theta0)
             assert plane.probability == pytest.approx(math.sin(0.5 * theta) ** 2, abs=1e-10)
             assert plane.leakage < 1e-12
@@ -302,11 +342,10 @@ class TestCheckedStep:
             state = uniform_state(n)
             plan = block_plan(state, spec)
             assert len(plan.blocks) == 2**n // size
-            plane = measure(state, plan)
-            planes = []
-            for params in seq.params:
-                plane = checked_step(state, params, plan, plane.total)
-                planes.append((plane.probability, plane.norm_defect, plane.leakage))
+            planes = [
+                (plane.probability, plane.norm_defect, plane.leakage)
+                for plane in windowed_run(state, seq.params, plan)[1:]
+            ]
             np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-12)
             runs.append(np.array(planes))
         for other in runs[1:]:
@@ -324,15 +363,8 @@ class TestCheckedStep:
         assert plane.leakage == 0.0
 
 
-def plane_bits(plane):
-    """Every field of a `Plane` as exact hex text, so -0.0 and 0.0 differ."""
-    return tuple(
-        (x.real.hex(), x.imag.hex()) if isinstance(x, complex) else x.hex() for x in plane
-    )
-
-
 class TestBlockSkip:
-    """`_sweep` sums a block only where its squared distance from the plane is nonzero."""
+    """`checked_steps` sums a block only where its squared distance from the plane is nonzero."""
 
     @pytest.mark.parametrize("size", [2**10, BLOCK])
     @pytest.mark.parametrize(
@@ -341,25 +373,11 @@ class TestBlockSkip:
     )
     def test_matches_the_summing_sweep_bit_for_bit(self, kind, size, monkeypatch):
         monkeypatch.setattr(statevector, "BLOCK", size)
-        sweeps = (statevector._sweep, reference_sweep)
         for n in range(8, 17):
             for m in (1, 3, 16):
                 spec = OracleSpec.standard(n, m)
                 seq = schedules.build(kind, n, m, seed=n * m, delta=0.3)
-                runs = []
-                for sweep in sweeps:
-                    monkeypatch.setattr(statevector, "_sweep", sweep)
-                    state = uniform_state(n)
-                    plan = block_plan(state, spec)
-                    plane = measure(state, plan)
-                    planes = [plane_bits(plane)]
-                    for params in seq.params:
-                        plane = checked_step(state, params, plan, plane.total)
-                        planes.append(plane_bits(plane))
-                    runs.append((planes, state.amplitudes))
-                (planes, amps), (want_planes, want_amps) = runs
-                assert planes == want_planes, (kind, n, m)
-                assert np.array_equal(amps, want_amps), (kind, n, m)
+                assert_one_pass_per_step_bits(n, spec, seq.params)
 
     @staticmethod
     def _with_defect(n, value):
@@ -378,9 +396,7 @@ class TestBlockSkip:
         state = self._with_defect(12, value)
         plan = block_plan(state, spec)
         assert len(plan.blocks) == 4
-        plane = measure(state, plan)
-        for params in optimal_sequence(12, 3).params[:2]:
-            plane = checked_step(state, params, plan, plane.total)
+        for plane in windowed_run(state, optimal_sequence(12, 3).params[:2], plan)[1:]:
             assert math.isnan(plane.leakage) or plane.leakage > 0.0
             # A one-ulp change is far below what <a|a> - 1 resolves.
             assert math.isfinite(value) or not math.isfinite(plane.norm_defect)
@@ -390,6 +406,77 @@ class TestBlockSkip:
         monkeypatch.setattr(statevector, "uniform_state", lambda n: self._with_defect(n, math.nan))
         with pytest.raises(BackendMismatchError, match="leakage nan"):
             run_search(optimal_sequence(12, 3), OracleSpec.standard(12, 3), "statevector")
+
+def edge_targets(n, size, m, seed):
+    """m target indices of an n-qubit register, first and last of blocks of `size` first."""
+    edges = sorted({i for lo in range(0, 2**n, size) for i in (lo, lo + size - 1)})
+    rng = np.random.default_rng(seed)
+    rest = np.setdiff1d(np.arange(2**n), edges)
+    chosen = edges[:m] + rng.choice(rest, max(m - len(edges), 0), replace=False).tolist()
+    return OracleSpec(n, frozenset(format(i, f"0{n}b") for i in chosen))
+
+
+class TestWindow:
+    """A window of steps per pass gives the bits of one pass per step."""
+
+    @pytest.mark.parametrize("size", [2**10, BLOCK])
+    @pytest.mark.parametrize("m", [1, 3, 256])
+    @pytest.mark.parametrize(
+        "length", [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 5 * WINDOW + 3]
+    )
+    def test_matches_one_pass_per_step(self, size, m, length, monkeypatch):
+        monkeypatch.setattr(statevector, "BLOCK", size)
+        n = 16
+        spec = edge_targets(n, size, m, seed=m)
+        angles = np.random.default_rng(length).uniform(-math.pi, math.pi, (length, 2))
+        params = [IterationParams(beta, gamma) for beta, gamma in angles.tolist()]
+        planes = assert_one_pass_per_step_bits(n, spec, params)
+        assert len(planes) == length + 1
+        assert max(float.fromhex(bits[3]) for bits in planes) < 1e-12
+
+    def test_off_the_plane_it_differs_only_by_rounding(self, monkeypatch):
+        # Off the plane a later step's sum carries the window's off-plane sum,
+        # which the steps leave invariant; leaving it out moves the amplitudes
+        # by about 1e-5 here.
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        n = 12
+        spec = OracleSpec.standard(n, 4)
+        runs = []
+        for run in (windowed_run, stepwise_run):
+            state = uniform_state(n)
+            state.amplitudes[100] += 1e-3
+            state.amplitudes[3000] -= 2e-3j
+            planes = run(state, optimal_sequence(n, 4).params, block_plan(state, spec))
+            runs.append((planes, state))
+        (planes, state), (want_planes, want) = runs
+        np.testing.assert_allclose(state.amplitudes, want.amplitudes, rtol=0, atol=1e-15)
+        for plane, want_plane in zip(planes[1:], want_planes[1:]):
+            assert plane.probability == pytest.approx(want_plane.probability, abs=1e-14)
+            assert plane.leakage == pytest.approx(want_plane.leakage, rel=1e-12)
+            assert plane.leakage > 1e-6
+
+    def test_an_empty_window_leaves_the_state(self):
+        spec = OracleSpec.standard(12, 3)
+        state = uniform_state(12)
+        assert checked_steps(state, [], block_plan(state, spec), 0j) == []
+        np.testing.assert_array_equal(state.amplitudes, uniform_state(12).amplitudes)
+
+    @pytest.mark.parametrize("k", [2, WINDOW, WINDOW + 3])
+    def test_a_check_failing_mid_window_names_its_step(self, k, monkeypatch):
+        exact = schedules.trajectory
+
+        def skewed(*args):
+            return tuple(
+                r._replace(probability_after=r.probability_after + 1e-6) if r.index >= k else r
+                for r in exact(*args)
+            )
+
+        seq = optimal_sequence(12)
+        assert len(seq) > k
+        monkeypatch.setattr(schedules, "trajectory", skewed)
+        with pytest.raises(BackendMismatchError, match=f"disagree at step {k}:"):
+            run_search(seq, OracleSpec.standard(12), "statevector")
+
 
 class TestSampling:
     def test_counts_sum_to_shots(self):
