@@ -29,8 +29,9 @@ BLOCK = 2**15
 
 #: Steps per checked pass: each block takes up to this many steps while it
 #: sits in L2, so the vector makes one trip to memory per window, not per
-#: step.  Of 1..32, at n = 20 on the host that chose BLOCK, one step per
-#: pass took 1.2-1.4x as long as 8..32, which were within noise; 32 was lowest.
+#: step.  Of 1..32, at n = 20 on a host with 2 MiB of L2 per core, one step
+#: per pass took 1.2-1.4x as long as 8..32, which were within noise; 32 was
+#: lowest.
 WINDOW = 32
 
 
