@@ -182,14 +182,13 @@ def _build_sequence(args, steps: int = 1) -> schedules.ParameterSequence:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.shots < 0:
-        raise ValueError(f"--shots must be non-negative, got {args.shots}")
-    dense = args.backend == "statevector" or args.shots > 0
-    if args.kind == schedules.PI3 and dense:
+    if not 0 <= args.shots <= sv.MAX_SHOTS:
+        raise ValueError(f"--shots must lie in [0, {sv.MAX_SHOTS}], got {args.shots}")
+    if args.kind == schedules.PI3 and (args.backend == "statevector" or args.shots):
         raise ValueError(
             "search pi3 is the analytic series only: no --backend statevector or --shots"
         )
-    if dense:
+    if args.backend == "statevector":
         sv.check_qubits(args.n)
     oracle = sv.OracleSpec.standard(args.n, args.m, args.target)
     if args.kind == schedules.PI3:
@@ -203,9 +202,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     text = traj.to_json() + "\n" if args.format == "json" else traj.to_csv()
     _write(text, args.out)
     if args.shots:
-        if (state := traj.final_state) is None:
-            state = engine.run_search(seq, oracle, "statevector").final_state
-        histogram = sv.sample_measurements(state, args.shots, args.seed)
+        histogram = sv.sample_measurements(traj.final_probability, oracle, args.shots, args.seed)
         hist_text = json.dumps(histogram, sort_keys=True) + "\n"
         _write(hist_text, args.out + ".hist.json" if args.out else None)
     return 0
@@ -234,7 +231,7 @@ _FLAGS = {
     "delta": dict(type=float, default=0.0, help="perturbation / error budget"),
     "L": dict(type=int, default=21, help="fixed-point schedule length"),
     "seed": dict(type=int, default=0, help="random seed"),
-    "shots": dict(type=int, default=0, help="measurement shots"),
+    "shots": dict(type=int, default=0, help="readout shots of the final state, 0 to 1048576"),
     "target": dict(type=str, default=None, help="target bit string"),
     "backend": dict(choices=engine.BACKENDS, default="analytic"),
     "format": dict(choices=("csv", "json"), default="csv"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -90,8 +90,6 @@ class Trajectory:
     kind: str
     steps: tuple[StepRecord, ...]
     final_probability: float
-    # The state a statevector run ended in; left out of eq, repr and serialization.
-    final_state: Optional[sv.StateVector] = field(default=None, repr=False, compare=False)
 
     @property
     def probabilities(self) -> list[float]:
@@ -155,7 +153,6 @@ def run_search(
         raise ValueError(f"schedule m={seq.m} does not match oracle m={oracle.m}")
     n, m = oracle.n, oracle.m
     steps = schedules.trajectory(seq, n, m)
-    state = None
     if backend == "statevector":
         state = sv.uniform_state(n)
         plan = sv.block_plan(state, oracle)
@@ -179,7 +176,7 @@ def run_search(
             total = planes[-1].total
         steps = tuple(checked)
     final = steps[-1].probability_after if steps else initial_angles(n, m).target_probability
-    return Trajectory(n, m, seq.kind, steps, final, final_state=state)
+    return Trajectory(n, m, seq.kind, steps, final)
 
 
 def classify(traj: Trajectory, c: Optional[float] = None) -> Trajectory:

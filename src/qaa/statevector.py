@@ -34,6 +34,9 @@ BLOCK = 2**15
 #: lowest.
 WINDOW = 32
 
+#: Most shots one readout draws: a uniform and an index each, about 35 MB.
+MAX_SHOTS = 2**20
+
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -267,17 +270,23 @@ def checked_steps(
     return _sweep(amps, plan, steps)
 
 
-def sample_measurements(state: StateVector, shots: int, seed: int) -> dict[str, int]:
-    """Multinomial readout histogram, deterministic per seed.
+def sample_measurements(
+    probability: float, oracle: OracleSpec, shots: int, seed: int
+) -> dict[str, int]:
+    """Readout histogram of a target-plane state, one seeded uniform u per shot.
 
-    Returns bit string -> count for observed outcomes only; counts sum to shots.
+    u < P picks target floor(u/P * m) of the sorted targets, any other u the
+    non-target of rank floor((u - P)/(1 - P) * (N - m)), both clamped for rounding.
     """
-    if shots < 1:
-        raise ValueError(f"need at least one shot, got {shots}")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, probs)
-    width = state.n
-    return {
-        format(i, f"0{width}b"): int(c) for i, c in enumerate(counts) if c
-    }
+    if not (1 <= shots <= MAX_SHOTS and 0.0 <= probability <= 1.0 + 1e-12):
+        raise ValueError(f"need 1..{MAX_SHOTS} shots and P in [0, 1], got {shots}, {probability}")
+    targets = oracle.target_indices()
+    m, rest = targets.size, 2**oracle.n - targets.size
+    u = np.random.default_rng(seed).random(shots)
+    hit = u < probability
+    index = np.empty(shots, dtype=np.intp)
+    index[hit] = targets[np.minimum(u[hit] / probability * m, m - 1).astype(np.intp)]
+    rank = np.minimum((u[~hit] - probability) / (1 - probability) * rest, rest - 1).astype(np.intp)
+    index[~hit] = rank + np.searchsorted(targets - np.arange(m), rank, side="right")
+    keys, counts = np.unique(index, return_counts=True)
+    return {format(k, f"0{oracle.n}b"): c for k, c in zip(keys.tolist(), counts.tolist())}

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from qaa import qasm, schedules, statevector as sv
+from qaa import engine, qasm, schedules, statevector as sv
 from qaa.cli import main
 
 
@@ -135,19 +136,23 @@ class TestSearch:
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_shots_evolve_the_state_once(self, capsys, monkeypatch, backend):
-        # 201 dense steps, in checked passes of up to WINDOW steps, whose final
-        # state is sampled; the analytic run makes that dense run once for the shots.
-        windows = []
-        kernel = sv.checked_steps
+        # The statevector run makes 201 dense steps, in checked passes of up to
+        # WINDOW steps; shots sample the final probability, so the analytic run
+        # builds no 2^n vector at all.
+        windows, vectors = [], []
+        kernel, uniform = sv.checked_steps, sv.uniform_state
         monkeypatch.setattr(
             sv, "checked_steps", lambda *a: windows.append(len(a[1])) or kernel(*a)
         )
+        monkeypatch.setattr(sv, "uniform_state", lambda n: vectors.append(n) or uniform(n))
         code, _, _ = run_cli(
             capsys, "search", "optimal", "--n", "16", "--backend", backend, "--shots", "10"
         )
+        steps = 201 if backend == "statevector" else 0
         assert code == 0
-        assert sum(windows) == 201
-        assert len(windows) == -(-201 // sv.WINDOW)
+        assert len(vectors) == (backend == "statevector")
+        assert sum(windows) == steps
+        assert len(windows) == -(-steps // sv.WINDOW)
 
     def test_shots_do_not_depend_on_the_backend(self, capsys):
         argv = ["search", "fixed-point", "--n", "2", "--delta", "0.2", "--shots", "50"]
@@ -157,6 +162,33 @@ class TestSearch:
             assert code == 0
             hists.append(out.splitlines()[-1])
         assert hists[0] == hists[1]
+        # Through the library: each backend feeds its own final probability
+        # to the one sampler, over every search kind, n, m, seed and shot count.
+        cases = 0
+        for kind in [k for k in schedules.BUILDERS if k != schedules.GROVER]:
+            quarter = kind in (schedules.OPTIMAL, schedules.NOISY_OPTIMAL)
+            for n, m, seed in itertools.product((2, 4, 6, 8, 10), (1, 3), range(4)):
+                if quarter and 4 * m > 2**n:
+                    continue
+                seq = schedules.build(kind, n, m, seed=seed, delta=0.2)
+                oracle = sv.OracleSpec.standard(n, m)
+                final = [
+                    engine.run_search(seq, oracle, b).final_probability for b in engine.BACKENDS
+                ]
+                for shots in (50, 100, 1000):
+                    analytic, statevector = (
+                        sv.sample_measurements(p, oracle, shots, seed) for p in final
+                    )
+                    assert analytic == statevector, (kind, n, m, seed, shots)
+                    cases += 1
+        assert cases == 456
+
+    def test_shots_reach_the_model_register_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "fixed-point", "--n", "32", "--shots", "1000")
+        hist = json.loads(out.splitlines()[-1])
+        assert code == 0
+        assert sum(hist.values()) == 1000
+        assert {len(key) for key in hist} == {32}
 
     def test_deterministic_byte_identical(self, capsys):
         outputs = [
@@ -175,7 +207,7 @@ class TestSearch:
     @pytest.mark.parametrize(
         "argv",
         [
-            "search optimal --n 26 --shots 5",
+            "search optimal --shots 1048577",
             "search optimal --n 32 --backend statevector",
             "export-qasm optimal --n 26 --verify",
         ],
@@ -188,7 +220,10 @@ class TestSearch:
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2
         assert out == ""
-        assert f"qubit count must lie in [1, {sv.MAX_QUBITS}]" in err
+        if "--shots" in argv:
+            assert f"--shots must lie in [0, {sv.MAX_SHOTS}]" in err
+        else:
+            assert f"qubit count must lie in [1, {sv.MAX_QUBITS}]" in err
 
     def test_export_without_verify_is_not_capped(self, capsys, monkeypatch):
         # Writing the circuit builds no 2^n vector, so n may exceed the dense cap.
@@ -382,8 +417,9 @@ class TestEntryPoint:
             (f"search optimal --n 64 --target {'1' * 64}", "at most 32"),
             (f"export-qasm optimal --n 64 --target {'1' * 64}", "at most 32"),
             ("search optimal --n 8 --m 256", "target count must satisfy"),
-            # A command that builds a 2^n vector checks n before any output.
-            ("search optimal --n 26 --shots 5", "lie in [1, 24]"),
+            # The shot cap, and n for a command that builds a 2^n vector,
+            # are checked before any output.
+            ("search optimal --n 26 --shots 1048577", "lie in [0, 1048576]"),
             ("export-qasm optimal --n 26 --verify", "lie in [1, 24]"),
             ("search optimal --n 32 --backend statevector", "lie in [1, 24]"),
             # The pi/3 series has no state vector to run or sample.
@@ -395,7 +431,7 @@ class TestEntryPoint:
             "L-65537", "export-qasm-short-target", "search-short-target", "shots-negative", "steps-0", "c-below-1",
             "n-1100", "increment-format", "table-backend", "figure-target", "export-qasm-shots",
             "abbrev-bet", "abbrev-c", "search-n-64-target", "export-qasm-n-64-target",
-            "m-out-of-range", "shots-n-26", "verify-n-26", "statevector-n-32",
+            "m-out-of-range", "shots-above-cap", "verify-n-26", "statevector-n-32",
             "pi3-statevector", "pi3-shots",
         ],
     )

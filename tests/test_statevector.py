@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -480,24 +482,88 @@ class TestWindow:
 
 class TestSampling:
     def test_counts_sum_to_shots(self):
-        sv = uniform_state(3)
-        counts = sample_measurements(sv, 1000, seed=1)
+        counts = sample_measurements(0.3, OracleSpec.standard(3, 2), 1000, seed=1)
         assert sum(counts.values()) == 1000
 
     def test_deterministic(self):
-        sv = uniform_state(4)
-        assert sample_measurements(sv, 500, seed=7) == sample_measurements(sv, 500, seed=7)
+        spec = OracleSpec.single("0110")
+        assert sample_measurements(0.4, spec, 500, 7) == sample_measurements(0.4, spec, 500, 7)
 
     def test_concentrates_on_target(self):
         spec = OracleSpec.single("110")
-        sv = apply_iteration(uniform_state(3), IterationParams(math.pi, math.pi), spec)
-        counts = sample_measurements(sv, 20_000, seed=3)
+        state = apply_iteration(uniform_state(3), IterationParams(math.pi, math.pi), spec)
+        probability = measure(state, block_plan(state, spec)).probability
+        counts = sample_measurements(probability, spec, 20_000, seed=3)
         assert counts["110"] / 20_000 == pytest.approx(25.0 / 32.0, abs=0.02)
 
     def test_keys_are_big_endian_bitstrings(self):
-        amps = np.zeros(8, dtype=complex)
-        amps[4] = 1.0  # index 4 -> "100"
-        sv = uniform_state(3)
-        sv = type(sv)(3, amps)
-        counts = sample_measurements(sv, 10, seed=0)
-        assert counts == {"100": 10}
+        # Index 4 is "100"; every other index of three qubits is a non-target.
+        spec = OracleSpec.single("100")
+        assert sample_measurements(1.0, spec, 10, seed=0) == {"100": 10}
+        others = {"000", "001", "010", "011", "101", "110", "111"}
+        assert set(sample_measurements(0.0, spec, 1000, seed=0)) == others
+
+    @pytest.mark.parametrize("probability", [0.0, 0.3, 0.75, 1.0])
+    def test_ranks_map_to_the_non_targets_in_index_order(self, probability):
+        # Targets at index 0, in a run (0, 1), alone (7) and at the last index (15).
+        targets = [0, 1, 7, 15]
+        others = [i for i in range(16) if i not in targets]
+        spec = OracleSpec(4, frozenset(format(i, "04b") for i in targets))
+        u = np.random.default_rng(5).random(4000)
+        want = Counter(
+            targets[min(int(x / probability * 4), 3)]
+            if x < probability
+            else others[min(int((x - probability) / (1 - probability) * 12), 11)]
+            for x in u
+        )
+        counts = sample_measurements(probability, spec, 4000, seed=5)
+        assert counts == {format(i, "04b"): c for i, c in sorted(want.items())}
+        if probability == 0.0:
+            assert sorted(int(k, 2) for k in counts) == others
+
+    def test_certain_outcomes(self):
+        spec = OracleSpec.standard(5, 3)
+        assert not set(sample_measurements(0.0, spec, 2000, seed=2)) & spec.targets
+        assert set(sample_measurements(1.0, spec, 2000, seed=2)) == spec.targets
+
+    def test_rounding_is_clamped_to_the_last_index(self, monkeypatch):
+        top = 1.0 - 2.0**-53  # the largest uniform `Generator.random` returns
+        # At P = top, one ulp below 1, u = 0, the last u below P and u = P are
+        # the first target, the last target and the first non-target.
+        below_one = math.nextafter(1.0, 0.0)
+        # At this P, (top - P)/(1 - P) rounds to 1.0, one past the last rank.
+        rounds_up = 0.1889777030875321
+        assert (top - rounds_up) / (1.0 - rounds_up) == 1.0
+        spec = OracleSpec(4, frozenset({"0000", "0101", "1111"}))
+        cases = [
+            (below_one, [0.0, top - 2.0**-53, top], {"0000": 1, "1111": 1, "0001": 1}),
+            (rounds_up, [top], {"1110": 1}),
+        ]
+        for probability, draws, want in cases:
+            rng = SimpleNamespace(random=lambda shots, draws=draws: np.array(draws))
+            monkeypatch.setattr(np.random, "default_rng", lambda seed, rng=rng: rng)
+            assert sample_measurements(probability, spec, len(draws), seed=0) == want
+
+    def test_matches_the_dense_distribution(self, monkeypatch):
+        states = []
+        uniform = statevector.uniform_state
+        monkeypatch.setattr(
+            statevector, "uniform_state", lambda n: states.append(uniform(n)) or states[-1]
+        )
+        spec = OracleSpec.standard(3, 2)
+        seq = schedules.build(schedules.FIXED_POINT, 3, 2, length=3, delta=0.5)
+        traj = run_search(seq, spec, "statevector")
+        assert 0.1 < traj.final_probability < 0.9
+        shots = 200_000
+        counts = sample_measurements(traj.final_probability, spec, shots, seed=4)
+        dense = np.abs(states[-1].amplitudes) ** 2
+        sampled = [counts.get(format(i, "03b"), 0) / shots for i in range(8)]
+        assert sampled == pytest.approx(dense, abs=0.005)
+
+    @pytest.mark.parametrize(
+        "probability, shots",
+        [(0.5, 0), (0.5, statevector.MAX_SHOTS + 1), (-0.1, 10), (1.1, 10), (math.nan, 10)],
+    )
+    def test_rejects_bad_input(self, probability, shots):
+        with pytest.raises(ValueError, match="shots and P in"):
+            sample_measurements(probability, OracleSpec.single("01"), shots, seed=0)
