@@ -136,8 +136,7 @@ def _figure_region(args) -> dict:
         raise ValueError(f"--resolution must lie in [1, 2048], got {res}")
     theta0 = initial_angles(args.n, args.m).theta
     axis = np.linspace(-math.pi, math.pi, res, endpoint=False) + math.pi / res
-    beta, gamma = np.meshgrid(axis, axis, indexing="ij")
-    b = amplification_coefficient(beta, gamma, 0.0, theta0)
+    b = amplification_coefficient(axis[:, None], axis[None, :], 0.0, theta0)
     boundary = []
     for bt in axis:
         try:

@@ -25,6 +25,7 @@ import numpy as np
 from .subspace import (
     IterationParams,
     advance,
+    amplification_basis,
     amplification_terms,
     diffuse,
     initial_angles,
@@ -54,6 +55,9 @@ MAX_ITERATIONS = 2**16
 #: so that no (beta, gamma) pair straddles two blocks).  Each block doubles the
 #: last, up to the size past which the cost per pair rose again.
 _DRAW_BLOCK, _DRAW_BLOCK_MAX = 512, 2**13
+
+#: Draws the random-qaao sampler makes for one step before it gives up.
+MAX_DRAWS = 10_000
 
 
 class StepRecord(NamedTuple):
@@ -157,72 +161,52 @@ def k_star(n: int, m: int = 1) -> int:
     return math.floor(math.pi * math.sqrt(2**n / m) / 4.0 - 0.5)
 
 
-def generate_qaao_sequence(
-    n: int,
-    m: int = 1,
-    c: float = 1.5,
-    seed: int = 0,
-    target_threshold: float = 1.0,
-    max_attempts: int = 10_000,
-) -> ParameterSequence:
-    """Rejection-sample a sequence of amplifying iterations.
+def generate_qaao_sequence(n: int, m: int = 1, c: float = 1.5, seed: int = 0) -> ParameterSequence:
+    """Rejection-sample a sequence of amplifying iterations, then close exactly.
 
     Draws (beta, gamma) uniformly on [-pi, pi]^2 and keeps a draw only when
     the amplification coefficient at the currently evolved state exceeds
-    c/sqrt(N); max_attempts bounds the draws per step.  Sampling stops as
-    soon as the target probability reaches target_threshold; if the state
-    enters the closing region first, the exact optimal step is appended,
-    which drives the target probability to 1.  Deterministic for a fixed
-    seed.
+    c/sqrt(N), until the state enters the closing region; the exact optimal
+    step is then appended, which drives the target probability to 1.  A step
+    that finds no amplifying draw in MAX_DRAWS raises RuntimeError.
+    Deterministic for a fixed seed.
 
     The draws come in doubling blocks from one generator and are consumed in
     (beta, gamma) pairs in stream order, so the schedule is the one that
     per-pair `rng.uniform(-pi, pi, 2)` calls give.  A pair whose b from
-    `_draw_block` reads more than 1e-12 below the bound is rejected on that
-    one multiply-add; `amplification_terms` decides the rest.
+    `amplification_basis` reads more than 1e-12 below the bound is rejected
+    on that one multiply-add; `amplification_terms` decides the rest.
     """
     walk = _Walk(n, m)
     big_n = 2**n
     bound = qaao_bound(c, big_n)
-    if not 0.0 < target_threshold <= 1.0:
-        raise ValueError(f"target_threshold must lie in (0, 1], got {target_threshold}")
     rng = np.random.default_rng(seed)
     sizes = (min(_DRAW_BLOCK << k, _DRAW_BLOCK_MAX) for k in count())
     pairs = chain.from_iterable(zip(*_draw_block(rng, walk.theta0, size)) for size in sizes)
     cos_theta0, sin_theta0 = math.cos(walk.theta0), math.sin(walk.theta0)
     # The two forms of b differ by about 1e-15; the bound is above 1.5e-5.
     loose = bound - 1e-12
-    exact = target_threshold >= 1.0
-    while exact or math.sin(0.5 * walk.theta) ** 2 < target_threshold:
-        if walk.theta >= math.pi - 2.0 * walk.theta0:
-            walk.step(*optimal_angles(walk.theta, walk.phi, walk.theta0))
-            break
+    while walk.theta < math.pi - 2.0 * walk.theta0:
         sin_phi, cos_phi = math.sin(walk.phi), math.cos(walk.phi)
-        for beta, gamma, p, q in islice(pairs, max_attempts):
+        for beta, gamma, p, q in islice(pairs, MAX_DRAWS):
             if sin_phi * p + cos_phi * q > loose and amplification_terms(
                 beta, gamma, walk.phi, cos_theta0, sin_theta0
             )[1] > bound:
                 break
         else:
             raise RuntimeError(
-                f"no amplifying parameters found in {max_attempts} draws; "
+                f"no amplifying parameters found in {MAX_DRAWS} draws; "
                 f"c={c} is likely too demanding for N={big_n}"
             )
         walk.step(beta, gamma)
+    walk.step(*optimal_angles(walk.theta, walk.phi, walk.theta0))
     return walk.sequence(RANDOM_QAAO)
 
 
 def _draw_block(rng, theta0: float, size: int = _DRAW_BLOCK) -> tuple[list[float], ...]:
-    """The next size // 2 pairs: lists beta, gamma, P = b(pi/2), Q = b(0).
-
-    b is linear in (sin(phi), cos(phi)), so b(phi) = sin(phi) * P + cos(phi) * Q.
-    """
+    """The next size // 2 pairs: lists beta, gamma, P = b(pi/2), Q = b(0)."""
     beta, gamma = rng.uniform(-math.pi, math.pi, size).reshape(-1, 2).T
-    sin_half, cos_half = np.sin(0.5 * beta), np.cos(0.5 * beta)
-    sin_gamma, cos_gamma = np.sin(gamma), np.cos(gamma)
-    scale, tilt = -sin_half * math.sin(theta0), sin_half * math.cos(theta0)
-    p = (cos_half * cos_gamma + tilt * sin_gamma) * scale
-    q = (tilt * cos_gamma - cos_half * sin_gamma) * scale
+    p, q = amplification_basis(beta, gamma, theta0)
     return beta.tolist(), gamma.tolist(), p.tolist(), q.tolist()
 
 

@@ -135,15 +135,31 @@ def amplification_terms(
         b = -c sin(beta/2) sin(theta0)
         a = sin^2(beta/2) sin^2(theta0)
 
-    The one scalar form: `advance` checks its increment against it, and the
-    random-schedule sampler, `engine.classify` and the CLI read b here for
-    the QAAO test b > qaao_bound(c, N).
+    The one scalar form (`amplification_basis` is the vectorized b): `advance`
+    checks its increment against it, and the random-schedule sampler,
+    `engine.classify` and the CLI read b here for the test b > qaao_bound(c, N).
     """
     varphi = (phi - gamma) % TWO_PI  # wrap_2pi, inlined on the per-step path
     half = 0.5 * beta
     sin_half = math.sin(half)
     c = math.cos(half) * math.sin(varphi) + sin_half * math.cos(varphi) * cos_theta0
     return sin_half**2 * sin_theta0**2, -c * sin_half * sin_theta0, c
+
+
+def amplification_basis(
+    beta: np.ndarray, gamma: np.ndarray, theta0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one vectorized b(beta, gamma): the arrays P = b(phi = pi/2) and Q = b(phi = 0).
+
+    b is linear in (sin(phi), cos(phi)), so b(phi) = sin(phi) * P + cos(phi) * Q.
+    """
+    half = 0.5 * np.asarray(beta)
+    sin_half, cos_half = np.sin(half), np.cos(half)
+    sin_gamma, cos_gamma = np.sin(gamma), np.cos(gamma)
+    scale, tilt = -sin_half * math.sin(theta0), sin_half * math.cos(theta0)
+    p = (cos_half * cos_gamma + tilt * sin_gamma) * scale
+    q = (tilt * cos_gamma - cos_half * sin_gamma) * scale
+    return p, q
 
 
 def amplification_coefficient(
@@ -153,11 +169,8 @@ def amplification_coefficient(
 
     Broadcasts over arrays of beta and gamma for grid and Monte Carlo use.
     """
-    varphi = phi - np.asarray(gamma)
-    half = 0.5 * np.asarray(beta)
-    sin_half = np.sin(half)
-    c = np.cos(half) * np.sin(varphi) + sin_half * np.cos(varphi) * np.cos(theta0)
-    return -c * sin_half * np.sin(theta0)
+    p, q = amplification_basis(beta, gamma, theta0)
+    return math.sin(phi) * p + math.cos(phi) * q
 
 
 def diffuse(beta: float, theta0: float, a_t: complex, a_perp: complex) -> tuple[complex, complex]:
@@ -201,10 +214,10 @@ def advance(
 def qaao_bound(c: float, n_states: int) -> float:
     """The threshold c / sqrt(N) that b must exceed for an iteration to count as QAAO.
 
-    The predicate b(beta, gamma) > c / sqrt(N) is defined for c > 1 only.
+    The predicate b(beta, gamma) > c / sqrt(N) is defined for finite c > 1 only.
     """
-    if c <= 1.0:
-        raise ValueError(f"the predicate constant must exceed 1, got c={c}")
+    if not 1.0 < c < math.inf:
+        raise ValueError(f"the predicate constant must be finite and exceed 1, got c={c}")
     return c / math.sqrt(n_states)
 
 

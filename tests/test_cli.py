@@ -404,6 +404,8 @@ class TestEntryPoint:
             ("search optimal --n 6 --shots -3", ""),
             ("export-qasm grover --n 2 --target 01 --steps 0", ""),
             ("increment --beta 1 --gamma 1 --theta 1 --c 0.5", ""),
+            ("increment --beta 3.1 --gamma -3.1 --theta 0.2 --n 8 --c nan", "finite"),
+            ("increment --beta 3.1 --gamma -3.1 --theta 0.2 --n 8 --c inf", "finite"),
             ("increment --beta 1 --gamma 1 --theta 1 --n 1100", ""),
             # Each subcommand takes only the flags it reads.
             ("increment --beta 1 --gamma 1 --theta 1 --format json", ""),
@@ -429,6 +431,7 @@ class TestEntryPoint:
         ids=[
             "resolution-0", "resolution-negative", "resolution-2049", "steps-65537",
             "L-65537", "export-qasm-short-target", "search-short-target", "shots-negative", "steps-0", "c-below-1",
+            "c-nan", "c-inf",
             "n-1100", "increment-format", "table-backend", "figure-target", "export-qasm-shots",
             "abbrev-bet", "abbrev-c", "search-n-64-target", "export-qasm-n-64-target",
             "m-out-of-range", "shots-above-cap", "verify-n-26", "statevector-n-32",

@@ -7,9 +7,10 @@ for an intended change of output, with
 
     PYTHONPATH=src python -m qaa.cli ARGS > tests/golden/NAME.out
 
-The last two tests pin the library the same way, each by one sha256: the
-serializers over a fixed sweep of analytic trajectories, and the dense
-kernel over the final amplitudes and JSON of a sweep of statevector runs.
+The last three tests pin the library the same way, each by one sha256: the
+serializers over a fixed sweep of analytic trajectories, the dense kernel
+over the final amplitudes and JSON of a sweep of statevector runs, and the
+random-qaao sampler over a stream of seeded schedules and errors.
 """
 
 import hashlib
@@ -52,6 +53,9 @@ COMMANDS = {
         "increment --beta 2.8209 --gamma -2.8950 --theta 1.9147 --phi 5.1123 --n 8"
     ),
     "figure_region_n6_res64": "figure region --n 6 --resolution 64",
+    # An odd resolution puts beta = 0 on the grid, where b is +-0 and the
+    # boundary is undefined.
+    "figure_region_n5_res63": "figure region --n 5 --resolution 63",
     "figure_fig3_n6": "figure fig3 --n 6",
     "table_main_json": "table main --format json",
     "search_pi3_n8": "search pi3 --n 8",
@@ -138,3 +142,20 @@ def test_dense_sweep_is_unchanged(monkeypatch):
                 digest.update(built[0].amplitudes.tobytes())
                 digest.update(traj.to_json().encode())
     assert digest.hexdigest() == DENSE_SHA256
+
+
+#: sha256 of the random-qaao stream below: 300 seeded schedules, 6 of which
+#: run out of draws and contribute their error text instead.
+QAAO_STREAM_SHA256 = "9e091b5e3e39d78463a2ab4abe2a32543664b8efc7ee6dd3f030bcf9933cb7bc"
+
+
+def test_random_qaao_stream_is_unchanged():
+    digest = hashlib.sha256()
+    for s in range(300):
+        n, m, c = 2 + s % 17, 1 + (s // 17) % 3, (1.5, 1.000001, 1.9)[s % 3]
+        try:
+            text = repr(generate_qaao_sequence(n, m if m < 2**n else 1, c=c, seed=s).params)
+        except RuntimeError as exc:
+            text = str(exc)
+        digest.update(text.encode())
+    assert digest.hexdigest() == QAAO_STREAM_SHA256

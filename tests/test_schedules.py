@@ -28,6 +28,7 @@ from qaa.subspace import (
     MAX_QUBITS,
     IterationParams,
     advance,
+    amplification_coefficient,
     amplification_terms,
     initial_angles,
     optimal_angles,
@@ -138,24 +139,20 @@ class TestOptimalSequence:
             assert len(optimal_sequence(n)) <= math.pi / 4.0 * math.sqrt(2**n) + 1
 
 
-def reference_qaao(n, m=1, c=1.5, seed=0, target_threshold=1.0, max_attempts=10_000):
+def reference_qaao(n, m=1, c=1.5, seed=0):
     """The per-draw sampler the block sampler must reproduce.
 
     One rng.uniform(-pi, pi, 2) call, one validated IterationParams and one
-    b > qaao_bound(c, N) test per draw; the closing step whenever the closing
-    region comes before the threshold.
+    b > qaao_bound(c, N) test per draw until the closing region, at most
+    10,000 draws per step; then the closing step.
     """
     rng = np.random.default_rng(seed)
     theta0 = theta = initial_angles(n, m).theta
     phi = 0.0
     bound = qaao_bound(c, 2**n)
-    exact = target_threshold >= 1.0
     params = []
-    while exact or math.sin(0.5 * theta) ** 2 < target_threshold:
-        if theta >= math.pi - 2.0 * theta0:
-            params.append(IterationParams(*optimal_angles(theta, phi, theta0)))
-            break
-        for _ in range(max_attempts):
+    while theta < math.pi - 2.0 * theta0:
+        for _ in range(10_000):
             candidate = IterationParams(*rng.uniform(-math.pi, math.pi, 2))
             if b_at(candidate, phi, theta0) > bound:
                 break
@@ -163,6 +160,7 @@ def reference_qaao(n, m=1, c=1.5, seed=0, target_threshold=1.0, max_attempts=10_
             raise RuntimeError("no amplifying parameters found")
         params.append(candidate)
         theta, phi, _ = advance(candidate.beta, candidate.gamma, theta, phi, theta0)
+    params.append(IterationParams(*optimal_angles(theta, phi, theta0)))
     return tuple(params)
 
 
@@ -172,8 +170,7 @@ def qaao_settings(draw):
     m = draw(st.integers(1, 2 ** (n - 2)))
     c = draw(st.floats(1.0, 2.5, exclude_min=True))
     seed = draw(st.integers(0, 2**32 - 1))
-    threshold = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
-    return n, m, c, seed, threshold
+    return n, m, c, seed
 
 
 def b_at(p, phi, theta0):
@@ -213,24 +210,14 @@ class TestRandomQaao:
         seq = generate_qaao_sequence(8, seed=seed)
         assert k_star(8) + 1 <= len(seq) <= 60
 
-    def test_partial_threshold_has_no_closing_step(self):
-        seq = generate_qaao_sequence(8, seed=0, target_threshold=0.5)
-        final = final_probability(seq.params, 8)
-        assert final >= 0.5
-        assert final < 1.0 - 1e-6
-
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
             generate_qaao_sequence(8, c=0.5)
 
-    @pytest.mark.parametrize("threshold", [0.8, 0.95, 0.99])
-    @pytest.mark.parametrize("n", [4, 5, 6, 8])
-    def test_reaches_partial_threshold(self, n, threshold):
-        # Reaching the closing region before the threshold takes the closing
-        # step (n=4, seed=0, 0.95 used to stop at 0.8894).
-        for seed in range(20):
-            seq = generate_qaao_sequence(n, seed=seed, target_threshold=threshold)
-            assert final_probability(seq.params, seq.n, seq.m) >= threshold
+    def test_rejects_infinite_c(self):
+        # Every draw would fail c/sqrt(N) = inf; the bound is refused before any.
+        with pytest.raises(ValueError, match="finite"):
+            generate_qaao_sequence(8, c=math.inf)
 
     def test_unreachable_predicate_raises(self):
         with pytest.raises(RuntimeError, match="10000 draws"):
@@ -238,20 +225,20 @@ class TestRandomQaao:
 
     @settings(max_examples=80, deadline=None)
     @given(qaao_settings())
-    @example((16, 1, 1.5, 0, 1.0))
-    @example((14, 3, 1.2, 7, 0.9))
-    @example((10, 1, 1.000001, 5, 1.0))
-    @example((4, 1, 1.5, 0, 1.0))
-    @example((4, 3, 1.5, 2, 0.9))
+    @example((16, 1, 1.5, 0))
+    @example((14, 3, 1.2, 7))
+    @example((10, 1, 1.000001, 5))
+    @example((4, 1, 1.5, 0))
+    @example((4, 3, 1.5, 2))
     def test_matches_per_draw_reference(self, setting):
-        n, m, c, seed, threshold = setting
+        n, m, c, seed = setting
         try:
-            want = reference_qaao(n, m, c, seed, threshold)
+            want = reference_qaao(n, m, c, seed)
         except RuntimeError:
             with pytest.raises(RuntimeError):
-                generate_qaao_sequence(n, m, c=c, seed=seed, target_threshold=threshold)
+                generate_qaao_sequence(n, m, c=c, seed=seed)
             return
-        seq = generate_qaao_sequence(n, m, c=c, seed=seed, target_threshold=threshold)
+        seq = generate_qaao_sequence(n, m, c=c, seed=seed)
         assert seq.params == want
 
     @pytest.mark.parametrize(
@@ -259,19 +246,23 @@ class TestRandomQaao:
     )
     def test_blocks_do_not_change_the_schedule(self, monkeypatch, first, largest):
         # The draws are one stream whatever the block sizes: the same pairs are
-        # accepted, and the same step runs out of attempts.
+        # accepted, and the same step runs out of draws.  The n=6 case allows
+        # 3 draws per step, so it runs out mid-walk.
+        full = schedules.MAX_DRAWS
         cases = [
-            dict(n=8, m=1, c=1.5, seed=0),
-            dict(n=10, m=3, c=1.2, seed=7),
-            dict(n=12, m=1, c=1.05, seed=4, target_threshold=0.9),
-            dict(n=14, m=2, c=2.0, seed=11),
-            dict(n=6, m=1, c=1.5, seed=2, max_attempts=3),
-            dict(n=3, m=1, c=1.5, seed=0),
+            (dict(n=8, m=1, c=1.5, seed=0), full),
+            (dict(n=10, m=3, c=1.2, seed=7), full),
+            (dict(n=12, m=1, c=1.05, seed=4), full),
+            (dict(n=14, m=2, c=2.0, seed=11), full),
+            (dict(n=6, m=1, c=1.5, seed=2), 3),
+            (dict(n=3, m=1, c=1.5, seed=0), full),
         ]
 
         def outcome(case):
+            settings, draws = case
+            monkeypatch.setattr(schedules, "MAX_DRAWS", draws)
             try:
-                seq = generate_qaao_sequence(**case)
+                seq = generate_qaao_sequence(**settings)
             except RuntimeError as exc:
                 return str(exc)
             return seq.params, seq.steps
@@ -284,7 +275,8 @@ class TestRandomQaao:
 
     def test_prefilter_is_the_exact_coefficient(self):
         # The sampler rejects a pair whose prefiltered b reads more than
-        # 1e-12 below the bound, so the two must agree far inside that.
+        # 1e-12 below the bound, so the two must agree far inside that; the
+        # grid form `amplification_coefficient` reads the same P and Q.
         rng = np.random.default_rng(11)
         for _ in range(48):  # 48 blocks of 256 pairs
             n = int(rng.integers(2, MAX_QUBITS + 1))
@@ -294,6 +286,7 @@ class TestRandomQaao:
                 phi = float(rng.uniform(0.0, 2.0 * math.pi))
                 b = amplification_terms(beta, gamma, phi, cos_theta0, sin_theta0)[1]
                 assert abs(math.sin(phi) * p + math.cos(phi) * q - b) <= 1e-14
+                assert abs(amplification_coefficient(beta, gamma, phi, theta0) - b) <= 1e-14
 
 
 @pytest.mark.parametrize(

@@ -355,6 +355,11 @@ class TestIsQaao:
         with pytest.raises(ValueError):
             qaao_bound(1.0, 256)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_c(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            qaao_bound(c, 256)
+
 
 class TestOptimalParams:
     def test_initial_state_gives_grover(self):
