@@ -214,10 +214,11 @@ def _plane(r: complex, at: np.ndarray, s: complex, q: float, rest: int) -> Plane
     m = at.size
     t_sum = complex(at.sum())
     total = s + rest * r + t_sum
-    probability = float(np.vdot(at, at).real)
+    # Sums of squares, not a BLAS dot, whose summation order the host picks.
+    probability = float(np.sum(at.real**2) + np.sum(at.imag**2))
     spread = at - t_sum / m
     # Non-target part: sum |d - s/rest|^2 = q - |s|^2/rest; target part likewise.
-    leakage = q - abs(s) ** 2 / rest + float(np.vdot(spread, spread).real)
+    leakage = q - abs(s) ** 2 / rest + float(np.sum(spread.real**2) + np.sum(spread.imag**2))
     norm = probability + rest * abs(r) ** 2 + 2.0 * (r.conjugate() * s).real + q
     return Plane(
         probability,
@@ -260,7 +261,12 @@ def checked_steps(
     carried = total - (rest * r + complex(at.sum()))
     steps = []
     for params in window:
-        phased = at * np.exp(-1j * params.gamma)
+        c = np.exp(-1j * params.gamma)
+        # at * c with each real product and sum rounded alone: numpy's complex
+        # multiply may fuse them, as the host's SIMD kernels allow.
+        phased = np.empty_like(at)
+        phased.real = at.real * c.real - at.imag * c.imag
+        phased.imag = at.real * c.imag + at.imag * c.real
         mean = (total + complex((phased - at).sum())) / amps.size
         shift = (1.0 - np.exp(-1j * params.beta)) * mean
         r = complex(r - shift)

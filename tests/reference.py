@@ -132,7 +132,11 @@ def checked_step(
     """
     amps = state.amplitudes
     before = amps[plan.targets]
-    after = before * np.exp(-1j * params.gamma)
+    c = np.exp(-1j * params.gamma)
+    # The product of the library's kernel: each real product and sum rounded alone.
+    after = np.empty_like(before)
+    after.real = before.real * c.real - before.imag * c.imag
+    after.imag = before.real * c.imag + before.imag * c.real
     amps[plan.targets] = after
     mean = (total + complex((after - before).sum())) / amps.size
     return reference_sweep(amps, plan, (1.0 - np.exp(-1j * params.beta)) * mean)
@@ -162,9 +166,9 @@ def reference_sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
     rest = amps.size - m
     t_sum = complex(at.sum())
     total = s + rest * r + t_sum
-    probability = float(np.vdot(at, at).real)
+    probability = float(np.sum(at.real**2) + np.sum(at.imag**2))
     spread = at - t_sum / m
-    leakage = q - abs(s) ** 2 / rest + float(np.vdot(spread, spread).real)
+    leakage = q - abs(s) ** 2 / rest + float(np.sum(spread.real**2) + np.sum(spread.imag**2))
     norm = probability + rest * abs(r) ** 2 + 2.0 * (r.conjugate() * s).real + q
     return Plane(
         probability,

@@ -7,14 +7,19 @@ for an intended change of output, with
 
     PYTHONPATH=src python -m qaa.cli ARGS > tests/golden/NAME.out
 
-The last three tests pin the library the same way, each by one sha256: the
+The last tests pin the library the same way, each by one sha256: the
 serializers over a fixed sweep of analytic trajectories, the dense kernel
-over the final amplitudes and JSON of a sweep of statevector runs, and the
+over the final amplitudes and JSON of a sweep of statevector runs (also in
+child processes under other numpy and OpenBLAS kernel sets), and the
 random-qaao sampler over a stream of seeded schedules and errors.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -24,7 +29,8 @@ from qaa.engine import classify, run_search
 from qaa.schedules import generate_qaao_sequence, noisy_optimal_sequence, optimal_sequence
 from qaa.statevector import OracleSpec
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 COMMANDS = {
     "search_random_qaao_n12_seed7": "search random-qaao --n 12 --seed 7",
@@ -113,13 +119,15 @@ def test_analytic_serialization_sweep_is_unchanged():
     assert digest.hexdigest() == SWEEP_SHA256
 
 
-#: sha256 of the dense sweep below, computed with the per-step kernel that
-#: applied one step per pass over the vector.  n = 16 and 17 span several
-#: `statevector.BLOCK`s.
-DENSE_SHA256 = "dfb9907a0e3bed4f828c4eb527c29e9c5f2ac3535f6f4df9945657eff02d5f70"
+#: sha256 of the dense sweep below.  The kernel rounds each real product of
+#: the oracle phase on its own and sums squares with numpy rather than a BLAS
+#: dot, so the hash does not depend on the SIMD kernels numpy or OpenBLAS
+#: pick on the host.  n = 16 and 17 span several `statevector.BLOCK`s.
+DENSE_SHA256 = "03aca327964ddc299a2ee53d7e71c90209f78e9e39e781ef36e7863cf91d5271"
 
 
-def test_dense_sweep_is_unchanged(monkeypatch):
+def dense_sweep_digest() -> str:
+    """sha256 over the final amplitudes and JSON of a sweep of statevector runs."""
     # A run steps the vector its `uniform_state` built in place; keep the last.
     built = []
     uniform = statevector.uniform_state
@@ -128,20 +136,52 @@ def test_dense_sweep_is_unchanged(monkeypatch):
         built[:] = [uniform(n)]
         return built[0]
 
-    monkeypatch.setattr(statevector, "uniform_state", keep)
     digest = hashlib.sha256()
-    for kind in schedules.BUILDERS:
-        # The optimal builders need 4m <= 2^n; every other kind needs m < 2^n.
-        quarter = kind in (schedules.OPTIMAL, schedules.NOISY_OPTIMAL)
-        for n in (2, 5, 8, 11, 14, 16, 17):
-            for m in (1, 2, 4):
-                if m > (2**n // 4 if quarter else 2**n - 1):
-                    continue
-                seq = schedules.build(kind, n, m, seed=n * m + 1, delta=0.2, steps=3)
-                traj = run_search(seq, OracleSpec.standard(n, m), "statevector")
-                digest.update(built[0].amplitudes.tobytes())
-                digest.update(traj.to_json().encode())
-    assert digest.hexdigest() == DENSE_SHA256
+    with mock.patch.object(statevector, "uniform_state", keep):
+        for kind in schedules.BUILDERS:
+            # The optimal builders need 4m <= 2^n; every other kind needs m < 2^n.
+            quarter = kind in (schedules.OPTIMAL, schedules.NOISY_OPTIMAL)
+            for n in (2, 5, 8, 11, 14, 16, 17):
+                for m in (1, 2, 4):
+                    if m > (2**n // 4 if quarter else 2**n - 1):
+                        continue
+                    seq = schedules.build(kind, n, m, seed=n * m + 1, delta=0.2, steps=3)
+                    traj = run_search(seq, OracleSpec.standard(n, m), "statevector")
+                    digest.update(built[0].amplitudes.tobytes())
+                    digest.update(traj.to_json().encode())
+    return digest.hexdigest()
+
+
+def test_dense_sweep_is_unchanged():
+    assert dense_sweep_digest() == DENSE_SHA256
+
+
+_NUMPY_X86_V2 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+_OPENBLAS_HASWELL = {"OPENBLAS_CORETYPE": "Haswell"}
+
+#: Kernel sets the dense hash is recomputed under: numpy at its X86_V2
+#: baseline, OpenBLAS with its AVX2 kernels, and both, as on an AVX2-only host.
+KERNEL_SETS = {
+    "numpy-x86-v2": _NUMPY_X86_V2,
+    "openblas-haswell": _OPENBLAS_HASWELL,
+    "both": {**_NUMPY_X86_V2, **_OPENBLAS_HASWELL},
+}
+
+
+@pytest.mark.parametrize("kernels", sorted(KERNEL_SETS))
+def test_dense_sweep_is_unchanged_under_other_kernels(kernels):
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **KERNEL_SETS[kernels], "PYTHONPATH": os.pathsep.join(paths)}
+
+    def child(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+    # A host without these kernels (not x86, say) may refuse the setting.
+    if (probe := child("import numpy")).returncode:
+        pytest.skip(f"numpy does not import under {kernels}: {probe.stderr[-300:]}")
+    run = child("import test_golden; print(test_golden.dense_sweep_digest())")
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == DENSE_SHA256
 
 
 #: sha256 of the random-qaao stream below: 300 seeded schedules, 6 of which
