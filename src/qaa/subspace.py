@@ -152,13 +152,21 @@ def amplification_basis(
     """The one vectorized b(beta, gamma): the arrays P = b(phi = pi/2) and Q = b(phi = 0).
 
     b is linear in (sin(phi), cos(phi)), so b(phi) = sin(phi) * P + cos(phi) * Q.
+    Temporaries are summed in place and dropped once read, so at most seven
+    arrays of the broadcast size are alive at once.
     """
     half = 0.5 * np.asarray(beta)
     sin_half, cos_half = np.sin(half), np.cos(half)
     sin_gamma, cos_gamma = np.sin(gamma), np.cos(gamma)
     scale, tilt = -sin_half * math.sin(theta0), sin_half * math.cos(theta0)
-    p = (cos_half * cos_gamma + tilt * sin_gamma) * scale
-    q = (tilt * cos_gamma - cos_half * sin_gamma) * scale
+    del half, sin_half
+    p = cos_half * cos_gamma
+    p += tilt * sin_gamma
+    q = tilt * cos_gamma
+    del tilt, cos_gamma
+    q -= cos_half * sin_gamma
+    p *= scale
+    q *= scale
     return p, q
 
 

@@ -90,6 +90,17 @@ def closed_form_increment(beta, gamma, theta: float, phi: float, theta0: float) 
     return a * math.cos(theta) + b * math.sin(theta)
 
 
+def direct_amplification_basis(beta, gamma, theta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """`subspace.amplification_basis` as one expression per coefficient, every temporary kept."""
+    half = 0.5 * np.asarray(beta)
+    sin_half, cos_half = np.sin(half), np.cos(half)
+    sin_gamma, cos_gamma = np.sin(gamma), np.cos(gamma)
+    scale, tilt = -sin_half * math.sin(theta0), sin_half * math.cos(theta0)
+    p = (cos_half * cos_gamma + tilt * sin_gamma) * scale
+    q = (tilt * cos_gamma - cos_half * sin_gamma) * scale
+    return p, q
+
+
 def iterate_in_place(state: StateVector, params: IterationParams, oracle: OracleSpec) -> None:
     """Apply G(beta, gamma) to the amplitudes of `state`, overwriting them.
 

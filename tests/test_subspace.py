@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from reference import (
     amplitudes,
     closed_form_increment,
     diffusion_matrix,
+    direct_amplification_basis,
     iteration_matrix,
     object_step,
 )
@@ -472,6 +474,36 @@ class TestRegionBoundary:
                     v
                 ) * math.cos(theta0)
                 assert abs(c) < 1e-10
+
+
+class TestAmplificationBasis:
+    @pytest.mark.parametrize("shape", ["samples", "broadcast axes", "scalars"])
+    def test_matches_the_direct_form_bit_for_bit(self, shape):
+        rng = np.random.default_rng(4)
+        if shape == "samples":
+            beta, gamma = rng.uniform(-math.pi, math.pi, (2, 10_000))
+        elif shape == "broadcast axes":
+            axis = np.linspace(-math.pi, math.pi, 65)
+            beta, gamma = axis[:, None], axis[None, :]
+        else:
+            beta, gamma = 2.8209, -2.8950
+        for theta0 in (initial_angles(3).theta, initial_angles(20).theta):
+            got = subspace.amplification_basis(beta, gamma, theta0)
+            want = direct_amplification_basis(beta, gamma, theta0)
+            for a, b in zip(got, want):
+                assert np.shape(a) == np.shape(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_holds_at_most_seven_input_sized_arrays(self):
+        # The direct form holds ten: every trig array, scale, tilt and both sums.
+        beta, gamma = np.random.default_rng(5).uniform(-math.pi, math.pi, (2, 2**18))
+        tracemalloc.start()
+        try:
+            subspace.amplification_basis(beta, gamma, initial_angles(10).theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * beta.nbytes
 
 
 class TestRegionFraction:
