@@ -30,12 +30,7 @@ from .schedules import (
     pi3_queries,
     pi3_series,
 )
-from .statevector import (
-    OracleSpec,
-    StateVector,
-    sample_measurements,
-    uniform_state,
-)
+from .statevector import OracleSpec, sample_measurements, uniform_state
 from .subspace import (
     IterationParams,
     ModelConsistencyError,

@@ -80,9 +80,6 @@ class BackendMismatchError(RuntimeError):
     """Analytic and state-vector backends disagree beyond tolerance."""
 
 
-CSV_HEADER = ",".join(StepRecord._fields)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     n: Optional[int]
@@ -90,10 +87,6 @@ class Trajectory:
     kind: str
     steps: tuple[StepRecord, ...]
     final_probability: float
-
-    @property
-    def probabilities(self) -> list[float]:
-        return [s.probability_after for s in self.steps]
 
     @property
     def is_monotone(self) -> bool:

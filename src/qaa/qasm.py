@@ -29,7 +29,7 @@ import re
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, OracleSpec, StateVector
+from .statevector import MAX_QUBITS, OracleSpec
 from .subspace import advance, initial_angles
 
 _HEADER = ("OPENQASM 3.0;", 'include "stdgates.inc";')
@@ -187,8 +187,8 @@ def _write_out(amps: np.ndarray, scratch: np.ndarray, terms: dict) -> None:
     terms.clear()
 
 
-def replay_circuit(source: str) -> StateVector:
-    """Simulate a program emitted by export_circuit, starting from |0...0>.
+def replay_circuit(source: str) -> np.ndarray:
+    """The 2^n amplitudes of a program emitted by export_circuit, run from |0...0>.
 
     Replay holds the amplitudes and one scratch vector.  Each distinct
     one-qubit line and each distinct qubit list of a phase line is parsed
@@ -240,7 +240,7 @@ def replay_circuit(source: str) -> StateVector:
     _write_out(amps, scratch, terms)
     if any(frame):
         amps, _ = _flush(amps, scratch, frame)
-    return StateVector(n, amps)
+    return amps
 
 
 def roundtrip_deviation(seq, oracle: OracleSpec) -> float:
@@ -257,7 +257,7 @@ def roundtrip_deviation(seq, oracle: OracleSpec) -> float:
         theta, phi, _ = advance(p.beta, p.gamma, theta, phi, theta0)
     plane = np.full(2**oracle.n, math.cos(0.5 * theta) / math.sqrt(2**oracle.n - 1), complex)
     plane[oracle.target_indices()] = cmath.exp(1j * phi) * math.sin(0.5 * theta)
-    other = replay_circuit(source).amplitudes
+    other = replay_circuit(source)
     k = int(np.argmax(np.abs(plane)))
     phase = other[k] / plane[k] if abs(plane[k]) > 0 else 1.0
     phase /= abs(phase)

@@ -88,38 +88,17 @@ class OracleSpec:
         return self._indices
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """2^n complex amplitudes; index = big-endian bit string."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n,):
-            raise ValueError(
-                f"expected {2 ** self.n} amplitudes for n={self.n}, got {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-
-def _check_dims(state: StateVector, oracle: OracleSpec) -> None:
-    if state.n != oracle.n:
-        raise ValueError(f"qubit counts disagree: state n={state.n}, oracle n={oracle.n}")
-
-
 def check_qubits(n: int) -> None:
     """Reject a register whose 2^n vector this module does not build."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must lie in [1, {MAX_QUBITS}], got {n}")
 
 
-def uniform_state(n: int) -> StateVector:
-    """H^{x n} |0...0>: every amplitude 2^{-n/2}."""
+def uniform_state(n: int) -> np.ndarray:
+    """H^{x n} |0...0>: 2^n complex128 amplitudes, each 2^{-n/2}."""
     check_qubits(n)
     big_n = 2**n
-    return StateVector(n, np.full(big_n, big_n**-0.5, dtype=complex))
+    return np.full(big_n, big_n**-0.5, dtype=complex)
 
 
 class BlockPlan(NamedTuple):
@@ -152,11 +131,19 @@ class Plane(NamedTuple):
     total: complex
 
 
-def block_plan(state: StateVector, oracle: OracleSpec) -> BlockPlan:
-    """The block layout that `measure` and `checked_steps` sweep `state` with."""
-    _check_dims(state, oracle)
+def block_plan(amps: np.ndarray, oracle: OracleSpec) -> BlockPlan:
+    """The block layout that `measure` and `checked_steps` sweep `amps` with.
+
+    `amps` must be the 2^n complex128 amplitudes of the oracle's register,
+    the kind of array `uniform_state` returns, since the sweeps write it in place.
+    """
+    big_n = 2**oracle.n
+    if amps.shape != (big_n,) or amps.dtype != np.complex128:
+        raise ValueError(
+            f"qubit counts disagree: oracle n={oracle.n} needs {big_n} complex128 "
+            f"amplitudes, got shape {amps.shape} of {amps.dtype}"
+        )
     idx = oracle.target_indices()
-    big_n = state.amplitudes.size
     # Targets are sorted, so the first non-target is the first gap in 0, 1, ...
     gaps = np.flatnonzero(idx != np.arange(idx.size))
     reference = int(gaps[0]) if gaps.size else idx.size
@@ -230,16 +217,15 @@ def _plane(r: complex, at: np.ndarray, s: complex, q: float, rest: int) -> Plane
     )
 
 
-def measure(state: StateVector, plan: BlockPlan) -> Plane:
+def measure(amps: np.ndarray, plan: BlockPlan) -> Plane:
     """The state against the target plane, in one read of the vector."""
-    amps = state.amplitudes
     return _sweep(amps, plan, [(None, 0j, complex(amps[plan.reference]), amps[plan.targets])])[0]
 
 
 def checked_steps(
-    state: StateVector, window: Sequence[IterationParams], plan: BlockPlan, total: complex
+    amps: np.ndarray, window: Sequence[IterationParams], plan: BlockPlan, total: complex
 ) -> list[Plane]:
-    """Apply each G(beta, gamma) of `window` to `state`, in one blocked pass.
+    """Apply each G(beta, gamma) of `window` to `amps` in place, in one blocked pass.
 
     `total` is the sum of the amplitudes before the window, as the last
     `measure` or `checked_steps` returned it.  The oracle phase touches only
@@ -254,7 +240,6 @@ def checked_steps(
     that sum is the one a per-step pass would take; off the plane, s is
     invariant under G and the two differ only by rounding.
     """
-    amps = state.amplitudes
     rest = amps.size - plan.targets.size
     at = amps[plan.targets]
     r = complex(amps[plan.reference])

@@ -46,11 +46,6 @@ def wrap_pi(angle: float) -> float:
     return (angle + math.pi) % TWO_PI - math.pi
 
 
-def wrap_2pi(angle: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    return angle % TWO_PI
-
-
 @dataclass(frozen=True)
 class StateAngles:
     """Position (theta, phi) of a state in the target/complement plane.
@@ -69,16 +64,11 @@ class StateAngles:
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
-        object.__setattr__(self, "phi", wrap_2pi(self.phi))
+        object.__setattr__(self, "phi", self.phi % TWO_PI)
 
     @property
     def target_probability(self) -> float:
         return math.sin(0.5 * self.theta) ** 2
-
-    @classmethod
-    def from_amplitudes(cls, a_target: complex, a_perp: complex) -> "StateAngles":
-        """Angles of a_target |t> + a_perp |t_perp>, global phase discarded."""
-        return cls(*_plane_angles(a_target, a_perp))
 
 
 def _plane_angles(a_target: complex, a_perp: complex) -> tuple[float, float]:
@@ -88,7 +78,7 @@ def _plane_angles(a_target: complex, a_perp: complex) -> tuple[float, float]:
     theta = 2.0 * math.atan2(r_t, r_p)
     if r_t * r_t < _POLE_EPS or r_p * r_p < _POLE_EPS:
         return theta, 0.0
-    # Wrapped twice (wrap_2pi, inlined on this per-step path), as StateAngles does:
+    # Wrapped twice, as StateAngles(theta, phi % TWO_PI) stores it:
     # a phase a hair below 0 wraps to 2*pi itself, and the second wrap maps that to 0.
     return theta, (cmath.phase(a_target) - cmath.phase(a_perp)) % TWO_PI % TWO_PI
 
@@ -139,7 +129,7 @@ def amplification_terms(
     checks its increment against it, and the random-schedule sampler,
     `engine.classify` and the CLI read b here for the test b > qaao_bound(c, N).
     """
-    varphi = (phi - gamma) % TWO_PI  # wrap_2pi, inlined on the per-step path
+    varphi = (phi - gamma) % TWO_PI
     half = 0.5 * beta
     sin_half = math.sin(half)
     c = math.cos(half) * math.sin(varphi) + sin_half * math.cos(varphi) * cos_theta0

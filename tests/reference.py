@@ -4,13 +4,16 @@ The library computes the target-plane model on scalar complex pairs
 (`subspace.advance`, the pi/3 level loop) and the dense model in one checked
 blocked pass per window of steps (`statevector.checked_steps`).  These are
 the textbook forms: explicit 2x2 matrices, the vectorized closed-form
-increment, the 2D step on `StateAngles` and `IterationParams` objects with
-the textbook a, b and c, the naive dense iteration (in place, on a copy and
-over a whole schedule), the naive target probability, and the checked step
-that makes one pass per step and sums every block.
-It also holds the trajectory serializers that write one cell or one dict at
-a time, the closed-form final probability of the fixed-point schedule, and
-the published reference trajectory of the 8-qubit fixed-point schedule.
+increment and its direct P and Q, the 2D step on `StateAngles` and
+`IterationParams` objects with the textbook a, b and c, the naive dense
+iteration (in place, on a copy and over a whole schedule), the naive target
+probability, and the checked step that makes one pass per step and sums
+every block.
+It also holds the helpers only tests read (the CSV header line, the [0, 2*pi)
+wrap, the angles of an amplitude pair and a trajectory's probabilities), the
+trajectory serializers that write one cell or one dict at a time, the
+closed-form final probability of the fixed-point schedule, and the published
+reference trajectory of the 8-qubit fixed-point schedule.
 """
 
 import cmath
@@ -19,16 +22,29 @@ import math
 
 import numpy as np
 
+from qaa import subspace
 from qaa.engine import Trajectory
 from qaa.schedules import StepRecord
-from qaa.statevector import BlockPlan, OracleSpec, Plane, StateVector, uniform_state
-from qaa.subspace import (
-    IterationParams,
-    StateAngles,
-    amplification_coefficient,
-    diffuse,
-    wrap_2pi,
-)
+from qaa.statevector import BlockPlan, OracleSpec, Plane, uniform_state
+from qaa.subspace import IterationParams, StateAngles, amplification_coefficient, diffuse
+
+#: The CSV header line: the `StepRecord` fields in order.
+CSV_HEADER = ",".join(StepRecord._fields)
+
+
+def wrap_2pi(angle: float) -> float:
+    """Reduce an angle to [0, 2*pi)."""
+    return angle % (2.0 * math.pi)
+
+
+def from_amplitudes(a_target: complex, a_perp: complex) -> StateAngles:
+    """Angles of a_target |t> + a_perp |t_perp>, global phase discarded."""
+    return StateAngles(*subspace._plane_angles(a_target, a_perp))
+
+
+def probabilities(traj: Trajectory) -> list[float]:
+    """The target probability after each step of a trajectory."""
+    return [s.probability_after for s in traj.steps]
 
 
 def amplitudes(state: StateAngles) -> np.ndarray:
@@ -60,7 +76,7 @@ def object_step(
 
     R(gamma), then `diffuse`, the closed form a*cos(theta) + b*sin(theta)
     from the textbook coefficients with varphi = phi - gamma, and the angles
-    read back as `StateAngles.from_amplitudes` reads them.
+    read back as `from_amplitudes` reads them.
     """
     half = 0.5 * state.theta
     a_t = cmath.exp(-1j * params.gamma) * (cmath.exp(1j * state.phi) * math.sin(half))
@@ -101,18 +117,17 @@ def direct_amplification_basis(beta, gamma, theta0: float) -> tuple[np.ndarray, 
     return p, q
 
 
-def iterate_in_place(state: StateVector, params: IterationParams, oracle: OracleSpec) -> None:
-    """Apply G(beta, gamma) to the amplitudes of `state`, overwriting them.
+def iterate_in_place(amps: np.ndarray, params: IterationParams, oracle: OracleSpec) -> None:
+    """Apply G(beta, gamma) to the amplitudes `amps`, overwriting them.
 
     R(gamma) multiplies every target amplitude by e^{-i*gamma}; D(beta), the phase
     rotation about the uniform state, is the exact rank-1 update a -= (1 - e^{-i*beta}) * mean.
     """
-    amps = state.amplitudes
     amps[oracle.target_indices()] *= np.exp(-1j * params.gamma)
     amps -= (1.0 - np.exp(-1j * params.beta)) * (amps.sum() / amps.size)
 
 
-def evolve(seq, oracle: OracleSpec) -> StateVector:
+def evolve(seq, oracle: OracleSpec) -> np.ndarray:
     """The uniform state after every iteration of `seq`, in order."""
     state = uniform_state(oracle.n)
     for params in seq:
@@ -120,20 +135,20 @@ def evolve(seq, oracle: OracleSpec) -> StateVector:
     return state
 
 
-def apply_iteration(state: StateVector, params: IterationParams, oracle) -> StateVector:
+def apply_iteration(state: np.ndarray, params: IterationParams, oracle) -> np.ndarray:
     """One dense iteration G(beta, gamma) on a copy of `state`."""
-    out = StateVector(state.n, state.amplitudes.copy())
+    out = state.copy()
     iterate_in_place(out, params, oracle)
     return out
 
 
-def target_probability(state: StateVector, oracle: OracleSpec) -> float:
+def target_probability(state: np.ndarray, oracle: OracleSpec) -> float:
     """Sum of |a_t|^2 over the target amplitudes of a dense state."""
-    return float(np.sum(np.abs(state.amplitudes[oracle.target_indices()]) ** 2))
+    return float(np.sum(np.abs(state[oracle.target_indices()]) ** 2))
 
 
 def checked_step(
-    state: StateVector, params: IterationParams, plan: BlockPlan, total: complex
+    amps: np.ndarray, params: IterationParams, plan: BlockPlan, total: complex
 ) -> Plane:
     """`statevector.checked_steps` one step per pass, over `reference_sweep`.
 
@@ -141,7 +156,6 @@ def checked_step(
     `measure` or `checked_step` returned it.  The oracle phase writes the m
     targets first and corrects `total` into the diffusion mean.
     """
-    amps = state.amplitudes
     before = amps[plan.targets]
     c = np.exp(-1j * params.gamma)
     # The product of the library's kernel: each real product and sum rounded alone.
@@ -191,9 +205,9 @@ def reference_sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
     )
 
 
-def norm_defect(state: StateVector) -> float:
+def norm_defect(state: np.ndarray) -> float:
     """|<s|s> - 1| of a dense state."""
-    return abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
+    return abs(float(np.sum(np.abs(state) ** 2)) - 1.0)
 
 
 def cellwise_csv(traj: Trajectory) -> str:

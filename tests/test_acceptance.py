@@ -31,7 +31,6 @@ from qaa.subspace import (
     initial_angles,
     optimal_angles,
     region_boundary,
-    wrap_2pi,
     wrap_pi,
 )
 
@@ -42,6 +41,7 @@ from reference import (
     closed_form_increment,
     norm_defect,
     target_probability,
+    wrap_2pi,
 )
 
 DELTA_FP = math.sqrt(0.1)

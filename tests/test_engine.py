@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qaa import engine, schedules, statevector as sv
 from qaa.engine import (
-    CSV_HEADER,
     BackendMismatchError,
     Trajectory,
     classify,
@@ -28,7 +27,7 @@ from qaa.schedules import (
 from qaa.statevector import OracleSpec
 from qaa.subspace import IterationParams, advance
 
-from reference import cellwise_csv, dict_rows_json
+from reference import CSV_HEADER, cellwise_csv, dict_rows_json, probabilities
 
 
 class TestRunSearch:
@@ -44,7 +43,7 @@ class TestRunSearch:
         oracle = OracleSpec.single("101101")
         a = run_search(seq, oracle, backend="analytic")
         b = run_search(seq, oracle, backend="statevector")
-        for x, y in zip(a.probabilities, b.probabilities):
+        for x, y in zip(probabilities(a), probabilities(b)):
             assert x == pytest.approx(y, abs=1e-10)
 
     def test_query_accounting(self):
@@ -88,7 +87,7 @@ class TestRunSearch:
         seq = ParameterSequence(params=params, kind="random-qaao", n=n, m=m)
         analytic = run_search(seq, oracle)
         dense = run_search(seq, oracle, backend="statevector")
-        for a, b in zip(analytic.probabilities, dense.probabilities):
+        for a, b in zip(probabilities(analytic), probabilities(dense)):
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_rejects_unknown_backend(self):
@@ -113,7 +112,7 @@ class TestDenseGuards:
         def perturbed(n):
             # Amplitude 5 is a non-target; the leakage reads about 1e-10.
             state = fresh(n)
-            state.amplitudes[5] += 1e-5
+            state[5] += 1e-5
             return state
 
         monkeypatch.setattr(sv, "uniform_state", perturbed)
@@ -253,7 +252,7 @@ class TestGroverBaseline:
     def test_overshoots_eventually(self):
         traj = grover_baseline(6, steps=12)
         assert not traj.is_monotone
-        peak = max(traj.probabilities)
+        peak = max(probabilities(traj))
         assert peak > 0.99
         assert traj.turning_index is not None
 

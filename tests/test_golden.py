@@ -147,7 +147,7 @@ def dense_sweep_digest() -> str:
                         continue
                     seq = schedules.build(kind, n, m, seed=n * m + 1, delta=0.2, steps=3)
                     traj = run_search(seq, OracleSpec.standard(n, m), "statevector")
-                    digest.update(built[0].amplitudes.tobytes())
+                    digest.update(built[0].tobytes())
                     digest.update(traj.to_json().encode())
     return digest.hexdigest()
 

@@ -15,19 +15,19 @@ from qaa.statevector import (
     BLOCK,
     WINDOW,
     OracleSpec,
-    StateVector,
     block_plan,
     checked_steps,
     measure,
     sample_measurements,
     uniform_state,
 )
-from qaa.subspace import MAX_QUBITS, IterationParams, StateAngles, advance, initial_angles
+from qaa.subspace import MAX_QUBITS, IterationParams, advance, initial_angles
 
 from reference import (
     apply_iteration,
     checked_step,
     evolve,
+    from_amplitudes,
     iterate_in_place,
     norm_defect,
     target_probability,
@@ -39,7 +39,7 @@ ANGLE = st.floats(-math.pi, math.pi)
 def project(state, spec):
     """The plane angles of `state` and its leakage, from one `measure`."""
     plane = measure(state, block_plan(state, spec))
-    return StateAngles.from_amplitudes(plane.a_target, plane.a_perp), plane.leakage
+    return from_amplitudes(plane.a_target, plane.a_perp), plane.leakage
 
 
 def dense_oracle(n, targets, gamma):
@@ -97,7 +97,7 @@ def assert_one_pass_per_step_bits(n, spec, params):
     for run in (windowed_run, stepwise_run):
         state = uniform_state(n)
         planes = run(state, params, block_plan(state, spec))
-        runs.append((list(map(plane_bits, planes)), state.amplitudes))
+        runs.append((list(map(plane_bits, planes)), state))
     (planes, amps), (want_planes, want_amps) = runs
     assert planes == want_planes
     assert np.array_equal(amps, want_amps)
@@ -165,7 +165,7 @@ class TestOracleSpec:
 class TestUniformState:
     def test_amplitudes(self):
         sv = uniform_state(4)
-        np.testing.assert_allclose(sv.amplitudes, np.full(16, 0.25))
+        np.testing.assert_allclose(sv, np.full(16, 0.25))
         assert norm_defect(sv) < 1e-15
 
     def test_rejects_too_many_qubits(self):
@@ -181,9 +181,9 @@ class TestAgainstDenseExponentials:
     def test_oracle_matches_expm(self, gamma):
         spec = OracleSpec(3, frozenset({"101", "010"}))
         sv = uniform_state(3)
-        want = dense_oracle(3, spec.targets, gamma) @ sv.amplitudes
+        want = dense_oracle(3, spec.targets, gamma) @ sv
         library_step(sv, IterationParams(0.0, gamma), spec)
-        np.testing.assert_allclose(sv.amplitudes, want, atol=1e-12)
+        np.testing.assert_allclose(sv, want, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(ANGLE)
@@ -191,10 +191,10 @@ class TestAgainstDenseExponentials:
         rng = np.random.default_rng(0)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        sv = StateVector(3, amps.copy())
+        sv = amps.copy()
         library_step(sv, IterationParams(beta, 0.0), OracleSpec.single("011"))
         want = dense_diffusion(3, beta) @ amps
-        np.testing.assert_allclose(sv.amplitudes, want, atol=1e-12)
+        np.testing.assert_allclose(sv, want, atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(ANGLE, ANGLE)
@@ -202,8 +202,8 @@ class TestAgainstDenseExponentials:
         spec = OracleSpec.single("110")
         sv = uniform_state(3)
         got = apply_iteration(sv, IterationParams(beta, gamma), spec)
-        want = dense_diffusion(3, beta) @ dense_oracle(3, spec.targets, gamma) @ sv.amplitudes
-        np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+        want = dense_diffusion(3, beta) @ dense_oracle(3, spec.targets, gamma) @ sv
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestInPlace:
@@ -211,9 +211,9 @@ class TestInPlace:
         spec = OracleSpec.single("110")
         sv = uniform_state(3)
         out = apply_iteration(sv, IterationParams(math.pi, math.pi), spec)
-        np.testing.assert_array_equal(sv.amplitudes, np.full(8, 8**-0.5))
+        np.testing.assert_array_equal(sv, np.full(8, 8**-0.5))
         iterate_in_place(sv, IterationParams(math.pi, math.pi), spec)
-        np.testing.assert_array_equal(sv.amplitudes, out.amplitudes)
+        np.testing.assert_array_equal(sv, out)
 
     def test_evolve_matches_repeated_iterations(self):
         spec = OracleSpec.single("0110")
@@ -221,12 +221,17 @@ class TestInPlace:
         want = uniform_state(4)
         for p in seq:
             want = apply_iteration(want, p, spec)
-        np.testing.assert_array_equal(evolve(seq, spec).amplitudes, want.amplitudes)
-        np.testing.assert_array_equal(evolve([], spec).amplitudes, uniform_state(4).amplitudes)
+        np.testing.assert_array_equal(evolve(seq, spec), want)
+        np.testing.assert_array_equal(evolve([], spec), uniform_state(4))
 
     def test_rejects_mismatched_oracle(self):
         with pytest.raises(ValueError, match="qubit counts disagree"):
             block_plan(uniform_state(3), OracleSpec.single("10"))
+
+    def test_rejects_a_vector_the_sweep_cannot_write(self):
+        # The sweeps write complex amplitudes in place; a real copy would drop them.
+        with pytest.raises(ValueError, match="qubit counts disagree.*float64"):
+            block_plan(uniform_state(3).real.copy(), OracleSpec.single("110"))
 
     def test_target_indices_are_read_only(self):
         with pytest.raises(ValueError):
@@ -250,7 +255,7 @@ class TestGrover:
     def test_untouched_amplitudes_stay_symmetric(self):
         spec = OracleSpec.single("0110")
         sv = apply_iteration(uniform_state(4), IterationParams(2.1, -0.7), spec)
-        others = np.delete(sv.amplitudes, spec.target_indices())
+        others = np.delete(sv, spec.target_indices())
         assert np.ptp(others.real) < 1e-14
         assert np.ptp(others.imag) < 1e-14
 
@@ -304,7 +309,7 @@ class TestCheckedStep:
         spec = OracleSpec.standard(n, 4)
         want = eps**2 * (1.0 - 1.0 / (2**n - 4))
         state = uniform_state(n)
-        state.amplitudes[100] += eps
+        state[100] += eps
         _, leakage = project(state, spec)
         assert leakage == pytest.approx(want, rel=0.01)
         for plane in windowed_run(state, optimal_sequence(n, 4).params, block_plan(state, spec)):
@@ -330,14 +335,14 @@ class TestCheckedStep:
             assert plane.leakage < 1e-12
             assert abs(plane.norm_defect) < 1e-12
         assert plane.probability == pytest.approx(1.0, abs=1e-10)
-        np.testing.assert_allclose(state.amplitudes, evolve(seq, spec).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(state, evolve(seq, spec), atol=1e-12)
 
     @pytest.mark.parametrize("indices", [(40000,), (3, 1025, 9000, 40000, 65535)])
     def test_block_size_does_not_change_the_result(self, indices, monkeypatch):
         n = 16
         spec = OracleSpec(n, frozenset(format(i, f"0{n}b") for i in indices))
         seq = optimal_sequence(n, len(indices))
-        want = evolve(seq, spec).amplitudes
+        want = evolve(seq, spec)
         runs = []
         for size in (2**10, 2**13, 2**16):
             monkeypatch.setattr(statevector, "BLOCK", size)
@@ -348,7 +353,7 @@ class TestCheckedStep:
                 (plane.probability, plane.norm_defect, plane.leakage)
                 for plane in windowed_run(state, seq.params, plan)[1:]
             ]
-            np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
             runs.append(np.array(planes))
         for other in runs[1:]:
             np.testing.assert_allclose(other[:, 0], runs[0][:, 0], rtol=0, atol=1e-10)
@@ -359,7 +364,7 @@ class TestCheckedStep:
 
     def test_norm_defect_reads_a_scaled_state(self):
         spec = OracleSpec.standard(10, 3)
-        state = StateVector(10, uniform_state(10).amplitudes * (1.0 + 1e-6))
+        state = uniform_state(10) * (1.0 + 1e-6)
         plane = measure(state, block_plan(state, spec))
         assert plane.norm_defect == pytest.approx(2e-6 + 1e-12, rel=1e-6)
         assert plane.leakage == 0.0
@@ -385,7 +390,7 @@ class TestBlockSkip:
     def _with_defect(n, value):
         # One non-target amplitude in the third of four 2^10 blocks.
         state = uniform_state(n)
-        state.amplitudes[2500] = value
+        state[2500] = value
         return state
 
     # n = 12 amplitudes are 2^-6; the last value is one ulp above that.
@@ -446,12 +451,12 @@ class TestWindow:
         runs = []
         for run in (windowed_run, stepwise_run):
             state = uniform_state(n)
-            state.amplitudes[100] += 1e-3
-            state.amplitudes[3000] -= 2e-3j
+            state[100] += 1e-3
+            state[3000] -= 2e-3j
             planes = run(state, optimal_sequence(n, 4).params, block_plan(state, spec))
             runs.append((planes, state))
         (planes, state), (want_planes, want) = runs
-        np.testing.assert_allclose(state.amplitudes, want.amplitudes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-15)
         for plane, want_plane in zip(planes[1:], want_planes[1:]):
             assert plane.probability == pytest.approx(want_plane.probability, abs=1e-14)
             assert plane.leakage == pytest.approx(want_plane.leakage, rel=1e-12)
@@ -461,7 +466,7 @@ class TestWindow:
         spec = OracleSpec.standard(12, 3)
         state = uniform_state(12)
         assert checked_steps(state, [], block_plan(state, spec), 0j) == []
-        np.testing.assert_array_equal(state.amplitudes, uniform_state(12).amplitudes)
+        np.testing.assert_array_equal(state, uniform_state(12))
 
     @pytest.mark.parametrize("k", [2, WINDOW, WINDOW + 3])
     def test_a_check_failing_mid_window_names_its_step(self, k, monkeypatch):
@@ -556,7 +561,7 @@ class TestSampling:
         assert 0.1 < traj.final_probability < 0.9
         shots = 200_000
         counts = sample_measurements(traj.final_probability, spec, shots, seed=4)
-        dense = np.abs(states[-1].amplitudes) ** 2
+        dense = np.abs(states[-1]) ** 2
         sampled = [counts.get(format(i, "03b"), 0) / shots for i in range(8)]
         assert sampled == pytest.approx(dense, abs=0.005)
 

@@ -29,7 +29,6 @@ from qaa.subspace import (
     qaao_bound,
     qaao_region_fraction,
     region_boundary,
-    wrap_2pi,
     wrap_pi,
 )
 
@@ -38,8 +37,10 @@ from reference import (
     closed_form_increment,
     diffusion_matrix,
     direct_amplification_basis,
+    from_amplitudes,
     iteration_matrix,
     object_step,
+    wrap_2pi,
 )
 
 ANGLE = st.floats(-math.pi, math.pi)
@@ -260,7 +261,7 @@ class TestAdvance:
     def test_phase_just_below_zero_wraps_to_zero(self):
         # -1.7e-17 % (2*pi) rounds to 2*pi itself; StateAngles stores 0.
         theta, phi = subspace._plane_angles(complex(0.6, -1e-17), 0.8)
-        assert (theta, phi) == (StateAngles.from_amplitudes(complex(0.6, -1e-17), 0.8).theta, 0.0)
+        assert (theta, phi) == (from_amplitudes(complex(0.6, -1e-17), 0.8).theta, 0.0)
 
     @pytest.mark.parametrize("position", range(5))
     def test_nan_angle_raises(self, position):
@@ -323,7 +324,7 @@ class TestIterationMatrix:
         after = iteration_matrix(p, theta0) @ amplitudes(s)
         theta_after, phi_after, delta = advance(beta, gamma, theta, phi, theta0)
         got = StateAngles(theta_after, phi_after)
-        want = StateAngles.from_amplitudes(after[0], after[1])
+        want = from_amplitudes(after[0], after[1])
         np.testing.assert_allclose(amplitudes(got), amplitudes(want), rtol=0, atol=1e-12)
         assert delta == pytest.approx(abs(after[0]) ** 2 - s.target_probability, abs=1e-12)
 
