@@ -11,9 +11,10 @@ probability, and the checked step that makes one pass per step and sums
 every block.
 It also holds the helpers only tests read (the CSV header line, the [0, 2*pi)
 wrap, the angles of an amplitude pair and a trajectory's probabilities), the
-trajectory serializers that write one cell or one dict at a time, the
-closed-form final probability of the fixed-point schedule, and the published
-reference trajectory of the 8-qubit fixed-point schedule.
+trajectory serializers that write one cell or one dict at a time, the closed
+forms each written once (K*, the probability after k standard steps and the
+final probability of the fixed-point schedule), and the published reference
+trajectory of the 8-qubit fixed-point schedule.
 """
 
 import cmath
@@ -233,6 +234,22 @@ def dict_rows_json(traj: Trajectory) -> str:
         "steps": [s._asdict() for s in traj.steps],
     }
     return json.dumps(payload, sort_keys=True)
+
+
+# --- closed forms of exact search -------------------------------------------
+
+
+def grover_k_star(n: int, m: int = 1) -> int:
+    """Standard steps before the closing step of exact search: floor(pi/4 sqrt(N/m) - 1/2)."""
+    return math.floor(math.pi / 4.0 * math.sqrt(2**n / m) - 0.5)
+
+
+def grover_probability(k, n: int, m: int = 1):
+    """Target probability after k standard steps: sin^2((2k + 1) asin(sqrt(m/N))).
+
+    k may be an int or an integer array.
+    """
+    return np.sin((2 * np.asarray(k) + 1) * math.asin(math.sqrt(m / 2**n))) ** 2
 
 
 def fixed_point_probability(length: int, delta: float, n: int, m: int = 1) -> float:

@@ -39,6 +39,7 @@ from reference import (
     FIXED_POINT_N8_L21,
     NON_AMPLIFYING_ROWS,
     closed_form_increment,
+    grover_k_star,
     norm_defect,
     target_probability,
     wrap_2pi,
@@ -112,7 +113,7 @@ def test_main_table_subset():
 def test_exact_optimal_search():
     for n in range(2, 13):
         seq = optimal_sequence(n)
-        assert len(seq) == math.floor(math.pi * math.sqrt(2**n) / 4.0 - 0.5) + 1
+        assert len(seq) == grover_k_star(n) + 1
         oracle = OracleSpec.single("1" * n)
         for backend in ("analytic", "statevector"):
             traj = run_search(seq, oracle, backend=backend)

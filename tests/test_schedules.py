@@ -35,7 +35,12 @@ from qaa.subspace import (
     qaao_bound,
 )
 
-from reference import FIXED_POINT_N8_L21, NON_AMPLIFYING_ROWS, fixed_point_probability
+from reference import (
+    FIXED_POINT_N8_L21,
+    NON_AMPLIFYING_ROWS,
+    fixed_point_probability,
+    grover_k_star,
+)
 
 
 class TestKStar:
@@ -49,8 +54,7 @@ class TestKStar:
 
     def test_matches_direct_formula(self):
         for n in range(2, 20):
-            want = math.floor(math.pi / 4.0 * math.sqrt(2**n) - 0.5)
-            assert k_star(n) == want
+            assert k_star(n) == grover_k_star(n)
 
 
 class TestParameterSequence:
