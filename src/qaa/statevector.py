@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -160,9 +161,9 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
     """Apply `steps` to each block in turn, measuring each step's result.
 
     A step is (its phased targets or None, the diffusion shift, then the
-    reference amplitude and the targets after the step).  Each block takes
-    every step while it is in cache: the targets are written, the shift is
-    subtracted, and the result is measured.
+    reference amplitude, the targets and their sum after the step).  Each
+    block takes every step while it is in cache: the targets are written,
+    the shift is subtracted, and the result is measured.
 
     Each non-target amplitude is read as its difference d from the reference
     amplitude r, which goes through the same float operations.  Non-target
@@ -179,7 +180,7 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
     for lo, hi, offsets, part in plan.blocks:
         block = amps[lo:hi]
         diff = plan.scratch[: hi - lo]
-        for (phased, shift, r, _), acc in zip(steps, sums):
+        for (phased, shift, r, _, _), acc in zip(steps, sums):
             if offsets is not None and phased is not None:
                 block[offsets] = phased[part]
             if shift:
@@ -192,34 +193,38 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
             if qb:
                 acc[0] += complex(diff.sum())
                 acc[1] += qb
-    rest = amps.size - plan.targets.size
-    return [_plane(r, at, s, q, rest) for (_, _, r, at), (s, q) in zip(steps, sums)]
+    return _planes(steps, sums, amps.size - plan.targets.size)
 
 
-def _plane(r: complex, at: np.ndarray, s: complex, q: float, rest: int) -> Plane:
-    """The `Plane` of a state from its reference amplitude, its targets and its d's."""
-    m = at.size
-    t_sum = complex(at.sum())
-    total = s + rest * r + t_sum
-    # Sums of squares, not a BLAS dot, whose summation order the host picks.
-    probability = float(np.sum(at.real**2) + np.sum(at.imag**2))
-    spread = at - t_sum / m
-    # Non-target part: sum |d - s/rest|^2 = q - |s|^2/rest; target part likewise.
-    leakage = q - abs(s) ** 2 / rest + float(np.sum(spread.real**2) + np.sum(spread.imag**2))
-    norm = probability + rest * abs(r) ** 2 + 2.0 * (r.conjugate() * s).real + q
-    return Plane(
-        probability,
-        t_sum / math.sqrt(m),
-        (total - t_sum) / math.sqrt(rest),
-        leakage,
-        norm - 1.0,
-        total,
-    )
+def _planes(steps: list[tuple], sums: list[list], rest: int) -> list[Plane]:
+    """The `Plane` after each step, from its reference amplitude, its targets and its d's.
+
+    The target norms of all the steps are taken at once, as numpy sums of
+    squares: a BLAS dot would sum in an order the host picks.
+    """
+    if not steps:
+        return []
+    at = np.array([step[3] for step in steps])
+    m = at.shape[1]
+    # The targets and their spread about the mean, t_sum / m as a per-step pass takes it.
+    rows = np.stack((at, at - np.array([step[4] / m for step in steps])[:, None]))
+    re, im = rows.real, rows.imag
+    norms = zip(*(np.add.reduce(re * re, axis=2) + np.add.reduce(im * im, axis=2)).tolist())
+    planes = []
+    for (_, _, r, _, t_sum), (s, q), (probability, spread) in zip(steps, sums, norms):
+        total = s + rest * r + t_sum
+        # Non-target part: sum |d - s/rest|^2 = q - |s|^2/rest; target part likewise.
+        leakage = q - abs(s) ** 2 / rest + spread
+        norm = probability + rest * abs(r) ** 2 + 2.0 * (r.conjugate() * s).real + q
+        a_target, a_perp = t_sum / math.sqrt(m), (total - t_sum) / math.sqrt(rest)
+        planes.append(Plane(probability, a_target, a_perp, leakage, norm - 1.0, total))
+    return planes
 
 
 def measure(amps: np.ndarray, plan: BlockPlan) -> Plane:
     """The state against the target plane, in one read of the vector."""
-    return _sweep(amps, plan, [(None, 0j, complex(amps[plan.reference]), amps[plan.targets])])[0]
+    at = amps[plan.targets]
+    return _sweep(amps, plan, [(None, 0j, complex(amps[plan.reference]), at, complex(at.sum()))])[0]
 
 
 def checked_steps(
@@ -245,19 +250,24 @@ def checked_steps(
     r = complex(amps[plan.reference])
     carried = total - (rest * r + complex(at.sum()))
     steps = []
-    for params in window:
-        c = np.exp(-1j * params.gamma)
-        # at * c with each real product and sum rounded alone: numpy's complex
-        # multiply may fuse them, as the host's SIMD kernels allow.
-        phased = np.empty_like(at)
-        phased.real = at.real * c.real - at.imag * c.imag
-        phased.imag = at.real * c.imag + at.imag * c.real
+    # e^{-i*beta} and e^{-i*gamma} of every step, in one call.
+    phases = np.exp(-1j * np.fromiter(chain.from_iterable(window), float, 2 * len(window)))
+    phases = phases.reshape(-1, 2)
+    c = phases[:, 1]
+    # The oracle phase as a real 2x2 rotation of (re, im): numpy's complex
+    # multiply may fuse a product into its sum, as the host's SIMD kernels
+    # allow, where this rounds each product and each sum on its own.
+    turns = np.stack([c.real, c.imag, -c.imag, c.real], axis=1).reshape(-1, 2, 2)
+    for e_beta, turn in zip(phases[:, 0].tolist(), turns):
+        parts = at.view(np.float64).reshape(-1, 2, 1) * turn
+        phased = np.add(parts[:, 0], parts[:, 1]).view(complex).ravel()
         mean = (total + complex((phased - at).sum())) / amps.size
-        shift = (1.0 - np.exp(-1j * params.beta)) * mean
-        r = complex(r - shift)
+        shift = (1.0 - e_beta) * mean
+        r = r - shift
         at = phased - shift
-        total = carried + rest * r + complex(at.sum())
-        steps.append((phased, shift, r, at))
+        t_sum = complex(at.sum())
+        total = carried + rest * r + t_sum
+        steps.append((phased, shift, r, at, t_sum))
     return _sweep(amps, plan, steps)
 
 
