@@ -252,15 +252,11 @@ def checked_steps(
     steps = []
     # e^{-i*beta} and e^{-i*gamma} of every step, in one call.
     phases = np.exp(-1j * np.fromiter(chain.from_iterable(window), float, 2 * len(window)))
-    phases = phases.reshape(-1, 2)
-    c = phases[:, 1]
-    # The oracle phase as a real 2x2 rotation of (re, im): numpy's complex
-    # multiply may fuse a product into its sum, as the host's SIMD kernels
-    # allow, where this rounds each product and each sum on its own.
-    turns = np.stack([c.real, c.imag, -c.imag, c.real], axis=1).reshape(-1, 2, 2)
-    for e_beta, turn in zip(phases[:, 0].tolist(), turns):
-        parts = at.view(np.float64).reshape(-1, 2, 1) * turn
-        phased = np.add(parts[:, 0], parts[:, 1]).view(complex).ravel()
+    for e_beta, c in phases.reshape(-1, 2).tolist():
+        # at * c as at * Re(c) + at * i Im(c): each of those products is exact
+        # to one rounding per part even where numpy's SIMD multiply fuses, so
+        # the bits do not depend on the kernels the host picks.
+        phased = at * c.real + at * complex(0.0, c.imag)
         mean = (total + complex((phased - at).sum())) / amps.size
         shift = (1.0 - e_beta) * mean
         r = r - shift

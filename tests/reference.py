@@ -158,11 +158,9 @@ def checked_step(
     targets first and corrects `total` into the diffusion mean.
     """
     before = amps[plan.targets]
-    c = np.exp(-1j * params.gamma)
-    # The product of the library's kernel: each real product and sum rounded alone.
-    after = np.empty_like(before)
-    after.real = before.real * c.real - before.imag * c.imag
-    after.imag = before.real * c.imag + before.imag * c.real
+    c = complex(np.exp(-1j * params.gamma))
+    # The library kernel's product: one rounding per real product and per sum.
+    after = before * c.real + before * complex(0.0, c.imag)
     amps[plan.targets] = after
     mean = (total + complex((after - before).sum())) / amps.size
     return reference_sweep(amps, plan, (1.0 - np.exp(-1j * params.beta)) * mean)
