@@ -1,13 +1,13 @@
 """OpenQASM 3 export of amplification circuits, plus a replay parser.
 
 The emitted program follows the standard gate template per iteration: the
-oracle phase is an X-conjugated multi-controlled phase P(-gamma) selecting
-the target bit string, and the diffusion is the same construction
+oracle phase is one X-conjugated multi-controlled phase P(-gamma) per target
+bit string, in sorted order, and the diffusion is the same construction
 conjugated by Hadamards, with phase P(-beta).  Qubit q[0] is the leftmost
-(most significant) bit of the target string.
+(most significant) bit of a target string.
 
-Only single-target circuits are exported.  The replay parser understands
-exactly the subset this module emits (h, x, p, ctrl @ p), which is enough
+A program holds at most MAX_ITERATIONS oracle phases.  The replay parser
+understands exactly the subset this module emits (h, x, p, ctrl @ p), enough
 to round-trip any exported program through the simulator.
 
 Replay keeps the h and x gates as a frame U = (x)_q U_q, each U_q one of
@@ -29,6 +29,7 @@ import re
 
 import numpy as np
 
+from .schedules import MAX_ITERATIONS
 from .statevector import MAX_QUBITS, OracleSpec
 from .subspace import advance, initial_angles
 
@@ -39,21 +40,22 @@ def export_circuit(seq, oracle: OracleSpec) -> str:
     """OpenQASM 3 source preparing |s0> and applying each iteration in order.
 
     `seq` may be a ParameterSequence or any iterable of IterationParams.
-    Raises ValueError for multi-target oracles: the gate template encodes a
-    single marked bit string.
+    Raises ValueError when the program would hold more than MAX_ITERATIONS
+    oracle phases, m per iteration.
     """
-    if oracle.m != 1:
-        raise ValueError("circuit export supports exactly one target string")
-    (target,) = oracle.targets
+    seq = tuple(seq)
+    if len(seq) * oracle.m > MAX_ITERATIONS:
+        raise ValueError(f"need at most {MAX_ITERATIONS} oracle phases, got {len(seq) * oracle.m}")
     n = oracle.n
     h = [f"h q[{i}];" for i in range(n)]
     x = [f"x q[{i}];" for i in range(n)]
-    flips = [x[i] for i, bit in enumerate(target) if bit == "0"]
     phase = ("" if n == 1 else f"ctrl({n - 1}) @ ") + "p({%d!r}) "
     phase += ", ".join(f"q[{i}]" for i in range(n)) + ";"
+    marks = [[x[i] for i, bit in enumerate(t) if bit == "0"] for t in sorted(oracle.targets)]
     # One iteration as a format string over (k, beta, gamma, -gamma, -beta).
     step = "\n".join(
-        ["// iteration {0}: beta={1!r}, gamma={2!r}", *flips, phase % 3, *flips]
+        ["// iteration {0}: beta={1!r}, gamma={2!r}"]
+        + [line for flips in marks for line in (*flips, phase % 3, *flips)]
         + [*h, *x, phase % 4, *x, *h]
     )
     lines = [*_HEADER, f"qubit[{n}] q;", *h]
@@ -246,17 +248,18 @@ def replay_circuit(source: str) -> np.ndarray:
 def roundtrip_deviation(seq, oracle: OracleSpec) -> float:
     """Max amplitude deviation, up to global phase, between export-replay and the 2D model.
 
-    The model's final state, walked from the uniform state with `advance`, is
-    e^{i*phi} sin(theta/2) at the target and cos(theta/2) / sqrt(N - 1) elsewhere.
+    The model's state, walked from the uniform state with `advance`, is e^{i*phi}
+    sin(theta/2) / sqrt(m) on each target and cos(theta/2) / sqrt(N - m) elsewhere.
     """
     seq = tuple(seq)
     source = export_circuit(seq, oracle)
-    theta0 = theta = initial_angles(oracle.n).theta
+    n, m = oracle.n, oracle.m
+    theta0 = theta = initial_angles(n, m).theta
     phi = 0.0
     for p in seq:
         theta, phi, _ = advance(p.beta, p.gamma, theta, phi, theta0)
-    plane = np.full(2**oracle.n, math.cos(0.5 * theta) / math.sqrt(2**oracle.n - 1), complex)
-    plane[oracle.target_indices()] = cmath.exp(1j * phi) * math.sin(0.5 * theta)
+    plane = np.full(2**n, math.cos(0.5 * theta) / math.sqrt(2**n - m), complex)
+    plane[oracle.target_indices()] = cmath.exp(1j * phi) * math.sin(0.5 * theta) / math.sqrt(m)
     other = replay_circuit(source)
     k = int(np.argmax(np.abs(plane)))
     phase = other[k] / plane[k] if abs(plane[k]) > 0 else 1.0

@@ -297,6 +297,13 @@ class TestExportQasm:
         assert code == 0
         assert "replay max deviation" in err
 
+    def test_multi_target_verify(self, capsys):
+        code, out, err = run_cli(capsys, "export-qasm", "optimal", "--n", "8", "--m", "4", "--verify")
+        assert code == 0
+        iterations = out.count("// iteration")
+        assert out.count("ctrl(7) @ p(") == (4 + 1) * iterations  # 4 oracle phases, 1 diffusion
+        assert float(err.split()[-1]) <= 1e-12
+
     def test_to_file(self, capsys, tmp_path):
         path = tmp_path / "circ.qasm"
         code, out, _ = run_cli(
@@ -397,6 +404,8 @@ class TestEntryPoint:
             # Work grows with these; the caps come before any is done.
             ("figure region --resolution 2049", "[1, 2048]"),
             ("export-qasm grover --n 4 --steps 65537", "at most 65536"),
+            # m oracle phases per iteration count against the same cap.
+            ("export-qasm grover --n 10 --m 2 --steps 32769", "at most 65536 oracle phases"),
             ("table appendix --L 65537", "at most 65536"),
             # A target string has exactly --n bits.
             ("export-qasm optimal --n 8 --target 0000000", "but n=8"),
@@ -429,7 +438,7 @@ class TestEntryPoint:
             ("search pi3 --n 4 --shots 5", "search pi3"),
         ],
         ids=[
-            "resolution-0", "resolution-negative", "resolution-2049", "steps-65537",
+            "resolution-0", "resolution-negative", "resolution-2049", "steps-65537", "phases-65538",
             "L-65537", "export-qasm-short-target", "search-short-target", "shots-negative", "steps-0", "c-below-1",
             "c-nan", "c-inf",
             "n-1100", "increment-format", "table-backend", "figure-target", "export-qasm-shots",

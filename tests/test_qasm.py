@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from qaa import qasm, statevector
 from qaa.qasm import CHUNK, export_circuit, replay_circuit, roundtrip_deviation
-from qaa.schedules import fixed_point_sequence, grover_sequence, optimal_sequence
+from qaa.schedules import (
+    BUILDERS,
+    MAX_ITERATIONS,
+    RANDOM_QAAO,
+    build,
+    fixed_point_sequence,
+    grover_sequence,
+    optimal_sequence,
+)
 from qaa.statevector import MAX_QUBITS, OracleSpec, uniform_state
 from qaa.subspace import IterationParams
 
@@ -107,10 +115,24 @@ class TestExport:
         assert "p(-2.0) q[0];" in text
         assert "p(-1.0) q[0];" in text
 
-    def test_rejects_multi_target(self):
+    def test_rejects_more_oracle_phases_than_the_cap(self, monkeypatch):
+        # A program holds m oracle phases per iteration, MAX_ITERATIONS in all.
         spec = OracleSpec(2, frozenset({"00", "11"}))
-        with pytest.raises(ValueError):
-            export_circuit([], spec)
+        step = IterationParams(1.0, 1.0)
+        with pytest.raises(ValueError, match=f"at most {MAX_ITERATIONS} oracle phases, got 65538"):
+            export_circuit([step] * (MAX_ITERATIONS // 2 + 1), spec)
+        monkeypatch.setattr(qasm, "MAX_ITERATIONS", 8)
+        assert export_circuit([step] * 4, spec).count("// iteration") == 4
+        with pytest.raises(ValueError, match="at most 8 oracle phases, got 10"):
+            export_circuit(iter([step] * 5), spec)
+
+    def test_one_oracle_phase_per_target_in_sorted_order(self):
+        text = export_circuit([IterationParams(1.5, -0.5)], OracleSpec(3, frozenset({"110", "011"})))
+        body = text.splitlines()[7:]
+        phase = "ctrl(2) @ p(0.5) q[0], q[1], q[2];"
+        # Each target's phase sits between X gates on its 0 bits; the diffusion follows.
+        assert body[:6] == ["x q[0];", phase, "x q[0];", "x q[2];", phase, "x q[2];"]
+        assert body[6:9] == ["h q[0];", "h q[1];", "h q[2];"]
 
     def test_zero_bits_get_x_conjugation(self):
         text = export_circuit([IterationParams(1.0, 1.0)], OracleSpec.single("01"))
@@ -335,7 +357,37 @@ class TestReplay:
         np.testing.assert_allclose(got, reference_replay(n, gates), rtol=0, atol=1e-12)
 
 
+def _round_trip_cases():
+    """(kind, n, m): every kind at n = 2..10 with m in {1, 2, 3, 4, N/8, N/4} and 4m <= N.
+
+    m = 16 and 17 at n = 10 put more targets in one iteration than replay
+    keeps pending (TERMS); random-qaao at n = 3, m = 1 is left out, since no
+    pair beats its default bound there.
+    """
+    for kind in BUILDERS:
+        for n in range(2, 11):
+            big_n = 2**n
+            ms = {1, 2, 3, 4, big_n // 4} | ({big_n // 8} if n >= 3 else set())
+            ms |= {16, 17} if n == 10 else set()
+            for m in sorted(m for m in ms if 4 * m <= big_n):
+                if (kind, n, m) != (RANDOM_QAAO, 3, 1):
+                    yield kind, n, m
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("kind, n, m", list(_round_trip_cases()))
+    def test_every_kind_and_target_count(self, kind, n, m):
+        seq = build(kind, n, m)
+        assert roundtrip_deviation(seq, OracleSpec.standard(n, m)) <= 1e-12
+
+    def test_multi_target_matches_evolve(self):
+        spec = OracleSpec(6, frozenset({"000111", "101010", "110001"}))
+        seq = optimal_sequence(6, 3)
+        got = replay_circuit(export_circuit(seq, spec))
+        want = evolve(seq, spec)
+        k = int(np.argmax(np.abs(want)))
+        np.testing.assert_allclose(got, got[k] / want[k] * want, rtol=0, atol=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(TARGET, st.lists(st.tuples(ANGLE, ANGLE), max_size=3))
     def test_random_sequences(self, target, pairs):
