@@ -133,8 +133,8 @@ def run_search(
     is one checked blocked pass over the 2^n vector
     (`statevector.checked_steps`), and the run raises unless, at every step,
     the leakage, the squared distance of the state from the target plane,
-    stays below 1e-12 and the measured target probability matches the
-    step's record within 1e-10.
+    and the norm defect <a|a> - 1 stay within 1e-12 and the measured target
+    probability matches the step's record within 1e-10.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -159,6 +159,10 @@ def run_search(
                     raise BackendMismatchError(
                         f"leakage {plane.leakage} out of the target plane "
                         f"at step {record.index}"
+                    )
+                if not (abs(plane.norm_defect) <= LEAKAGE_TOL):
+                    raise BackendMismatchError(
+                        f"norm defect {plane.norm_defect} at step {record.index}"
                     )
                 if not (abs(plane.probability - record.probability_after) <= SEQUENCE_TOL):
                     raise BackendMismatchError(

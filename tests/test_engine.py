@@ -104,7 +104,7 @@ class TestRunSearch:
 
 
 class TestDenseGuards:
-    """Both checks of every dense step raise, each on its own defect."""
+    """The three checks of every dense step raise, each on its own defect."""
 
     def test_leakage_out_of_the_plane_raises(self, monkeypatch):
         fresh = sv.uniform_state
@@ -118,6 +118,17 @@ class TestDenseGuards:
         monkeypatch.setattr(sv, "uniform_state", perturbed)
         with pytest.raises(BackendMismatchError, match="leakage .* at step 1$"):
             run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
+
+    def test_norm_defect_raises(self, monkeypatch):
+        fresh = sv.uniform_state
+
+        def scaled(n):
+            # In the plane, with norm defect 2e-11: neither other check sees it.
+            return fresh(n) * (1.0 + 1e-11)
+
+        monkeypatch.setattr(sv, "uniform_state", scaled)
+        with pytest.raises(BackendMismatchError, match="norm defect .* at step 1$"):
+            run_search(optimal_sequence(10), OracleSpec.standard(10), "statevector")
 
     def test_disagreement_with_the_model_raises(self, monkeypatch):
         # The generator's walk binds `advance`, so its records carry the skew.
