@@ -167,8 +167,9 @@ def generate_qaao_sequence(n: int, m: int = 1, c: float = 1.5, seed: int = 0) ->
     Draws (beta, gamma) uniformly on [-pi, pi]^2 and keeps a draw only when
     the amplification coefficient at the currently evolved state exceeds
     c/sqrt(N), until the state enters the closing region; the exact optimal
-    step is then appended, which drives the target probability to 1.  A step
-    that finds no amplifying draw in MAX_DRAWS raises RuntimeError.
+    step is then appended, which drives the target probability to 1.  A bound
+    that no (beta, gamma, phi) beats raises RuntimeError before any draw, and
+    so does a step that finds no amplifying draw in MAX_DRAWS.
     Deterministic for a fixed seed.
 
     The draws come in doubling blocks from one generator and are consumed in
@@ -184,6 +185,13 @@ def generate_qaao_sequence(n: int, m: int = 1, c: float = 1.5, seed: int = 0) ->
     sizes = (min(_DRAW_BLOCK << k, _DRAW_BLOCK_MAX) for k in count())
     pairs = chain.from_iterable(zip(*_draw_block(rng, walk.theta0, size)) for size in sizes)
     cos_theta0, sin_theta0 = math.cos(walk.theta0), math.sin(walk.theta0)
+    # The largest b over (beta, gamma, phi): sin(2 theta0)/2 up to theta0 = pi/4, else 1/2.
+    most = 0.5 * math.sin(2.0 * min(walk.theta0, 0.25 * math.pi))
+    if walk.theta < math.pi - 2.0 * walk.theta0 and bound >= most:
+        raise RuntimeError(
+            f"no amplifying parameters exist: c={c} asks for b > {bound!r} "
+            f"at N={big_n}, but b is at most {most!r}"
+        )
     # The two forms of b differ by about 1e-15; the bound is above 1.5e-5.
     loose = bound - 1e-12
     while walk.theta < math.pi - 2.0 * walk.theta0:

@@ -298,7 +298,9 @@ class TestExportQasm:
         assert "replay max deviation" in err
 
     def test_multi_target_verify(self, capsys):
-        code, out, err = run_cli(capsys, "export-qasm", "optimal", "--n", "8", "--m", "4", "--verify")
+        code, out, err = run_cli(
+            capsys, "export-qasm", "optimal", "--n", "8", "--m", "4", "--verify"
+        )
         assert code == 0
         iterations = out.count("// iteration")
         assert out.count("ctrl(7) @ p(") == (4 + 1) * iterations  # 4 oracle phases, 1 diffusion

@@ -186,8 +186,9 @@ def test_dense_sweep_is_unchanged_under_other_kernels(kernels):
 
 
 #: sha256 of the random-qaao stream below: 300 seeded schedules, 6 of which
-#: run out of draws and contribute their error text instead.
-QAAO_STREAM_SHA256 = "9e091b5e3e39d78463a2ab4abe2a32543664b8efc7ee6dd3f030bcf9933cb7bc"
+#: (n = 4, m = 1, c = 1.9) ask for more than the largest b and contribute their
+#: error text instead.
+QAAO_STREAM_SHA256 = "4ab304341e880bf417de3827e6bbb6e4c56c53f6d77f44166e42e30113b805a3"
 
 
 def test_random_qaao_stream_is_unchanged():

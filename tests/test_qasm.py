@@ -127,7 +127,8 @@ class TestExport:
             export_circuit(iter([step] * 5), spec)
 
     def test_one_oracle_phase_per_target_in_sorted_order(self):
-        text = export_circuit([IterationParams(1.5, -0.5)], OracleSpec(3, frozenset({"110", "011"})))
+        spec = OracleSpec(3, frozenset({"110", "011"}))
+        text = export_circuit([IterationParams(1.5, -0.5)], spec)
         body = text.splitlines()[7:]
         phase = "ctrl(2) @ p(0.5) q[0], q[1], q[2];"
         # Each target's phase sits between X gates on its 0 bits; the diffusion follows.

@@ -223,9 +223,29 @@ class TestRandomQaao:
         with pytest.raises(ValueError, match="finite"):
             generate_qaao_sequence(8, c=math.inf)
 
-    def test_unreachable_predicate_raises(self):
-        with pytest.raises(RuntimeError, match="10000 draws"):
-            generate_qaao_sequence(3, c=1.5)
+    def test_unreachable_predicate_raises(self, monkeypatch):
+        # b is at most sin(2 theta0)/2 here (theta0 <= pi/4), below c/sqrt(N),
+        # so the sampler refuses the bound before any draw.
+        def draw(*args):
+            raise AssertionError("drew for a bound no parameters beat")
+
+        monkeypatch.setattr(schedules, "_draw_block", draw)
+        for n, c, most in [(3, 1.5, "0.4960783708246"), (4, 1.9, "0.4236075534914"),
+                           (20, 2.5, "0.0019531203433")]:
+            with pytest.raises(RuntimeError, match=f"but b is at most {most}"):
+                generate_qaao_sequence(n, c=c)
+
+    def test_demanding_predicate_runs_out_of_draws(self):
+        # Just below the largest b of 0.4236 at n=4, no draw beats c/sqrt(N).
+        with pytest.raises(RuntimeError, match="10000 draws; c=1.694 is likely too demanding"):
+            generate_qaao_sequence(4, c=1.694)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (6, 16)])
+    def test_no_draw_needed_is_no_bound_check(self, n, m):
+        # theta0 = pi/3: the uniform state is already in the closing region.
+        seq = generate_qaao_sequence(n, m, c=2.5)
+        assert len(seq) == 1
+        assert final_probability(seq.params, n, m) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(qaao_settings())
