@@ -249,6 +249,13 @@ class TestFigure:
         assert lines[0] == "step,probability"
         assert len(lines) == 13  # K*(8) = 12 Grover steps
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 3)])
+    def test_fig1b_without_grover_steps_is_empty(self, capsys, n, m):
+        # K* = 0 here: the series has no rows.
+        argv = ("figure", "fig1b", "--n", str(n), "--m", str(m))
+        assert run_cli(capsys, *argv) == (0, "step,probability\n", "")
+        assert run_cli(capsys, *argv, "--format", "json") == (0, "[]\n", "")
+
     def test_fig3_has_three_deltas(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "fig3", "--n", "6")
         assert code == 0
@@ -430,6 +437,7 @@ class TestEntryPoint:
             (f"search optimal --n 64 --target {'1' * 64}", "at most 32"),
             (f"export-qasm optimal --n 64 --target {'1' * 64}", "at most 32"),
             ("search optimal --n 8 --m 256", "target count must satisfy"),
+            ("figure fig1b --m 0", "target count must satisfy"),
             # The shot cap, and n for a command that builds a 2^n vector,
             # are checked before any output.
             ("search optimal --n 26 --shots 1048577", "lie in [0, 1048576]"),
@@ -445,7 +453,7 @@ class TestEntryPoint:
             "c-nan", "c-inf",
             "n-1100", "increment-format", "table-backend", "figure-target", "export-qasm-shots",
             "abbrev-bet", "abbrev-c", "search-n-64-target", "export-qasm-n-64-target",
-            "m-out-of-range", "shots-above-cap", "verify-n-26", "statevector-n-32",
+            "m-out-of-range", "fig1b-m-0", "shots-above-cap", "verify-n-26", "statevector-n-32",
             "pi3-statevector", "pi3-shots",
         ],
     )
