@@ -368,9 +368,8 @@ def _round_trip_cases():
     for kind in BUILDERS:
         for n in range(2, 11):
             big_n = 2**n
-            ms = {1, 2, 3, 4, big_n // 4} | ({big_n // 8} if n >= 3 else set())
-            ms |= {16, 17} if n == 10 else set()
-            for m in sorted(m for m in ms if 4 * m <= big_n):
+            ms = {1, 2, 3, 4, big_n // 8, big_n // 4} | ({16, 17} if n == 10 else set())
+            for m in sorted(m for m in ms if m and 4 * m <= big_n):
                 if (kind, n, m) != (RANDOM_QAAO, 3, 1):
                     yield kind, n, m
 

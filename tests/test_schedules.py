@@ -236,7 +236,8 @@ class TestRandomQaao:
                 generate_qaao_sequence(n, c=c)
 
     def test_demanding_predicate_runs_out_of_draws(self):
-        # Just below the largest b of 0.4236 at n=4, no draw beats c/sqrt(N).
+        # c/sqrt(N) = 0.4235 is just below the largest b at n=4, 0.4236:
+        # 10,000 draws find no pair above it.
         with pytest.raises(RuntimeError, match="10000 draws; c=1.694 is likely too demanding"):
             generate_qaao_sequence(4, c=1.694)
 
