@@ -95,7 +95,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _figure_fig1b(args) -> tuple[tuple[str, ...], list[tuple]]:
-    initial_angles(args.n, args.m)  # k_star divides by m
     if not (steps := schedules.k_star(args.n, args.m)):
         return ("step", "probability"), []  # K* = 0: no Grover step precedes the closing one
     traj = engine.grover_baseline(args.n, args.m, steps)

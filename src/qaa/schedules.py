@@ -158,6 +158,7 @@ def trajectory(seq: ParameterSequence, n: int, m: int = 1) -> tuple[StepRecord, 
 
 def k_star(n: int, m: int = 1) -> int:
     """Optimal number of standard amplification steps before the closing step."""
+    initial_angles(n, m)  # the n and m checks every generator makes
     return math.floor(math.pi * math.sqrt(2**n / m) / 4.0 - 0.5)
 
 

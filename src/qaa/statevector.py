@@ -10,6 +10,7 @@ basis index.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -174,17 +175,24 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
     A block adds to s only when its part qb of q is nonzero.  qb == 0 puts
     every component of every d in the block below 2^-537, so the skipped sum
     is exactly zero when those d are (as in every run that stays in the
-    plane) and below 2^-522 otherwise.  A NaN or inf qb is summed.
+    plane) and below 2^-522 otherwise.  A NaN or inf qb is summed.  Once a
+    step leaves every d of a block exactly 0, the block's later steps in the
+    pass only write its targets and subtract the shift: each non-target x is
+    r, and IEEE subtraction is deterministic, so x - shift rounds to r - shift,
+    the next r.  The block is measured again at a step whose r is not finite.
     """
     sums = [[0j, 0.0] for _ in steps]
     for lo, hi, offsets, part in plan.blocks:
         block = amps[lo:hi]
         diff = plan.scratch[: hi - lo]
+        clean = False
         for (phased, shift, r, _, _), acc in zip(steps, sums):
             if offsets is not None and phased is not None:
                 block[offsets] = phased[part]
             if shift:
                 np.subtract(block, shift, out=block)
+            if clean and cmath.isfinite(r):
+                continue
             np.subtract(block, r, out=diff)
             if offsets is not None:
                 diff[offsets] = 0.0
@@ -193,6 +201,7 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
             if qb:
                 acc[0] += complex(diff.sum())
                 acc[1] += qb
+            clean = not qb and not flat.any()
     return _planes(steps, sums, amps.size - plan.targets.size)
 
 
@@ -238,7 +247,8 @@ def checked_steps(
     every step's scalars come first, from the targets and the reference
     amplitude alone; then each cache-sized block takes every step in turn,
     and the pass is one read and one write of the vector.  Returns the
-    measured state after each step.
+    measured state after each step; a block that sits exactly in the plane
+    is measured once per pass, since its later steps cannot leave it.
 
     A later step's sum is its own targets and reference plus the off-plane
     sum s carried from the window's start.  s is exactly 0 in the plane, so

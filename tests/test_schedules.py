@@ -56,6 +56,11 @@ class TestKStar:
         for n in range(2, 20):
             assert k_star(n) == grover_k_star(n)
 
+    @pytest.mark.parametrize("n, m", [(8, 0), (40, 1), (0, 1), (3, 8)])
+    def test_rejects_what_the_model_rejects(self, n, m):
+        with pytest.raises(ValueError):
+            k_star(n, m)
+
 
 class TestParameterSequence:
     def test_rejects_unknown_kind(self):

@@ -88,19 +88,23 @@ def plane_bits(plane):
     )
 
 
-def assert_one_pass_per_step_bits(n, spec, params):
+def assert_one_pass_per_step_bits(n, spec, params, defects=()):
     """The windowed and the stepwise run of `params` agree bit for bit.
 
-    Returns the windowed run's `plane_bits`, its initial `measure` first.
+    Both start from the uniform state with each (index, value) of `defects`
+    written into it.  Returns the windowed run's `plane_bits`, its initial
+    `measure` first.
     """
     runs = []
     for run in (windowed_run, stepwise_run):
         state = uniform_state(n)
+        for index, value in defects:
+            state[index] = value
         planes = run(state, params, block_plan(state, spec))
         runs.append((list(map(plane_bits, planes)), state))
     (planes, amps), (want_planes, want_amps) = runs
     assert planes == want_planes
-    assert np.array_equal(amps, want_amps)
+    assert np.array_equal(amps.view(np.uint64), want_amps.view(np.uint64))
     return planes
 
 
@@ -413,6 +417,57 @@ class TestBlockSkip:
         monkeypatch.setattr(statevector, "uniform_state", lambda n: self._with_defect(n, math.nan))
         with pytest.raises(BackendMismatchError, match="leakage nan"):
             run_search(optimal_sequence(12, 3), OracleSpec.standard(12, 3), "statevector")
+
+
+class TestCleanBlocks:
+    """A block measured exactly in the plane takes the rest of its pass unmeasured."""
+
+    @staticmethod
+    def _params(length):
+        angles = np.random.default_rng(length).uniform(-math.pi, math.pi, (length, 2))
+        return [IterationParams(beta, gamma) for beta, gamma in angles.tolist()]
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            # A non-target d whose square underflows: qb == 0 but d != 0.
+            lambda n, targets: (2500, 2.0 ** (-n / 2) + 1e-300j),
+            # A target that makes the shift NaN or inf.
+            lambda n, targets: (targets[1], math.nan),
+            lambda n, targets: (targets[1], complex(math.inf, 0.0)),
+            # A non-target in the last block.
+            lambda n, targets: (2**n - 1, math.nan),
+            lambda n, targets: (2**n - 1, np.nextafter(2.0 ** (-n / 2), 1.0)),
+        ],
+        ids=["underflow", "nan-target", "inf-target", "nan-last", "ulp-last"],
+    )
+    @pytest.mark.parametrize("edges", [False, True], ids=["low", "edges"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_the_skip_hides_nothing(self, n, defect, edges, monkeypatch):
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        spec = edge_targets(n, 2**10, 3, seed=n) if edges else OracleSpec.standard(n, 3)
+        defects = [defect(n, spec.target_indices().tolist())]
+        assert_one_pass_per_step_bits(n, spec, self._params(2 * WINDOW + 3), defects)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_a_clean_window_measures_each_block_once(self, n, monkeypatch):
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        state = uniform_state(n)
+        plan = block_plan(state, OracleSpec.standard(n, 3))
+        total = measure(state, plan).total
+        measured = []
+
+        def subtract(a, b, out):
+            if np.shares_memory(out, plan.scratch):
+                measured.append(b)
+            return np.subtract(a, b, out=out)
+
+        monkeypatch.setattr(statevector, "np", SimpleNamespace(**{**vars(np), "subtract": subtract}))
+        planes = checked_steps(state, self._params(WINDOW), plan, total)
+        assert len(measured) == len(plan.blocks) == 2 ** (n - 10)
+        assert max(plane.leakage for plane in planes) < 1e-12
+
 
 def edge_targets(n, size, m, seed):
     """m target indices of an n-qubit register, first and last of blocks of `size` first."""
