@@ -175,24 +175,36 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
     A block adds to s only when its part qb of q is nonzero.  qb == 0 puts
     every component of every d in the block below 2^-537, so the skipped sum
     is exactly zero when those d are (as in every run that stays in the
-    plane) and below 2^-522 otherwise.  A NaN or inf qb is summed.  Once a
-    step leaves every d of a block exactly 0, the block's later steps in the
-    pass only write its targets and subtract the shift: each non-target x is
-    r, and IEEE subtraction is deterministic, so x - shift rounds to r - shift,
-    the next r.  The block is measured again at a step whose r is not finite.
+    plane) and below 2^-522 otherwise.  A NaN or inf qb is summed.
+
+    A block is clean once a measured step leaves every d exactly 0 and both
+    components of r nonzero, so that each non-target x is r bit for bit (d = 0
+    alone lets -0.0 pass against 0.0).  IEEE subtraction is deterministic, so
+    x - shift would round to r - shift, the next r; a zero shift is not
+    subtracted and leaves r too, which cannot reach -0.0 from nonzero.  So a
+    clean block skips its steps and takes the last one's r and targets in one
+    fill, at the end of the pass or before a step whose r is not finite,
+    which it then takes measured.
     """
     sums = [[0j, 0.0] for _ in steps]
+    # Whether each step's r is finite, then False at the end of the pass.
+    finite = [cmath.isfinite(step[2]) for step in steps] + [False]
     for lo, hi, offsets, part in plan.blocks:
         block = amps[lo:hi]
         diff = plan.scratch[: hi - lo]
         clean = False
-        for (phased, shift, r, _, _), acc in zip(steps, sums):
+        for (phased, shift, r, at, _), acc, ok, ok_next in zip(steps, sums, finite, finite[1:]):
+            if clean and ok:
+                if not ok_next:
+                    # A zero shift is not subtracted: the targets stay as phased.
+                    block.fill(r)
+                    if offsets is not None:
+                        block[offsets] = (at if shift else phased)[part]
+                continue
             if offsets is not None and phased is not None:
                 block[offsets] = phased[part]
             if shift:
                 np.subtract(block, shift, out=block)
-            if clean and cmath.isfinite(r):
-                continue
             np.subtract(block, r, out=diff)
             if offsets is not None:
                 diff[offsets] = 0.0
@@ -201,7 +213,7 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
             if qb:
                 acc[0] += complex(diff.sum())
                 acc[1] += qb
-            clean = not qb and not flat.any()
+            clean = not qb and r.real and r.imag and not flat.any()
     return _planes(steps, sums, amps.size - plan.targets.size)
 
 
@@ -223,11 +235,19 @@ def _planes(steps: list[tuple], sums: list[list], rest: int) -> list[Plane]:
     for (_, _, r, _, t_sum), (s, q), (probability, spread) in zip(steps, sums, norms):
         total = s + rest * r + t_sum
         # Non-target part: sum |d - s/rest|^2 = q - |s|^2/rest; target part likewise.
-        leakage = q - abs(s) ** 2 / rest + spread
-        norm = probability + rest * abs(r) ** 2 + 2.0 * (r.conjugate() * s).real + q
+        leakage = q - _square_abs(s) / rest + spread
+        norm = probability + rest * _square_abs(r) + 2.0 * (r.conjugate() * s).real + q
         a_target, a_perp = t_sum / math.sqrt(m), (total - t_sum) / math.sqrt(rest)
         planes.append(Plane(probability, a_target, a_perp, leakage, norm - 1.0, total))
     return planes
+
+
+def _square_abs(z: complex) -> float:
+    """abs(z) ** 2, but inf where Python would raise `OverflowError` for it."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def measure(amps: np.ndarray, plan: BlockPlan) -> Plane:
@@ -247,8 +267,8 @@ def checked_steps(
     every step's scalars come first, from the targets and the reference
     amplitude alone; then each cache-sized block takes every step in turn,
     and the pass is one read and one write of the vector.  Returns the
-    measured state after each step; a block that sits exactly in the plane
-    is measured once per pass, since its later steps cannot leave it.
+    measured state after each step; a block found exactly in the plane is
+    measured once per pass and then settled with one fill (see `_sweep`).
 
     A later step's sum is its own targets and reference plus the off-plane
     sum s carried from the window's start.  s is exactly 0 in the plane, so

@@ -373,6 +373,21 @@ class TestCheckedStep:
         assert plane.norm_defect == pytest.approx(2e-6 + 1e-12, rel=1e-6)
         assert plane.leakage == 0.0
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_an_overflowing_norm_reads_as_an_infinite_defect(self, monkeypatch):
+        # |a|^2 of each amplitude exceeds the largest double.
+        spec = OracleSpec.standard(4)
+        state = uniform_state(4) * 1e160
+        plan = block_plan(state, spec)
+        plane = measure(state, plan)
+        assert plane.norm_defect == math.inf
+        assert plane.total == 4e160
+        for plane in checked_steps(state, optimal_sequence(4).params, plan, plane.total):
+            assert not math.isfinite(plane.norm_defect)
+        monkeypatch.setattr(statevector, "uniform_state", lambda n: np.full(2**n, 1e160j))
+        with pytest.raises(BackendMismatchError, match="norm defect inf at step 1"):
+            run_search(optimal_sequence(4), spec, "statevector")
+
 
 class TestBlockSkip:
     """`checked_steps` sums a block only where its squared distance from the plane is nonzero."""
@@ -420,7 +435,7 @@ class TestBlockSkip:
 
 
 class TestCleanBlocks:
-    """A block measured exactly in the plane takes the rest of its pass unmeasured."""
+    """A block measured exactly in the plane skips the rest of its pass and takes it in one fill."""
 
     @staticmethod
     def _params(length):
@@ -467,6 +482,48 @@ class TestCleanBlocks:
         planes = checked_steps(state, self._params(WINDOW), plan, total)
         assert len(measured) == len(plan.blocks) == 2 ** (n - 10)
         assert max(plane.leakage for plane in planes) < 1e-12
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_a_clean_window_shifts_each_block_once(self, n, monkeypatch):
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        spec = OracleSpec.standard(n, 3)
+        params = self._params(WINDOW)
+        want = uniform_state(n)
+        stepwise_run(want, params, block_plan(want, spec))
+        state = uniform_state(n)
+        plan = block_plan(state, spec)
+        total = measure(state, plan).total
+        shifted = []
+
+        def subtract(a, b, out):
+            if out.size == 2**10 and np.shares_memory(out, state):
+                shifted.append(b)
+            return np.subtract(a, b, out=out)
+
+        monkeypatch.setattr(statevector, "np", SimpleNamespace(**{**vars(np), "subtract": subtract}))
+        checked_steps(state, params, plan, total)
+        assert len(shifted) == len(plan.blocks) == 2 ** (n - 10)
+        assert np.array_equal(state.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_a_signed_zero_is_not_clean(self, n, monkeypatch):
+        # beta = 0 makes every shift zero, so no step touches the defect, and
+        # x - r reads 0 although x and r differ in the sign of a zero.
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        params = [p._replace(beta=0.0) for p in self._params(2 * WINDOW + 3)]
+        defects = [(2500, complex(2.0 ** (-n / 2), -0.0))]
+        assert_one_pass_per_step_bits(n, OracleSpec.standard(n, 3), params, defects)
+
+    def test_a_zero_shift_leaves_the_phased_targets(self):
+        # The shift is not subtracted, but at = phased - shift turns -0.0 into 0.0.
+        state = uniform_state(12) * complex(0.6, 0.8)
+        plan = block_plan(state, OracleSpec.standard(12))
+        phased, shift = np.array([complex(0.0, -0.0)]), complex(0.0, -0.0)
+        at = phased - shift
+        step = (phased, shift, complex(state[1]), at, complex(at.sum()))
+        statevector._sweep(state, plan, [step, step])
+        assert math.copysign(1.0, at[0].imag) == 1.0
+        assert state[:1].view(np.uint64).tolist() == phased.view(np.uint64).tolist()
 
 
 def edge_targets(n, size, m, seed):
