@@ -138,12 +138,7 @@ def run_search(
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    # Fixed-point schedules (n=None) do not depend on the register, so they
-    # run against any oracle.
-    if seq.n is not None and seq.n != oracle.n:
-        raise ValueError(f"schedule n={seq.n} does not match oracle n={oracle.n}")
-    if seq.n is not None and seq.m != oracle.m:
-        raise ValueError(f"schedule m={seq.m} does not match oracle m={oracle.m}")
+    oracle.check_schedule(seq)
     n, m = oracle.n, oracle.m
     steps = schedules.trajectory(seq, n, m)
     if backend == "statevector":

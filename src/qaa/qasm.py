@@ -41,8 +41,9 @@ def export_circuit(seq, oracle: OracleSpec) -> str:
 
     `seq` may be a ParameterSequence or any iterable of IterationParams.
     Raises ValueError when the program would hold more than MAX_ITERATIONS
-    oracle phases, m per iteration.
+    oracle phases, m per iteration, or when `seq` was built for another register.
     """
+    oracle.check_schedule(seq)
     seq = tuple(seq)
     if len(seq) * oracle.m > MAX_ITERATIONS:
         raise ValueError(f"need at most {MAX_ITERATIONS} oracle phases, got {len(seq) * oracle.m}")
@@ -251,6 +252,7 @@ def roundtrip_deviation(seq, oracle: OracleSpec) -> float:
     The model's state, walked from the uniform state with `advance`, is e^{i*phi}
     sin(theta/2) / sqrt(m) on each target and cos(theta/2) / sqrt(N - m) elsewhere.
     """
+    oracle.check_schedule(seq)
     seq = tuple(seq)
     source = export_circuit(seq, oracle)
     n, m = oracle.n, oracle.m

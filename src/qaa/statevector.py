@@ -89,6 +89,11 @@ class OracleSpec:
     def target_indices(self) -> np.ndarray:
         return self._indices
 
+    def check_schedule(self, seq) -> None:
+        """Reject a schedule built for another n or m; one with no n fits any register."""
+        if getattr(seq, "n", None) is not None and (seq.n, seq.m) != (self.n, self.m):
+            raise ValueError(f"schedule n={seq.n}, m={seq.m} != oracle n={self.n}, m={self.m}")
+
 
 def check_qubits(n: int) -> None:
     """Reject a register whose 2^n vector this module does not build."""
@@ -172,10 +177,9 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
     the sum s and squared norm q of the d's resolve any departure from the
     plane, with nothing to cancel against.
 
-    A block adds to s only when its part qb of q is nonzero.  qb == 0 puts
-    every component of every d in the block below 2^-537, so the skipped sum
-    is exactly zero when those d are (as in every run that stays in the
-    plane) and below 2^-522 otherwise.  A NaN or inf qb is summed.
+    One `any()` judges a block.  Some nonzero d (NaN too) adds the block's
+    sum to s and its squared norm to q, as a pass summing every block would;
+    with every d zero both would add 0, so a pass in the plane takes no dot.
 
     A block is clean once a measured step leaves every d exactly 0 and both
     components of r nonzero, so that each non-target x is r bit for bit (d = 0
@@ -208,12 +212,11 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
             np.subtract(block, r, out=diff)
             if offsets is not None:
                 diff[offsets] = 0.0
-            flat = diff.view(np.float64)
-            qb = float(flat @ flat)
-            if qb:
+            if off := diff.any():
+                flat = diff.view(np.float64)
                 acc[0] += complex(diff.sum())
-                acc[1] += qb
-            clean = not qb and r.real and r.imag and not flat.any()
+                acc[1] += float(flat @ flat)
+            clean = not off and r.real and r.imag
     return _planes(steps, sums, amps.size - plan.targets.size)
 
 

@@ -169,8 +169,8 @@ def checked_step(
 def reference_sweep(amps: np.ndarray, plan: BlockPlan, shift: complex) -> Plane:
     """Subtract `shift` from every amplitude and measure the result, summing every block.
 
-    `statevector` sums a block's differences only where their squared norm is
-    nonzero; this sums them whatever it is.
+    `statevector` sums a block's differences only where one is nonzero;
+    this sums them whatever they are.
     """
     r = complex(amps[plan.reference] - shift)
     s, q = 0j, 0.0

@@ -161,11 +161,13 @@ _NUMPY_X86_V2 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V
 _OPENBLAS_HASWELL = {"OPENBLAS_CORETYPE": "Haswell"}
 
 #: Kernel sets the dense hash is recomputed under: numpy at its X86_V2
-#: baseline, OpenBLAS with its AVX2 kernels, and both, as on an AVX2-only host.
+#: baseline, OpenBLAS with its AVX2 kernels, both, as on an AVX2-only host,
+#: and OpenBLAS on two threads.
 KERNEL_SETS = {
     "numpy-x86-v2": _NUMPY_X86_V2,
     "openblas-haswell": _OPENBLAS_HASWELL,
     "both": {**_NUMPY_X86_V2, **_OPENBLAS_HASWELL},
+    "openblas-threads-2": {"OPENBLAS_NUM_THREADS": "2"},
 }
 
 

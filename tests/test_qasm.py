@@ -126,6 +126,16 @@ class TestExport:
         with pytest.raises(ValueError, match="at most 8 oracle phases, got 10"):
             export_circuit(iter([step] * 5), spec)
 
+    @pytest.mark.parametrize("export", [export_circuit, roundtrip_deviation])
+    @pytest.mark.parametrize(
+        "spec", [OracleSpec.standard(6), OracleSpec.standard(8, 4)], ids=["n", "m"]
+    )
+    def test_rejects_a_schedule_for_another_register(self, export, spec):
+        with pytest.raises(ValueError, match="schedule n=8, m=1 != oracle"):
+            export(optimal_sequence(8), spec)
+        # Its bare parameters carry no register, so they export to any.
+        export(optimal_sequence(8).params, spec)
+
     def test_one_oracle_phase_per_target_in_sorted_order(self):
         spec = OracleSpec(3, frozenset({"110", "011"}))
         text = export_circuit([IterationParams(1.5, -0.5)], spec)

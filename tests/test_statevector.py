@@ -390,7 +390,7 @@ class TestCheckedStep:
 
 
 class TestBlockSkip:
-    """`checked_steps` sums a block only where its squared distance from the plane is nonzero."""
+    """`checked_steps` sums a block only where some difference d is nonzero, with the same bits."""
 
     @pytest.mark.parametrize("size", [2**10, BLOCK])
     @pytest.mark.parametrize(
@@ -446,7 +446,7 @@ class TestCleanBlocks:
     @pytest.mark.parametrize(
         "defect",
         [
-            # A non-target d whose square underflows: qb == 0 but d != 0.
+            # A non-target d != 0 whose square underflows to 0.
             lambda n, targets: (2500, 2.0 ** (-n / 2) + 1e-300j),
             # A target that makes the shift NaN or inf.
             lambda n, targets: (targets[1], math.nan),
@@ -482,6 +482,28 @@ class TestCleanBlocks:
         planes = checked_steps(state, self._params(WINDOW), plan, total)
         assert len(measured) == len(plan.blocks) == 2 ** (n - 10)
         assert max(plane.leakage for plane in planes) < 1e-12
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_the_plane_takes_no_dot(self, n, monkeypatch):
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        dots = []
+
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                dots.append(self.size)
+                return np.asarray(self) @ np.asarray(other)
+
+        state = uniform_state(n)
+        plan = block_plan(state, OracleSpec.standard(n, 3))
+        plan = plan._replace(scratch=plan.scratch.view(Counting))
+        planes = [measure(state, plan)]
+        planes += checked_steps(state, self._params(WINDOW), plan, planes[0].total)
+        assert dots == []
+        assert max(plane.leakage for plane in planes) < 1e-12
+        # One block off the plane takes one dot: the count sees them.
+        state[2500] += 1e-9
+        measure(state, plan)
+        assert dots == [2 * 2**10]
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_a_clean_window_shifts_each_block_once(self, n, monkeypatch):
