@@ -217,7 +217,7 @@ def cmd_export_qasm(args: argparse.Namespace) -> int:
     source = qasm.export_circuit(seq, oracle)
     _write(source, args.out)
     if args.verify:
-        deviation = qasm.roundtrip_deviation(seq, oracle)
+        deviation = qasm.roundtrip_deviation(seq, oracle, source)
         print(f"replay max deviation {deviation:.3e}", file=sys.stderr)
         if deviation > 1e-9:
             return 1

@@ -129,12 +129,14 @@ def run_search(
 ) -> Trajectory:
     """Execute a schedule from the uniform state: its `schedules.trajectory` records.
 
-    With the state-vector backend, each window of `statevector.WINDOW` steps
-    is one checked blocked pass over the 2^n vector
-    (`statevector.checked_steps`), and the run raises unless, at every step,
-    the leakage, the squared distance of the state from the target plane,
-    and the norm defect <a|a> - 1 stay within 1e-12 and the measured target
-    probability matches the step's record within 1e-10.
+    With the state-vector backend, the schedule is one checked run over the
+    2^n vector (`statevector.checked_steps`), and the run raises unless, at
+    every step, the leakage, the squared distance of the state from the
+    target plane, and the norm defect <a|a> - 1 stay within 1e-12 and the
+    measured target probability matches the step's record within 1e-10.  It
+    stops at the window of the first failing check.  After the last step, a
+    closing `statevector.measure` reads every amplitude, and its `Plane` must
+    equal the last step's bit for bit.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -144,28 +146,29 @@ def run_search(
     if backend == "statevector":
         state = sv.uniform_state(n)
         plan = sv.block_plan(state, oracle)
-        total = sv.measure(state, plan).total
+        plane = sv.measure(state, plan)
         checked = []
-        for start in range(0, len(steps), sv.WINDOW):
-            window = seq.params[start : start + sv.WINDOW]
-            planes = sv.checked_steps(state, window, plan, total)
-            for plane, record in zip(planes, steps[start : start + sv.WINDOW]):
-                if not (plane.leakage <= LEAKAGE_TOL):
-                    raise BackendMismatchError(
-                        f"leakage {plane.leakage} out of the target plane "
-                        f"at step {record.index}"
-                    )
-                if not (abs(plane.norm_defect) <= LEAKAGE_TOL):
-                    raise BackendMismatchError(
-                        f"norm defect {plane.norm_defect} at step {record.index}"
-                    )
-                if not (abs(plane.probability - record.probability_after) <= SEQUENCE_TOL):
-                    raise BackendMismatchError(
-                        f"backends disagree at step {record.index}: statevector "
-                        f"{plane.probability} vs analytic {record.probability_after}"
-                    )
-                checked.append(record._replace(probability_after=plane.probability))
-            total = planes[-1].total
+        # The planes come first, so that zip exhausts the run and it writes the vector.
+        for plane, record in zip(sv.checked_steps(state, seq.params, plan, plane.total), steps):
+            if not (plane.leakage <= LEAKAGE_TOL):
+                raise BackendMismatchError(
+                    f"leakage {plane.leakage} out of the target plane at step {record.index}"
+                )
+            if not (abs(plane.norm_defect) <= LEAKAGE_TOL):
+                raise BackendMismatchError(
+                    f"norm defect {plane.norm_defect} at step {record.index}"
+                )
+            if not (abs(plane.probability - record.probability_after) <= SEQUENCE_TOL):
+                raise BackendMismatchError(
+                    f"backends disagree at step {record.index}: statevector "
+                    f"{plane.probability} vs analytic {record.probability_after}"
+                )
+            checked.append(record._replace(probability_after=plane.probability))
+        # repr writes every float exactly, so -0.0 and 0.0 differ.
+        if repr(closing := sv.measure(state, plan)) != repr(plane):
+            raise BackendMismatchError(
+                f"the vector after step {len(steps)} reads {closing}, not {plane}"
+            )
         steps = tuple(checked)
     final = steps[-1].probability_after if steps else initial_angles(n, m).target_probability
     return Trajectory(n, m, seq.kind, steps, final)

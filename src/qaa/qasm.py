@@ -246,15 +246,18 @@ def replay_circuit(source: str) -> np.ndarray:
     return amps
 
 
-def roundtrip_deviation(seq, oracle: OracleSpec) -> float:
+def roundtrip_deviation(seq, oracle: OracleSpec, source: str | None = None) -> float:
     """Max amplitude deviation, up to global phase, between export-replay and the 2D model.
 
-    The model's state, walked from the uniform state with `advance`, is e^{i*phi}
-    sin(theta/2) / sqrt(m) on each target and cos(theta/2) / sqrt(N - m) elsewhere.
+    `source` is the program to replay, as `export_circuit(seq, oracle)`
+    wrote it; it is exported here when not given.  The model's state, walked
+    from the uniform state with `advance`, is e^{i*phi} sin(theta/2) / sqrt(m)
+    on each target and cos(theta/2) / sqrt(N - m) elsewhere.
     """
     oracle.check_schedule(seq)
     seq = tuple(seq)
-    source = export_circuit(seq, oracle)
+    if source is None:
+        source = export_circuit(seq, oracle)
     n, m = oracle.n, oracle.m
     theta0 = theta = initial_angles(n, m).theta
     phi = 0.0

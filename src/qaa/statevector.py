@@ -2,8 +2,9 @@
 
 Ground truth for the analytic two-level model: `checked_steps`, the one
 dense kernel, applies the oracle phase and the diffusion about the uniform
-state exactly on all 2^n complex amplitudes, a window of up to `WINDOW`
-steps per pass over the vector.  Basis ordering is big-endian: the leftmost
+state exactly on all 2^n complex amplitudes, in windows of up to `WINDOW`
+steps, each one blocked pass over the part of the vector not yet found
+exactly in the plane.  Basis ordering is big-endian: the leftmost
 character of a bit string is qubit 0 and the most significant bit of the
 basis index.
 """
@@ -14,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,11 +30,12 @@ MAX_QUBITS = 24
 #: was fastest at n = 20 on a host with 2 MiB of L2 per core.
 BLOCK = 2**15
 
-#: Steps per checked pass: each block takes up to this many steps while it
-#: sits in L2, so the vector makes one trip to memory per window, not per
-#: step.  Of 1..32, at n = 20 on a host with 2 MiB of L2 per core, one step
-#: per pass took 1.2-1.4x as long as 8..32, which were within noise; 32 was
-#: lowest.
+#: Steps per checked pass: each block off the plane takes up to this many
+#: steps while it sits in L2, so it makes one trip to memory per window, not
+#: per step.  Of 1..32, at n = 20 on a host with 2 MiB of L2 per core, one
+#: step per pass took 1.2-1.4x as long as 8..32, which were within noise; 32
+#: was lowest.  A window keeps its steps' targets, so with m targets it is
+#: cut to BLOCK // m steps, or one.
 WINDOW = 32
 
 #: Most shots one readout draws: a uniform and an index each, about 35 MB.
@@ -163,13 +165,15 @@ def block_plan(amps: np.ndarray, oracle: OracleSpec) -> BlockPlan:
     return BlockPlan(idx, reference, blocks, np.empty(min(BLOCK, big_n), dtype=complex))
 
 
-def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]:
+def _sweep(
+    amps: np.ndarray, plan: BlockPlan, steps: list[tuple], clean: list, last: tuple | None
+) -> list[Plane]:
     """Apply `steps` to each block in turn, measuring each step's result.
 
     A step is (its phased targets or None, the diffusion shift, then the
-    reference amplitude, the targets and their sum after the step).  Each
-    block takes every step while it is in cache: the targets are written,
-    the shift is subtracted, and the result is measured.
+    reference amplitude r, the targets and their sum after the step).  Each
+    block that is not clean takes every step while it is in cache: the
+    targets are written, the shift is subtracted, and the result is measured.
 
     Each non-target amplitude is read as its difference d from the reference
     amplitude r, which goes through the same float operations.  Non-target
@@ -181,30 +185,29 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
     sum to s and its squared norm to q, as a pass summing every block would;
     with every d zero both would add 0, so a pass in the plane takes no dot.
 
-    A block is clean once a measured step leaves every d exactly 0 and both
-    components of r nonzero, so that each non-target x is r bit for bit (d = 0
-    alone lets -0.0 pass against 0.0).  IEEE subtraction is deterministic, so
-    x - shift would round to r - shift, the next r; a zero shift is not
-    subtracted and leaves r too, which cannot reach -0.0 from nonzero.  So a
-    clean block skips its steps and takes the last one's r and targets in one
-    fill, at the end of the pass or before a step whose r is not finite,
-    which it then takes measured.
+    `clean` holds a flag per block, kept from one call to the next, and
+    `last` is the step before `steps`.  A block is clean once a measured step
+    leaves every d exactly 0 and both components of r nonzero, so that each
+    non-target x is r bit for bit (d = 0 alone lets -0.0 pass against 0.0).
+    IEEE subtraction is deterministic, so x - shift would round to r - shift,
+    the next r; a zero shift leaves both as they are.  So a clean block skips
+    its steps, and is left unwritten, until a step whose r is not finite:
+    `_settle` then writes it as the step before left it, and it takes that
+    step measured.
     """
     sums = [[0j, 0.0] for _ in steps]
-    # Whether each step's r is finite, then False at the end of the pass.
-    finite = [cmath.isfinite(step[2]) for step in steps] + [False]
-    for lo, hi, offsets, part in plan.blocks:
+    finite = [cmath.isfinite(step[2]) for step in steps]
+    every_finite = all(finite)
+    for b, (lo, hi, offsets, part) in enumerate(plan.blocks):
+        if clean[b] and every_finite:
+            continue
         block = amps[lo:hi]
         diff = plan.scratch[: hi - lo]
-        clean = False
-        for (phased, shift, r, at, _), acc, ok, ok_next in zip(steps, sums, finite, finite[1:]):
-            if clean and ok:
-                if not ok_next:
-                    # A zero shift is not subtracted: the targets stay as phased.
-                    block.fill(r)
-                    if offsets is not None:
-                        block[offsets] = (at if shift else phased)[part]
-                continue
+        for (phased, shift, r, _, _), before, acc, ok in zip(steps, [last, *steps], sums, finite):
+            if clean[b]:
+                if ok:
+                    continue
+                _settle(block, offsets, part, before)
             if offsets is not None and phased is not None:
                 block[offsets] = phased[part]
             if shift:
@@ -216,8 +219,15 @@ def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]
                 flat = diff.view(np.float64)
                 acc[0] += complex(diff.sum())
                 acc[1] += float(flat @ flat)
-            clean = not off and r.real and r.imag
+            clean[b] = not off and r.real and r.imag
     return _planes(steps, sums, amps.size - plan.targets.size)
+
+
+def _settle(block: np.ndarray, offsets: np.ndarray | None, part: slice, step: tuple) -> None:
+    """Write a clean block as `step` left it: r everywhere, then its targets."""
+    block.fill(step[2])
+    if offsets is not None:
+        block[offsets] = step[3][part]
 
 
 def _planes(steps: list[tuple], sums: list[list], rest: int) -> list[Plane]:
@@ -226,16 +236,15 @@ def _planes(steps: list[tuple], sums: list[list], rest: int) -> list[Plane]:
     The target norms of all the steps are taken at once, as numpy sums of
     squares: a BLAS dot would sum in an order the host picks.
     """
-    if not steps:
-        return []
     at = np.array([step[3] for step in steps])
     m = at.shape[1]
     # The targets and their spread about the mean, t_sum / m as a per-step pass takes it.
-    rows = np.stack((at, at - np.array([step[4] / m for step in steps])[:, None]))
-    re, im = rows.real, rows.imag
-    norms = zip(*(np.add.reduce(re * re, axis=2) + np.add.reduce(im * im, axis=2)).tolist())
+    norms = (
+        (np.add.reduce(x.real * x.real, axis=1) + np.add.reduce(x.imag * x.imag, axis=1)).tolist()
+        for x in (at, at - np.array([step[4] / m for step in steps])[:, None])
+    )
     planes = []
-    for (_, _, r, _, t_sum), (s, q), (probability, spread) in zip(steps, sums, norms):
+    for (_, _, r, _, t_sum), (s, q), probability, spread in zip(steps, sums, *norms):
         total = s + rest * r + t_sum
         # Non-target part: sum |d - s/rest|^2 = q - |s|^2/rest; target part likewise.
         leakage = q - _square_abs(s) / rest + spread
@@ -256,48 +265,69 @@ def _square_abs(z: complex) -> float:
 def measure(amps: np.ndarray, plan: BlockPlan) -> Plane:
     """The state against the target plane, in one read of the vector."""
     at = amps[plan.targets]
-    return _sweep(amps, plan, [(None, 0j, complex(amps[plan.reference]), at, complex(at.sum()))])[0]
+    step = (None, 0j, complex(amps[plan.reference]), at, complex(at.sum()))
+    return _sweep(amps, plan, [step], [False] * len(plan.blocks), None)[0]
 
 
 def checked_steps(
-    amps: np.ndarray, window: Sequence[IterationParams], plan: BlockPlan, total: complex
-) -> list[Plane]:
-    """Apply each G(beta, gamma) of `window` to `amps` in place, in one blocked pass.
+    amps: np.ndarray, schedule: Sequence[IterationParams], plan: BlockPlan, total: complex
+) -> Iterator[Plane]:
+    """Apply each G(beta, gamma) of `schedule` to `amps` in place, yielding each step's `Plane`.
 
-    `total` is the sum of the amplitudes before the window, as the last
-    `measure` or `checked_steps` returned it.  The oracle phase touches only
-    the m targets and corrects the running sum into the diffusion mean, so
-    every step's scalars come first, from the targets and the reference
-    amplitude alone; then each cache-sized block takes every step in turn,
-    and the pass is one read and one write of the vector.  Returns the
-    measured state after each step; a block found exactly in the plane is
-    measured once per pass and then settled with one fill (see `_sweep`).
+    `total` is the sum of the amplitudes before the schedule, as `measure`
+    returned it.  The oracle phase touches only the m targets and corrects
+    the running sum into the diffusion mean, so each step's scalars come
+    first, from the targets and the reference amplitude alone.  The steps
+    go in windows of up to `WINDOW`, and each cache-sized block takes a
+    window's steps in turn.  A window holds two arrays of m targets per
+    step, so it is cut to at most a block's worth of target values, however
+    large m is.  A block found exactly in the plane is measured no more
+    until a step's r is not finite, and is written once when the schedule
+    ends (see `_sweep`): a run in the plane reads the vector in its first
+    window and fills it at the end.  Each window's planes are yielded when
+    it is done, so a caller that stops at a failing check stops the run
+    there; `amps` holds the state after the last step only once the
+    generator is exhausted.
 
-    A later step's sum is its own targets and reference plus the off-plane
-    sum s carried from the window's start.  s is exactly 0 in the plane, so
-    that sum is the one a per-step pass would take; off the plane, s is
-    invariant under G and the two differ only by rounding.
+    A later window takes its scalars from the step before it, not from the
+    vector, whose clean blocks are not yet written.  A later step's sum is
+    its own targets and reference plus the off-plane sum s carried from its
+    window's start.  s is exactly 0 in the plane, so that sum is the one a
+    per-step pass would take; off the plane, s is invariant under G and the
+    two differ only by rounding.
     """
     rest = amps.size - plan.targets.size
     at = amps[plan.targets]
     r = complex(amps[plan.reference])
-    carried = total - (rest * r + complex(at.sum()))
-    steps = []
-    # e^{-i*beta} and e^{-i*gamma} of every step, in one call.
-    phases = np.exp(-1j * np.fromiter(chain.from_iterable(window), float, 2 * len(window)))
-    for e_beta, c in phases.reshape(-1, 2).tolist():
-        # at * c as at * Re(c) + at * i Im(c): each of those products is exact
-        # to one rounding per part even where numpy's SIMD multiply fuses, so
-        # the bits do not depend on the kernels the host picks.
-        phased = at * c.real + at * complex(0.0, c.imag)
-        mean = (total + complex((phased - at).sum())) / amps.size
-        shift = (1.0 - e_beta) * mean
-        r = r - shift
-        at = phased - shift
-        t_sum = complex(at.sum())
-        total = carried + rest * r + t_sum
-        steps.append((phased, shift, r, at, t_sum))
-    return _sweep(amps, plan, steps)
+    clean = [False] * len(plan.blocks)
+    length = min(WINDOW, max(1, BLOCK // plan.targets.size))
+    step = None
+    for start in range(0, len(schedule), length):
+        window = schedule[start : start + length]
+        carried = total - (rest * r + complex(at.sum()))
+        steps = []
+        # e^{-i*beta} and e^{-i*gamma} of every step, in one call.
+        phases = np.exp(-1j * np.fromiter(chain.from_iterable(window), float, 2 * len(window)))
+        for e_beta, c in phases.reshape(-1, 2).tolist():
+            # at * c as at * Re(c) + at * i Im(c): each of those products is exact
+            # to one rounding per part even where numpy's SIMD multiply fuses, so
+            # the bits do not depend on the kernels the host picks.
+            phased = at * c.real + at * complex(0.0, c.imag)
+            mean = (total + complex((phased - at).sum())) / amps.size
+            shift = (1.0 - e_beta) * mean
+            # A zero shift is not subtracted: the vector keeps r and the phased targets.
+            at = phased
+            if shift:
+                r, at = r - shift, phased - shift
+            t_sum = complex(at.sum())
+            total = carried + rest * r + t_sum
+            steps.append((phased, shift, r, at, t_sum))
+        planes = _sweep(amps, plan, steps, clean, step)
+        yield from planes
+        step, total = steps[-1], planes[-1].total
+    for flag, (lo, hi, offsets, part) in zip(clean, plan.blocks):
+        if flag:
+            _settle(amps[lo:hi], offsets, part, step)
 
 
 def sample_measurements(

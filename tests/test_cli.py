@@ -136,23 +136,19 @@ class TestSearch:
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_shots_evolve_the_state_once(self, capsys, monkeypatch, backend):
-        # The statevector run makes 201 dense steps, in checked passes of up to
-        # WINDOW steps; shots sample the final probability, so the analytic run
-        # builds no 2^n vector at all.
-        windows, vectors = [], []
+        # The statevector run makes its 201 dense steps in one checked run;
+        # shots sample the final probability, so the analytic run builds no
+        # 2^n vector at all.
+        runs, vectors = [], []
         kernel, uniform = sv.checked_steps, sv.uniform_state
-        monkeypatch.setattr(
-            sv, "checked_steps", lambda *a: windows.append(len(a[1])) or kernel(*a)
-        )
+        monkeypatch.setattr(sv, "checked_steps", lambda *a: runs.append(len(a[1])) or kernel(*a))
         monkeypatch.setattr(sv, "uniform_state", lambda n: vectors.append(n) or uniform(n))
         code, _, _ = run_cli(
             capsys, "search", "optimal", "--n", "16", "--backend", backend, "--shots", "10"
         )
-        steps = 201 if backend == "statevector" else 0
         assert code == 0
         assert len(vectors) == (backend == "statevector")
-        assert sum(windows) == steps
-        assert len(windows) == -(-steps // sv.WINDOW)
+        assert runs == ([201] if backend == "statevector" else [])
 
     def test_shots_do_not_depend_on_the_backend(self, capsys):
         argv = ["search", "fixed-point", "--n", "2", "--delta", "0.2", "--shots", "50"]
@@ -303,6 +299,19 @@ class TestExportQasm:
         )
         assert code == 0
         assert "replay max deviation" in err
+
+    def test_verify_exports_once(self, capsys, monkeypatch):
+        # --verify replays the text it wrote rather than exporting it again.
+        export, sources = qasm.export_circuit, []
+
+        def counted(*args):
+            sources.append(export(*args))
+            return sources[-1]
+
+        monkeypatch.setattr(qasm, "export_circuit", counted)
+        code, out, _ = run_cli(capsys, "export-qasm", "optimal", "--n", "6", "--verify")
+        assert code == 0
+        assert sources == [out]
 
     def test_multi_target_verify(self, capsys):
         code, out, err = run_cli(

@@ -146,22 +146,25 @@ class TestDenseGuards:
         "cell, message", [("leakage", "leakage nan"), ("probability", "statevector nan")]
     )
     def test_nan_plane_raises(self, monkeypatch, cell, message):
-        # One Plane, the third of the first window, is poisoned.
-        exact = sv.checked_steps
-        windows = []
+        # The third Plane of a two-window run is poisoned: the run draws no
+        # later Plane and never sweeps its second window.
+        exact, sweep = sv.checked_steps, sv._sweep
+        drawn, swept = [], []
 
         def poisoned(*args):
-            planes = exact(*args)
-            if not windows:
-                planes[2] = planes[2]._replace(**{cell: math.nan})
-            windows.append(len(planes))
-            return planes
+            for plane in exact(*args):
+                drawn.append(plane)
+                yield plane._replace(**{cell: math.nan}) if len(drawn) == 3 else plane
 
         monkeypatch.setattr(sv, "checked_steps", poisoned)
+        monkeypatch.setattr(sv, "_sweep", lambda *a: swept.append(len(a[2])) or sweep(*a))
+        seq = optimal_sequence(12)
+        assert len(seq) > sv.WINDOW
         with pytest.raises(BackendMismatchError, match=message) as raised:
-            run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
+            run_search(seq, OracleSpec.standard(12), "statevector")
         assert "at step 3" in str(raised.value)
-        assert len(windows) == 1
+        assert len(drawn) == 3
+        assert swept == [1, sv.WINDOW]
 
 
 #: The adaptive kinds, whose generators walk the 2D model to choose each step.

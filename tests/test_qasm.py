@@ -423,6 +423,14 @@ class TestRoundTrip:
         seq = once(optimal_sequence(5).params)
         assert roundtrip_deviation(seq, OracleSpec.single("10110")) < 1e-12
 
+    def test_replays_the_text_it_is_given(self, monkeypatch):
+        seq, spec = optimal_sequence(6), OracleSpec.single("011010")
+        source = export_circuit(seq, spec)
+        monkeypatch.setattr(qasm, "export_circuit", None)
+        assert roundtrip_deviation(seq, spec, source) <= 1e-12
+        # The preparation alone leaves the uniform state, far from where the schedule ends.
+        assert roundtrip_deviation(seq, spec, source.split("// iteration")[0]) > 0.1
+
     def test_reference_is_the_2d_model(self, monkeypatch):
         # No dense simulation: the replay is compared with the target-plane state.
         def dense(*args):

@@ -1,5 +1,6 @@
 import math
-from collections import Counter
+import tracemalloc
+from collections import Counter, namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.linalg import expm
 
 from qaa import schedules, statevector
 from qaa.engine import BackendMismatchError, run_search
-from qaa.schedules import optimal_sequence
+from qaa.schedules import fixed_point_sequence, optimal_sequence
 from qaa.statevector import (
     BLOCK,
     WINDOW,
@@ -35,6 +36,9 @@ from reference import (
 
 ANGLE = st.floats(-math.pi, math.pi)
 
+#: A step's (beta, gamma), unchecked.
+Angles = namedtuple("Angles", "beta gamma")
+
 
 def project(state, spec):
     """The plane angles of `state` and its leakage, from one `measure`."""
@@ -58,18 +62,16 @@ def dense_diffusion(n, beta):
 def library_step(state, params, spec):
     """One `checked_steps` step of `state`, its diffusion mean taken from a `measure`."""
     plan = block_plan(state, spec)
-    checked_steps(state, [params], plan, measure(state, plan).total)
+    list(checked_steps(state, [params], plan, measure(state, plan).total))
 
 
 def windowed_run(state, params, plan):
     """The `Plane` of `state` before `params` and after each of them.
 
-    The steps go through `checked_steps` a window at a time, as `run_search`
-    runs them.
+    The steps go through one `checked_steps` run, as `run_search` runs them.
     """
     planes = [measure(state, plan)]
-    for start in range(0, len(params), WINDOW):
-        planes += checked_steps(state, params[start : start + WINDOW], plan, planes[-1].total)
+    planes += checked_steps(state, params, plan, planes[0].total)
     return planes
 
 
@@ -92,8 +94,9 @@ def assert_one_pass_per_step_bits(n, spec, params, defects=()):
     """The windowed and the stepwise run of `params` agree bit for bit.
 
     Both start from the uniform state with each (index, value) of `defects`
-    written into it.  Returns the windowed run's `plane_bits`, its initial
-    `measure` first.
+    written into it.  A closing `measure` of the windowed run's vector must
+    also give its last `Plane`.  Returns the windowed run's `plane_bits`, its
+    initial `measure` first.
     """
     runs = []
     for run in (windowed_run, stepwise_run):
@@ -105,6 +108,7 @@ def assert_one_pass_per_step_bits(n, spec, params, defects=()):
     (planes, amps), (want_planes, want_amps) = runs
     assert planes == want_planes
     assert np.array_equal(amps.view(np.uint64), want_amps.view(np.uint64))
+    assert plane_bits(measure(amps, block_plan(amps, spec))) == planes[-1]
     return planes
 
 
@@ -435,12 +439,25 @@ class TestBlockSkip:
 
 
 class TestCleanBlocks:
-    """A block measured exactly in the plane skips the rest of its pass and takes it in one fill."""
+    """A block found exactly in the plane is skipped until one fill at the end of the run."""
 
     @staticmethod
     def _params(length):
         angles = np.random.default_rng(length).uniform(-math.pi, math.pi, (length, 2))
         return [IterationParams(beta, gamma) for beta, gamma in angles.tolist()]
+
+    @staticmethod
+    def _count_subtracts(monkeypatch, into):
+        """Record the second operand of every `np.subtract` the kernel writes into `into`."""
+        counted = []
+
+        def subtract(a, b, out):
+            if out.size == 2**10 and np.shares_memory(out, into):
+                counted.append(b)
+            return np.subtract(a, b, out=out)
+
+        monkeypatch.setattr(statevector, "np", SimpleNamespace(**{**vars(np), "subtract": subtract}))
+        return counted
 
     @pytest.mark.parametrize("n", [12, 16])
     @pytest.mark.parametrize(
@@ -463,23 +480,42 @@ class TestCleanBlocks:
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
         spec = edge_targets(n, 2**10, 3, seed=n) if edges else OracleSpec.standard(n, 3)
         defects = [defect(n, spec.target_indices().tolist())]
-        assert_one_pass_per_step_bits(n, spec, self._params(2 * WINDOW + 3), defects)
+        assert_one_pass_per_step_bits(n, spec, self._params(3 * WINDOW + 3), defects)
+
+    @pytest.mark.parametrize("step", [WINDOW, WINDOW + 1, 2 * WINDOW])
+    @pytest.mark.parametrize("kind", ["nan", "inf", "ulp"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_defect_at_a_window_edge(self, kind, step, monkeypatch):
+        # Every block is clean from the run's first step, so the defect meets
+        # blocks left unwritten since an earlier window.  A NaN beta or an inf
+        # gamma at `step` makes its r NaN; a one-ulp defect in the last block
+        # is held still by steps with beta = 0 (no shift) until `step`.
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        n = 12
+        params, defects = self._params(3 * WINDOW + 3), []
+        if kind == "ulp":
+            params[:step] = [p._replace(beta=0.0) for p in params[:step]]
+            defects = [(2**n - 1, np.nextafter(2.0 ** (-n / 2), 1.0))]
+        else:
+            # `IterationParams` rejects these angles; the kernel takes any pair.
+            beta, gamma = params[step]
+            params[step] = Angles(math.nan, gamma) if kind == "nan" else Angles(beta, math.inf)
+        planes = assert_one_pass_per_step_bits(n, OracleSpec.standard(n, 3), params, defects)
+        leakage = [float.fromhex(bits[3]) for bits in planes]
+        if kind == "ulp":
+            assert min(leakage) > 0.0
+        else:
+            assert max(leakage[: step + 1]) < 1e-12
+            assert all(map(math.isnan, leakage[step + 1 :]))
 
     @pytest.mark.parametrize("n", [12, 16])
-    def test_a_clean_window_measures_each_block_once(self, n, monkeypatch):
+    def test_a_clean_run_measures_each_block_once(self, n, monkeypatch):
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
         state = uniform_state(n)
         plan = block_plan(state, OracleSpec.standard(n, 3))
         total = measure(state, plan).total
-        measured = []
-
-        def subtract(a, b, out):
-            if np.shares_memory(out, plan.scratch):
-                measured.append(b)
-            return np.subtract(a, b, out=out)
-
-        monkeypatch.setattr(statevector, "np", SimpleNamespace(**{**vars(np), "subtract": subtract}))
-        planes = checked_steps(state, self._params(WINDOW), plan, total)
+        measured = self._count_subtracts(monkeypatch, plan.scratch)
+        planes = list(checked_steps(state, self._params(3 * WINDOW + 3), plan, total))
         assert len(measured) == len(plan.blocks) == 2 ** (n - 10)
         assert max(plane.leakage for plane in planes) < 1e-12
 
@@ -497,7 +533,7 @@ class TestCleanBlocks:
         plan = block_plan(state, OracleSpec.standard(n, 3))
         plan = plan._replace(scratch=plan.scratch.view(Counting))
         planes = [measure(state, plan)]
-        planes += checked_steps(state, self._params(WINDOW), plan, planes[0].total)
+        planes += checked_steps(state, self._params(3 * WINDOW + 3), plan, planes[0].total)
         assert dots == []
         assert max(plane.leakage for plane in planes) < 1e-12
         # One block off the plane takes one dot: the count sees them.
@@ -506,25 +542,22 @@ class TestCleanBlocks:
         assert dots == [2 * 2**10]
 
     @pytest.mark.parametrize("n", [12, 16])
-    def test_a_clean_window_shifts_each_block_once(self, n, monkeypatch):
+    def test_a_clean_run_shifts_each_block_once(self, n, monkeypatch):
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
         spec = OracleSpec.standard(n, 3)
-        params = self._params(WINDOW)
+        params = self._params(3 * WINDOW + 3)
         want = uniform_state(n)
         stepwise_run(want, params, block_plan(want, spec))
         state = uniform_state(n)
         plan = block_plan(state, spec)
         total = measure(state, plan).total
-        shifted = []
-
-        def subtract(a, b, out):
-            if out.size == 2**10 and np.shares_memory(out, state):
-                shifted.append(b)
-            return np.subtract(a, b, out=out)
-
-        monkeypatch.setattr(statevector, "np", SimpleNamespace(**{**vars(np), "subtract": subtract}))
-        checked_steps(state, params, plan, total)
+        shifted = self._count_subtracts(monkeypatch, state)
+        planes = checked_steps(state, params, plan, total)
+        next(planes)
         assert len(shifted) == len(plan.blocks) == 2 ** (n - 10)
+        # The rest of the run shifts no block: its clean blocks wait for one fill.
+        list(planes)
+        assert len(shifted) == len(plan.blocks)
         assert np.array_equal(state.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [12, 16])
@@ -537,15 +570,60 @@ class TestCleanBlocks:
         assert_one_pass_per_step_bits(n, OracleSpec.standard(n, 3), params, defects)
 
     def test_a_zero_shift_leaves_the_phased_targets(self):
-        # The shift is not subtracted, but at = phased - shift turns -0.0 into 0.0.
-        state = uniform_state(12) * complex(0.6, 0.8)
+        # With beta = 0 and a mean in the third quadrant, the shift is
+        # 0.0 - 0.0j and is not subtracted; gamma = -0.0 keeps the target's
+        # -0.0.  The vector keeps that phased target through the closing fill,
+        # where phased - shift would turn its -0.0 into 0.0.
+        state = uniform_state(12) * complex(-0.6, -0.8)
+        state[0] = complex(-0.01, -0.0)
         plan = block_plan(state, OracleSpec.standard(12))
-        phased, shift = np.array([complex(0.0, -0.0)]), complex(0.0, -0.0)
-        at = phased - shift
-        step = (phased, shift, complex(state[1]), at, complex(at.sum()))
-        statevector._sweep(state, plan, [step, step])
-        assert math.copysign(1.0, at[0].imag) == 1.0
-        assert state[:1].view(np.uint64).tolist() == phased.view(np.uint64).tolist()
+        params = [IterationParams(0.0, -0.0)] * 2
+        planes = list(checked_steps(state, params, plan, measure(state, plan).total))
+        want = np.array([complex(-0.01, -0.0)])
+        assert state[:1].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert plane_bits(measure(state, plan)) == plane_bits(planes[-1])
+
+
+class TestClosingRead:
+    """`run_search` ends with one `measure`, which must give the last step's `Plane` bit for bit."""
+
+    def test_an_in_plane_run_closes_on_its_last_plane(self, monkeypatch):
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        spec = OracleSpec.standard(12)
+        read, closing = statevector.measure, []
+
+        def counted(*args):
+            closing.append(read(*args))
+            return closing[-1]
+
+        monkeypatch.setattr(statevector, "measure", counted)
+        seq = optimal_sequence(12)
+        assert len(seq) > WINDOW
+        run_search(seq, spec, "statevector")
+        state = uniform_state(12)
+        want = windowed_run(state, seq.params, block_plan(state, spec))
+        assert list(map(plane_bits, closing)) == list(map(plane_bits, [want[0], want[-1]]))
+        assert closing[1].leakage == 0.0
+
+    def test_a_one_ulp_fill_fails_the_run(self, monkeypatch):
+        # The closing fill of the second block writes r one ulp high.  With
+        # one target the last Plane's leakage is exactly 0, so the closing
+        # read's leakage shows the ulp.
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        settle, settled = statevector._settle, []
+
+        def off_by_one_ulp(block, offsets, part, step):
+            settled.append(block)
+            if len(settled) == 2:
+                r = step[2]
+                step = (*step[:2], complex(np.nextafter(r.real, 1.0), r.imag), *step[3:])
+            settle(block, offsets, part, step)
+
+        monkeypatch.setattr(statevector, "_settle", off_by_one_ulp)
+        seq = optimal_sequence(12)
+        with pytest.raises(BackendMismatchError, match=f"the vector after step {len(seq)} reads"):
+            run_search(seq, OracleSpec.standard(12), "statevector")
+        assert len(settled) == 4
 
 
 def edge_targets(n, size, m, seed):
@@ -596,10 +674,24 @@ class TestWindow:
             assert plane.leakage == pytest.approx(want_plane.leakage, rel=1e-12)
             assert plane.leakage > 1e-6
 
+    def test_a_window_holds_at_most_a_block_of_targets(self):
+        # Each step of a window keeps two arrays of m targets.  At m = 2^13 - 1
+        # 32 steps in one window peaked at about 98 vectors' worth of bytes; cut
+        # to at most BLOCK // m steps, the run peaks at about 12.
+        n, m = 14, 2**13 - 1
+        seq, spec = fixed_point_sequence(32, 0.3), OracleSpec.standard(n, m)
+        tracemalloc.start()
+        try:
+            run_search(seq, spec, "statevector")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * uniform_state(n).nbytes
+
     def test_an_empty_window_leaves_the_state(self):
         spec = OracleSpec.standard(12, 3)
         state = uniform_state(12)
-        assert checked_steps(state, [], block_plan(state, spec), 0j) == []
+        assert list(checked_steps(state, [], block_plan(state, spec), 0j)) == []
         np.testing.assert_array_equal(state, uniform_state(12))
 
     @pytest.mark.parametrize("k", [2, WINDOW, WINDOW + 3])
