@@ -135,8 +135,9 @@ def run_search(
     target plane, and the norm defect <a|a> - 1 stay within 1e-12 and the
     measured target probability matches the step's record within 1e-10.  It
     stops at the window of the first failing check.  After the last step, a
-    closing `statevector.measure` reads every amplitude, and its `Plane` must
-    equal the last step's bit for bit.
+    closing `statevector.measure` reads every amplitude: its `Plane` must
+    equal the last step's bit for bit, and it must find clean exactly the
+    blocks the run left clean, each holding the last r bit for bit.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -164,10 +165,13 @@ def run_search(
                     f"{plane.probability} vs analytic {record.probability_after}"
                 )
             checked.append(record._replace(probability_after=plane.probability))
-        # repr writes every float exactly, so -0.0 and 0.0 differ.
-        if repr(closing := sv.measure(state, plan)) != repr(plane):
+        settled = plan.clean.copy()
+        # repr writes every float exactly, so -0.0 and 0.0 differ.  A settled block
+        # must also read back with r's bits: with m > 1, a Plane can round off a ulp.
+        if repr(closing := sv.measure(state, plan)) != repr(plane) or plan.clean != settled:
             raise BackendMismatchError(
-                f"the vector after step {len(steps)} reads {closing}, not {plane}"
+                f"the vector after step {len(steps)} reads {closing} with "
+                f"{sum(plan.clean)} clean blocks, not {plane} with {sum(settled)}"
             )
         steps = tuple(checked)
     final = steps[-1].probability_after if steps else initial_angles(n, m).target_probability

@@ -3,15 +3,15 @@
 Ground truth for the analytic two-level model: `checked_steps`, the one
 dense kernel, applies the oracle phase and the diffusion about the uniform
 state exactly on all 2^n complex amplitudes, in windows of up to `WINDOW`
-steps, each one blocked pass over the part of the vector not yet found
-exactly in the plane.  Basis ordering is big-endian: the leftmost
-character of a bit string is qubit 0 and the most significant bit of the
-basis index.
+steps, each one blocked pass over the blocks that neither the opening
+`measure` nor an earlier step found exactly in the plane.  A single target
+is one Python complex, so a step in the plane makes no numpy call.  Basis
+ordering is big-endian: the leftmost character of a bit string is qubit 0
+and the most significant bit of the basis index.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -115,13 +115,15 @@ class BlockPlan(NamedTuple):
 
     `reference` is the first non-target index.  Each block is (start, stop,
     the offsets of its targets or None, the slice of `targets` they are),
-    and `scratch` holds one block.
+    `scratch` holds one block, and `clean` flags the blocks that the last
+    `measure` or `checked_steps` found exactly in the plane (see `_sweep`).
     """
 
     targets: np.ndarray
     reference: int
     blocks: tuple[tuple[int, int, np.ndarray | None, slice], ...]
     scratch: np.ndarray
+    clean: list[bool]
 
 
 class Plane(NamedTuple):
@@ -162,72 +164,72 @@ def block_plan(amps: np.ndarray, oracle: OracleSpec) -> BlockPlan:
         (lo, min(lo + BLOCK, big_n), idx[a:b] - lo if b > a else None, slice(a, b))
         for lo, a, b in zip(starts, cuts, cuts[1:])
     )
-    return BlockPlan(idx, reference, blocks, np.empty(min(BLOCK, big_n), dtype=complex))
+    scratch = np.empty(min(BLOCK, big_n), dtype=complex)
+    return BlockPlan(idx, reference, blocks, scratch, [False] * len(blocks))
 
 
-def _sweep(
-    amps: np.ndarray, plan: BlockPlan, steps: list[tuple], clean: list, last: tuple | None
-) -> list[Plane]:
+def _sweep(amps: np.ndarray, plan: BlockPlan, steps: list[tuple]) -> list[Plane]:
     """Apply `steps` to each block in turn, measuring each step's result.
 
     A step is (its phased targets or None, the diffusion shift, then the
-    reference amplitude r, the targets and their sum after the step).  Each
-    block that is not clean takes every step while it is in cache: the
-    targets are written, the shift is subtracted, and the result is measured.
+    reference amplitude r, the targets and their sum after the step); one
+    target is one Python complex.  Each block that is not clean takes every
+    step while it is in cache: the targets are written, the shift is
+    subtracted, and the result is measured.
 
     Each non-target amplitude is read as its difference d from the reference
     amplitude r, which goes through the same float operations.  Non-target
-    amplitudes that went through the same operations give d = 0 exactly, so
-    the sum s and squared norm q of the d's resolve any departure from the
+    amplitudes that went through the same operations give d = +0.0 exactly,
+    so the sum s and squared norm q of the d's resolve any departure from the
     plane, with nothing to cancel against.
 
-    One `any()` judges a block.  Some nonzero d (NaN too) adds the block's
-    sum to s and its squared norm to q, as a pass summing every block would;
-    with every d zero both would add 0, so a pass in the plane takes no dot.
+    One integer max over the d's bits judges a block.  Some d other than +0.0
+    (NaN too) adds the block's sum to s and its squared norm to q, as a pass
+    summing every block would; with every d +0.0 both would add 0, so a pass
+    in the plane takes no dot.
 
-    `clean` holds a flag per block, kept from one call to the next, and
-    `last` is the step before `steps`.  A block is clean once a measured step
-    leaves every d exactly 0 and both components of r nonzero, so that each
-    non-target x is r bit for bit (d = 0 alone lets -0.0 pass against 0.0).
-    IEEE subtraction is deterministic, so x - shift would round to r - shift,
-    the next r; a zero shift leaves both as they are.  So a clean block skips
-    its steps, and is left unwritten, until a step whose r is not finite:
-    `_settle` then writes it as the step before left it, and it takes that
-    step measured.
+    `plan.clean` flags a block once every d is +0.0 and no part of r is -0.0.
+    Each non-target x is then r bit for bit: against a nonzero part of r,
+    x - r is 0 only for the equal double, and against +0.0 it is +0.0 only
+    for x's +0.0 (against -0.0 either zero gives +0.0).  IEEE subtraction is
+    deterministic, so x - shift rounds to r - shift, the next r, finite or
+    not; a zero shift leaves both as they are.  So a clean block skips every
+    later step, unwritten, until `checked_steps` settles it with `_settle`.
     """
     sums = [[0j, 0.0] for _ in steps]
-    finite = [cmath.isfinite(step[2]) for step in steps]
-    every_finite = all(finite)
     for b, (lo, hi, offsets, part) in enumerate(plan.blocks):
-        if clean[b] and every_finite:
+        if plan.clean[b]:
             continue
         block = amps[lo:hi]
         diff = plan.scratch[: hi - lo]
-        for (phased, shift, r, _, _), before, acc, ok in zip(steps, [last, *steps], sums, finite):
-            if clean[b]:
-                if ok:
-                    continue
-                _settle(block, offsets, part, before)
+        for (phased, shift, r, _, _), acc in zip(steps, sums):
             if offsets is not None and phased is not None:
-                block[offsets] = phased[part]
+                block[offsets] = _part(phased, part)
             if shift:
                 np.subtract(block, shift, out=block)
             np.subtract(block, r, out=diff)
             if offsets is not None:
                 diff[offsets] = 0.0
-            if off := diff.any():
+            if diff.view(np.uint64).max():
                 flat = diff.view(np.float64)
                 acc[0] += complex(diff.sum())
                 acc[1] += float(flat @ flat)
-            clean[b] = not off and r.real and r.imag
+            elif not any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in (r.real, r.imag)):
+                plan.clean[b] = True
+                break
     return _planes(steps, sums, amps.size - plan.targets.size)
+
+
+def _part(values, part: slice):
+    """The targets `part` of a step's values, where one target is one Python complex."""
+    return values if isinstance(values, complex) else values[part]
 
 
 def _settle(block: np.ndarray, offsets: np.ndarray | None, part: slice, step: tuple) -> None:
     """Write a clean block as `step` left it: r everywhere, then its targets."""
     block.fill(step[2])
     if offsets is not None:
-        block[offsets] = step[3][part]
+        block[offsets] = _part(step[3], part)
 
 
 def _planes(steps: list[tuple], sums: list[list], rest: int) -> list[Plane]:
@@ -236,7 +238,7 @@ def _planes(steps: list[tuple], sums: list[list], rest: int) -> list[Plane]:
     The target norms of all the steps are taken at once, as numpy sums of
     squares: a BLAS dot would sum in an order the host picks.
     """
-    at = np.array([step[3] for step in steps])
+    at = np.array([step[3] for step in steps]).reshape(len(steps), -1)
     m = at.shape[1]
     # The targets and their spread about the mean, t_sum / m as a per-step pass takes it.
     norms = (
@@ -263,10 +265,15 @@ def _square_abs(z: complex) -> float:
 
 
 def measure(amps: np.ndarray, plan: BlockPlan) -> Plane:
-    """The state against the target plane, in one read of the vector."""
+    """The state against the target plane, in one read of the vector.
+
+    It flags in `plan.clean` the blocks it finds exactly in the plane, which
+    a `checked_steps` run from this state then leaves unread until it ends.
+    """
     at = amps[plan.targets]
     step = (None, 0j, complex(amps[plan.reference]), at, complex(at.sum()))
-    return _sweep(amps, plan, [step], [False] * len(plan.blocks), None)[0]
+    plan.clean[:] = [False] * len(plan.blocks)
+    return _sweep(amps, plan, [step])[0]
 
 
 def checked_steps(
@@ -275,19 +282,20 @@ def checked_steps(
     """Apply each G(beta, gamma) of `schedule` to `amps` in place, yielding each step's `Plane`.
 
     `total` is the sum of the amplitudes before the schedule, as `measure`
-    returned it.  The oracle phase touches only the m targets and corrects
-    the running sum into the diffusion mean, so each step's scalars come
-    first, from the targets and the reference amplitude alone.  The steps
-    go in windows of up to `WINDOW`, and each cache-sized block takes a
-    window's steps in turn.  A window holds two arrays of m targets per
-    step, so it is cut to at most a block's worth of target values, however
-    large m is.  A block found exactly in the plane is measured no more
-    until a step's r is not finite, and is written once when the schedule
-    ends (see `_sweep`): a run in the plane reads the vector in its first
-    window and fills it at the end.  Each window's planes are yielded when
-    it is done, so a caller that stops at a failing check stops the run
-    there; `amps` holds the state after the last step only once the
-    generator is exhausted.
+    returned it, and the run starts from the blocks that `measure` flagged
+    clean in `plan`.  The oracle phase touches only the m targets and
+    corrects the running sum into the diffusion mean, so each step's scalars
+    come first, from the targets and the reference amplitude alone; a single
+    target is one Python complex, more are an array.  The steps go in windows
+    of up to `WINDOW`, and each cache-sized block that is not clean takes a
+    window's steps in turn.  A window holds two arrays of m targets per step,
+    so it is cut to at most a block's worth of target values, however large
+    m is.  A clean block is not read again and is written once, when the
+    schedule ends (see `_sweep`): a run from a state in the plane leaves the
+    vector to its opening `measure` and fills it at the end.  Each window's
+    planes are yielded when it is done, so a caller that stops at a failing
+    check stops the run there; `amps` holds the state after the last step
+    only once the generator is exhausted.
 
     A later window takes its scalars from the step before it, not from the
     vector, whose clean blocks are not yet written.  A later step's sum is
@@ -297,36 +305,38 @@ def checked_steps(
     two differ only by rounding.
     """
     rest = amps.size - plan.targets.size
-    at = amps[plan.targets]
+    if plan.targets.size == 1:
+        at, add = complex(amps[plan.targets[0]]), complex
+    else:
+        at, add = amps[plan.targets], lambda x: complex(x.sum())
     r = complex(amps[plan.reference])
-    clean = [False] * len(plan.blocks)
     length = min(WINDOW, max(1, BLOCK // plan.targets.size))
     step = None
     for start in range(0, len(schedule), length):
         window = schedule[start : start + length]
-        carried = total - (rest * r + complex(at.sum()))
+        carried = total - (rest * r + add(at))
         steps = []
         # e^{-i*beta} and e^{-i*gamma} of every step, in one call.
         phases = np.exp(-1j * np.fromiter(chain.from_iterable(window), float, 2 * len(window)))
         for e_beta, c in phases.reshape(-1, 2).tolist():
-            # at * c as at * Re(c) + at * i Im(c): each of those products is exact
-            # to one rounding per part even where numpy's SIMD multiply fuses, so
-            # the bits do not depend on the kernels the host picks.
-            phased = at * c.real + at * complex(0.0, c.imag)
-            mean = (total + complex((phased - at).sum())) / amps.size
+            # at * c as at * Re(c) + at * i Im(c), complex factors both, as numpy
+            # takes them: each product is exact to one rounding per part even where
+            # numpy's SIMD multiply fuses, so the bits do not depend on the kernels.
+            phased = at * complex(c.real, 0.0) + at * complex(0.0, c.imag)
+            mean = (total + add(phased - at)) / amps.size
             shift = (1.0 - e_beta) * mean
             # A zero shift is not subtracted: the vector keeps r and the phased targets.
             at = phased
             if shift:
                 r, at = r - shift, phased - shift
-            t_sum = complex(at.sum())
+            t_sum = add(at)
             total = carried + rest * r + t_sum
             steps.append((phased, shift, r, at, t_sum))
-        planes = _sweep(amps, plan, steps, clean, step)
+        planes = _sweep(amps, plan, steps)
         yield from planes
         step, total = steps[-1], planes[-1].total
-    for flag, (lo, hi, offsets, part) in zip(clean, plan.blocks):
-        if flag:
+    for flag, (lo, hi, offsets, part) in zip(plan.clean, plan.blocks):
+        if flag and step is not None:
             _settle(amps[lo:hi], offsets, part, step)
 
 

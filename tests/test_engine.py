@@ -56,6 +56,16 @@ class TestRunSearch:
         assert traj.steps == ()
         assert traj.final_probability == pytest.approx(1.0 / 16.0)
 
+    @pytest.mark.parametrize("n, m", [(8, 1), (16, 3)])
+    def test_empty_schedule_on_the_dense_backend(self, n, m, monkeypatch):
+        # Every block is clean from the opening read, and with no step there
+        # is no r to fill it with: the vector is left as it was.
+        monkeypatch.setattr(sv, "BLOCK", 2**10)
+        seq = ParameterSequence(params=(), kind="optimal", n=n, m=m)
+        traj = run_search(seq, OracleSpec.standard(n, m), "statevector")
+        assert traj == run_search(seq, OracleSpec.standard(n, m))
+        assert traj.final_probability == pytest.approx(m / 2**n, rel=1e-12)
+
     def test_rejects_mismatched_n(self):
         with pytest.raises(ValueError):
             run_search(optimal_sequence(5), OracleSpec.single("110"))

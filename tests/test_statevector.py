@@ -459,27 +459,44 @@ class TestCleanBlocks:
         monkeypatch.setattr(statevector, "np", SimpleNamespace(**{**vars(np), "subtract": subtract}))
         return counted
 
-    @pytest.mark.parametrize("n", [12, 16])
-    @pytest.mark.parametrize(
+    #: One defect written into the start, as (index, value) of an n-qubit register.
+    DEFECTS = pytest.mark.parametrize(
         "defect",
         [
             # A non-target d != 0 whose square underflows to 0.
             lambda n, targets: (2500, 2.0 ** (-n / 2) + 1e-300j),
             # A target that makes the shift NaN or inf.
-            lambda n, targets: (targets[1], math.nan),
-            lambda n, targets: (targets[1], complex(math.inf, 0.0)),
+            lambda n, targets: (targets[len(targets) // 2], math.nan),
+            lambda n, targets: (targets[len(targets) // 2], complex(math.inf, 0.0)),
             # A non-target in the last block.
             lambda n, targets: (2**n - 1, math.nan),
             lambda n, targets: (2**n - 1, np.nextafter(2.0 ** (-n / 2), 1.0)),
         ],
         ids=["underflow", "nan-target", "inf-target", "nan-last", "ulp-last"],
     )
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @DEFECTS
     @pytest.mark.parametrize("edges", [False, True], ids=["low", "edges"])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_the_skip_hides_nothing(self, n, defect, edges, monkeypatch):
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
         spec = edge_targets(n, 2**10, 3, seed=n) if edges else OracleSpec.standard(n, 3)
         defects = [defect(n, spec.target_indices().tolist())]
+        assert_one_pass_per_step_bits(n, spec, self._params(3 * WINDOW + 3), defects)
+
+    @DEFECTS
+    @pytest.mark.parametrize("target", [0, 2**12 - 1, 2**11 + 5])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_one_target_takes_the_array_bits(self, defect, target, monkeypatch):
+        # With m = 1 the kernel holds the target as a Python complex; the
+        # reference holds a one-element array.  NaN and inf targets included,
+        # both give the same bits.
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        n = 12
+        spec = OracleSpec(n, frozenset({format(target, f"0{n}b")}))
+        index, value = defect(n, [target])
+        defects = [] if index == target and value == 2.0 ** (-n / 2) else [(index, value)]
         assert_one_pass_per_step_bits(n, spec, self._params(3 * WINDOW + 3), defects)
 
     @pytest.mark.parametrize("step", [WINDOW, WINDOW + 1, 2 * WINDOW])
@@ -510,14 +527,36 @@ class TestCleanBlocks:
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_a_clean_run_measures_each_block_once(self, n, monkeypatch):
+        # The opening read measures each block and finds it clean, although r
+        # has a +0.0 imaginary part, so the run measures no block again, not
+        # even in its first window.
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        for m in (1, 3):
+            state = uniform_state(n)
+            plan = block_plan(state, OracleSpec.standard(n, m))
+            measured = self._count_subtracts(monkeypatch, plan.scratch)
+            total = measure(state, plan).total
+            assert len(measured) == len(plan.blocks) == 2 ** (n - 10)
+            assert plan.clean == [True] * len(plan.blocks)
+            planes = list(checked_steps(state, self._params(3 * WINDOW + 3), plan, total))
+            assert len(measured) == len(plan.blocks)
+            assert max(plane.leakage for plane in planes) < 1e-12
+
+    def test_a_block_clean_after_its_first_step_is_measured_once(self, monkeypatch):
+        # A -0.0 non-target keeps its block off the clean list at the opening
+        # read; the first shift makes the zeros agree, and the block is skipped
+        # from its second step on.
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        n = 12
         state = uniform_state(n)
+        state[2500] = complex(2.0 ** (-n / 2), -0.0)
         plan = block_plan(state, OracleSpec.standard(n, 3))
         total = measure(state, plan).total
+        assert plan.clean == [True, True, False, True]
         measured = self._count_subtracts(monkeypatch, plan.scratch)
-        planes = list(checked_steps(state, self._params(3 * WINDOW + 3), plan, total))
-        assert len(measured) == len(plan.blocks) == 2 ** (n - 10)
-        assert max(plane.leakage for plane in planes) < 1e-12
+        list(checked_steps(state, self._params(3 * WINDOW + 3), plan, total))
+        assert len(measured) == 1
+        assert plan.clean == [True] * 4
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_the_plane_takes_no_dot(self, n, monkeypatch):
@@ -542,7 +581,9 @@ class TestCleanBlocks:
         assert dots == [2 * 2**10]
 
     @pytest.mark.parametrize("n", [12, 16])
-    def test_a_clean_run_shifts_each_block_once(self, n, monkeypatch):
+    def test_a_clean_run_writes_each_block_once(self, n, monkeypatch):
+        # Clean from the opening read, no block is shifted by any step; each
+        # one is written once, by the closing fill.
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
         spec = OracleSpec.standard(n, 3)
         params = self._params(3 * WINDOW + 3)
@@ -552,22 +593,30 @@ class TestCleanBlocks:
         plan = block_plan(state, spec)
         total = measure(state, plan).total
         shifted = self._count_subtracts(monkeypatch, state)
-        planes = checked_steps(state, params, plan, total)
-        next(planes)
-        assert len(shifted) == len(plan.blocks) == 2 ** (n - 10)
-        # The rest of the run shifts no block: its clean blocks wait for one fill.
-        list(planes)
-        assert len(shifted) == len(plan.blocks)
+        settle, settled = statevector._settle, []
+        monkeypatch.setattr(statevector, "_settle", lambda *a: settled.append(a) or settle(*a))
+        list(checked_steps(state, params, plan, total))
+        assert shifted == []
+        assert len(settled) == len(plan.blocks) == 2 ** (n - 10)
         assert np.array_equal(state.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_a_signed_zero_is_not_clean(self, n, monkeypatch):
         # beta = 0 makes every shift zero, so no step touches the defect, and
-        # x - r reads 0 although x and r differ in the sign of a zero.
+        # x - r reads 0 although x and r differ in the sign of a zero.  The
+        # opening read sees it first: a -0.0 non-target against r's +0.0
+        # imaginary part, or r's own -0.0 against +0.0 non-targets, where
+        # x - r reads +0.0 for either zero.  With random steps the first shift
+        # makes the zeros agree.
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
-        params = [p._replace(beta=0.0) for p in self._params(2 * WINDOW + 3)]
-        defects = [(2500, complex(2.0 ** (-n / 2), -0.0))]
-        assert_one_pass_per_step_bits(n, OracleSpec.standard(n, 3), params, defects)
+        random = self._params(2 * WINDOW + 3)
+        for m in (1, 3):
+            spec = OracleSpec.standard(n, m)
+            reference = block_plan(uniform_state(n), spec).reference
+            for index in (2500, reference):
+                defects = [(index, complex(2.0 ** (-n / 2), -0.0))]
+                for params in ([p._replace(beta=0.0) for p in random], random):
+                    assert_one_pass_per_step_bits(n, spec, params, defects)
 
     def test_a_zero_shift_leaves_the_phased_targets(self):
         # With beta = 0 and a mean in the third quadrant, the shift is
@@ -605,10 +654,9 @@ class TestClosingRead:
         assert list(map(plane_bits, closing)) == list(map(plane_bits, [want[0], want[-1]]))
         assert closing[1].leakage == 0.0
 
-    def test_a_one_ulp_fill_fails_the_run(self, monkeypatch):
-        # The closing fill of the second block writes r one ulp high.  With
-        # one target the last Plane's leakage is exactly 0, so the closing
-        # read's leakage shows the ulp.
+    @staticmethod
+    def _fill_one_ulp_high(m, monkeypatch):
+        """Run `optimal_sequence(12, m)`; the closing fill of the second block writes r one ulp high."""
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
         settle, settled = statevector._settle, []
 
@@ -620,10 +668,21 @@ class TestClosingRead:
             settle(block, offsets, part, step)
 
         monkeypatch.setattr(statevector, "_settle", off_by_one_ulp)
-        seq = optimal_sequence(12)
+        seq = optimal_sequence(12, m)
         with pytest.raises(BackendMismatchError, match=f"the vector after step {len(seq)} reads"):
-            run_search(seq, OracleSpec.standard(12), "statevector")
+            run_search(seq, OracleSpec.standard(12, m), "statevector")
         assert len(settled) == 4
+
+    def test_a_one_ulp_fill_fails_the_run(self, monkeypatch):
+        # With one target the last Plane's leakage is exactly 0, so the closing
+        # read's leakage shows the ulp.
+        self._fill_one_ulp_high(1, monkeypatch)
+
+    def test_a_one_ulp_fill_under_three_targets_fails_the_run(self, monkeypatch):
+        # Near P = 1 the three targets' rounding absorbs the ulp, so the closing
+        # Plane equals the last one bit for bit; the block, no longer clean,
+        # shows it.
+        self._fill_one_ulp_high(3, monkeypatch)
 
 
 def edge_targets(n, size, m, seed):
