@@ -489,14 +489,13 @@ class TestCleanBlocks:
     @pytest.mark.parametrize("target", [0, 2**12 - 1, 2**11 + 5])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_one_target_takes_the_array_bits(self, defect, target, monkeypatch):
-        # With m = 1 the kernel holds the target as a Python complex; the
-        # reference holds a one-element array.  NaN and inf targets included,
-        # both give the same bits.
+        # With m = 1 the kernel holds the target as a Python complex and the
+        # reference a one-element array; both give the same bits, NaN and inf
+        # included.
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
         n = 12
         spec = OracleSpec(n, frozenset({format(target, f"0{n}b")}))
-        index, value = defect(n, [target])
-        defects = [] if index == target and value == 2.0 ** (-n / 2) else [(index, value)]
+        defects = [defect(n, [target])]
         assert_one_pass_per_step_bits(n, spec, self._params(3 * WINDOW + 3), defects)
 
     @pytest.mark.parametrize("step", [WINDOW, WINDOW + 1, 2 * WINDOW])
