@@ -129,11 +129,13 @@ def run_search(
 ) -> Trajectory:
     """Execute a schedule from the uniform state: its `schedules.trajectory` records.
 
-    With the state-vector backend, the schedule is one checked run over the
-    2^n vector (`statevector.checked_steps`), and the run raises unless, at
-    every step, the leakage, the squared distance of the state from the
-    target plane, and the norm defect <a|a> - 1 stay within 1e-12 and the
-    measured target probability matches the step's record within 1e-10.  It
+    With the state-vector backend, the schedule is one checked run
+    (`statevector.checked_steps`) over the 2^n vector of
+    `statevector.uniform_start`, which is filled only after the last step,
+    and the run raises unless, at every step, the leakage, the squared
+    distance of the state from the target plane, and the norm defect
+    <a|a> - 1 stay within 1e-12 and the measured target probability matches
+    the step's record within 1e-10.  It
     stops at the window of the first failing check.  After the last step, a
     closing `statevector.measure` reads every amplitude: its `Plane` must
     equal the last step's bit for bit, and it must find clean exactly the
@@ -145,9 +147,7 @@ def run_search(
     n, m = oracle.n, oracle.m
     steps = schedules.trajectory(seq, n, m)
     if backend == "statevector":
-        state = sv.uniform_state(n)
-        plan = sv.block_plan(state, oracle)
-        plane = sv.measure(state, plan)
+        state, plan, plane = sv.uniform_start(oracle)
         checked = []
         # The planes come first, so that zip exhausts the run and it writes the vector.
         for plane, record in zip(sv.checked_steps(state, seq.params, plan, plane.total), steps):
@@ -164,7 +164,7 @@ def run_search(
                     f"backends disagree at step {record.index}: statevector "
                     f"{plane.probability} vs analytic {record.probability_after}"
                 )
-            checked.append(record._replace(probability_after=plane.probability))
+            checked.append(StepRecord(*record[:5], plane.probability, *record[6:]))
         settled = plan.clean.copy()
         # repr writes every float exactly, so -0.0 and 0.0 differ.  A settled block
         # must also read back with r's bits: with m > 1, a Plane can round off a ulp.

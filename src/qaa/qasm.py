@@ -29,7 +29,7 @@ import re
 
 import numpy as np
 
-from .schedules import MAX_ITERATIONS
+from .schedules import MAX_ITERATIONS, ParameterSequence, trajectory
 from .statevector import MAX_QUBITS, OracleSpec
 from .subspace import advance, initial_angles
 
@@ -252,16 +252,21 @@ def roundtrip_deviation(seq, oracle: OracleSpec, source: str | None = None) -> f
     `source` is the program to replay, as `export_circuit(seq, oracle)`
     wrote it; it is exported here when not given.  The model's state, walked
     from the uniform state with `advance`, is e^{i*phi} sin(theta/2) / sqrt(m)
-    on each target and cos(theta/2) / sqrt(N - m) elsewhere.
+    on each target and cos(theta/2) / sqrt(N - m) elsewhere.  A
+    `ParameterSequence` takes it from the last of its `schedules.trajectory`
+    records, one `advance` on, so a generator's walk is not walked again.
     """
     oracle.check_schedule(seq)
-    seq = tuple(seq)
+    params = tuple(seq)
     if source is None:
-        source = export_circuit(seq, oracle)
+        source = export_circuit(params, oracle)
     n, m = oracle.n, oracle.m
     theta0 = theta = initial_angles(n, m).theta
     phi = 0.0
-    for p in seq:
+    if isinstance(seq, ParameterSequence) and params:
+        last = trajectory(seq, n, m)[-1]
+        theta, phi, params = last.theta_before, last.phi_before, params[-1:]
+    for p in params:
         theta, phi, _ = advance(p.beta, p.gamma, theta, phi, theta0)
     plane = np.full(2**n, math.cos(0.5 * theta) / math.sqrt(2**n - m), complex)
     plane[oracle.target_indices()] = cmath.exp(1j * phi) * math.sin(0.5 * theta) / math.sqrt(m)

@@ -3,8 +3,9 @@
 Ground truth for the analytic two-level model: `checked_steps`, the one
 dense kernel, applies the oracle phase and the diffusion about the uniform
 state exactly on all 2^n complex amplitudes, in windows of up to `WINDOW`
-steps, each one blocked pass over the blocks that neither the opening
-`measure` nor an earlier step found exactly in the plane.  A single target
+steps, each one blocked pass over the blocks that neither the start nor an
+earlier step found exactly in the plane.  `uniform_start` gives the uniform
+state with every block flagged clean, unfilled and unread.  A single target
 is one Python complex, so a step in the plane makes no numpy call.  Basis
 ordering is big-endian: the leftmost character of a bit string is qubit 0
 and the most significant bit of the basis index.
@@ -116,7 +117,8 @@ class BlockPlan(NamedTuple):
     `reference` is the first non-target index.  Each block is (start, stop,
     the offsets of its targets or None, the slice of `targets` they are),
     `scratch` holds one block, and `clean` flags the blocks that the last
-    `measure` or `checked_steps` found exactly in the plane (see `_sweep`).
+    `measure` or `checked_steps` found exactly in the plane, or that
+    `uniform_start` knows to be (see `_sweep`).
     """
 
     targets: np.ndarray
@@ -236,22 +238,32 @@ def _planes(steps: list[tuple], sums: list[list], rest: int) -> list[Plane]:
     """The `Plane` after each step, from its reference amplitude, its targets and its d's.
 
     The target norms of all the steps are taken at once, as numpy sums of
-    squares: a BLAS dot would sum in an order the host picks.
+    squares: a BLAS dot would sum in an order the host picks.  One target,
+    held as a Python complex, takes them as re * re + im * im, the sum
+    numpy's reduction gives for one element.
     """
-    at = np.array([step[3] for step in steps]).reshape(len(steps), -1)
-    m = at.shape[1]
+    at = [step[3] for step in steps]
     # The targets and their spread about the mean, t_sum / m as a per-step pass takes it.
-    norms = (
-        (np.add.reduce(x.real * x.real, axis=1) + np.add.reduce(x.imag * x.imag, axis=1)).tolist()
-        for x in (at, at - np.array([step[4] / m for step in steps])[:, None])
-    )
+    if isinstance(at[0], complex):
+        m = 1
+        spread = [x - step[4] / m for x, step in zip(at, steps)]
+        norms = ([x.real * x.real + x.imag * x.imag for x in xs] for xs in (at, spread))
+    else:
+        at = np.array(at)
+        m = at.shape[1]
+        spread = at - np.array([step[4] / m for step in steps])[:, None]
+        norms = (
+            (np.add.reduce(x.real * x.real, 1) + np.add.reduce(x.imag * x.imag, 1)).tolist()
+            for x in (at, spread)
+        )
+    root_m, root_rest = math.sqrt(m), math.sqrt(rest)
     planes = []
     for (_, _, r, _, t_sum), (s, q), probability, spread in zip(steps, sums, *norms):
         total = s + rest * r + t_sum
         # Non-target part: sum |d - s/rest|^2 = q - |s|^2/rest; target part likewise.
         leakage = q - _square_abs(s) / rest + spread
         norm = probability + rest * _square_abs(r) + 2.0 * (r.conjugate() * s).real + q
-        a_target, a_perp = t_sum / math.sqrt(m), (total - t_sum) / math.sqrt(rest)
+        a_target, a_perp = t_sum / root_m, (total - t_sum) / root_rest
         planes.append(Plane(probability, a_target, a_perp, leakage, norm - 1.0, total))
     return planes
 
@@ -270,10 +282,34 @@ def measure(amps: np.ndarray, plan: BlockPlan) -> Plane:
     It flags in `plan.clean` the blocks it finds exactly in the plane, which
     a `checked_steps` run from this state then leaves unread until it ends.
     """
-    at = amps[plan.targets]
-    step = (None, 0j, complex(amps[plan.reference]), at, complex(at.sum()))
     plan.clean[:] = [False] * len(plan.blocks)
-    return _sweep(amps, plan, [step])[0]
+    return _sweep(amps, plan, [_opening(amps, plan)])[0]
+
+
+def _opening(amps: np.ndarray, plan: BlockPlan) -> tuple:
+    """The step a `measure` of `amps` takes: no shift, and the vector's r and targets."""
+    at = amps[plan.targets]
+    return (None, 0j, complex(amps[plan.reference]), at, complex(at.sum()))
+
+
+def uniform_start(oracle: OracleSpec) -> tuple[np.ndarray, BlockPlan, Plane]:
+    """The uniform state as a `checked_steps` run starts from it: amplitudes, plan and `Plane`.
+
+    Every block of the uniform state is clean, since its r = 2^{-n/2} + 0j
+    has no -0.0 part, so a run from it reads only r and the targets until
+    its closing fill writes every block.  Only those are written here; the
+    rest of the vector is allocated unfilled.  The `Plane` is the one
+    `measure` takes of the uniform state, whose off-plane sums are exactly
+    zero.  The register is checked before anything is allocated.
+    """
+    check_qubits(oracle.n)
+    amps = np.empty(2**oracle.n, dtype=complex)
+    plan = block_plan(amps, oracle)
+    r = amps.size**-0.5
+    amps[plan.targets] = amps[plan.reference] = r
+    plan.clean[:] = [True] * len(plan.blocks)
+    plane = _planes([_opening(amps, plan)], [[0j, 0.0]], amps.size - plan.targets.size)[0]
+    return amps, plan, plane
 
 
 def checked_steps(
@@ -282,8 +318,8 @@ def checked_steps(
     """Apply each G(beta, gamma) of `schedule` to `amps` in place, yielding each step's `Plane`.
 
     `total` is the sum of the amplitudes before the schedule, as `measure`
-    returned it, and the run starts from the blocks that `measure` flagged
-    clean in `plan`.  The oracle phase touches only the m targets and
+    or `uniform_start` returned it, and the run starts from the blocks they
+    flagged clean in `plan`.  The oracle phase touches only the m targets and
     corrects the running sum into the diffusion mean, so each step's scalars
     come first, from the targets and the reference amplitude alone; a single
     target is one Python complex, more are an array.  The steps go in windows
@@ -291,11 +327,11 @@ def checked_steps(
     window's steps in turn.  A window holds two arrays of m targets per step,
     so it is cut to at most a block's worth of target values, however large
     m is.  A clean block is not read again and is written once, when the
-    schedule ends (see `_sweep`): a run from a state in the plane leaves the
-    vector to its opening `measure` and fills it at the end.  Each window's
-    planes are yielded when it is done, so a caller that stops at a failing
-    check stops the run there; `amps` holds the state after the last step
-    only once the generator is exhausted.
+    schedule ends, from the start's r and targets if it is empty (see
+    `_sweep`): a run from a state in the plane writes the vector only then,
+    and reads no block.  Each window's planes are yielded when it is done,
+    so a caller that stops at a failing check stops the run there; `amps`
+    holds the state after the last step only once the generator is exhausted.
 
     A later window takes its scalars from the step before it, not from the
     vector, whose clean blocks are not yet written.  A later step's sum is
@@ -306,12 +342,14 @@ def checked_steps(
     """
     rest = amps.size - plan.targets.size
     if plan.targets.size == 1:
-        at, add = complex(amps[plan.targets[0]]), complex
+        # numpy sums one element as 0 + x, which turns a -0.0 part into +0.0.
+        at, add = complex(amps[plan.targets[0]]), 0j.__add__
     else:
         at, add = amps[plan.targets], lambda x: complex(x.sum())
     r = complex(amps[plan.reference])
     length = min(WINDOW, max(1, BLOCK // plan.targets.size))
-    step = None
+    # With no step, the clean blocks are settled from the start.
+    step = (None, 0j, r, at, None)
     for start in range(0, len(schedule), length):
         window = schedule[start : start + length]
         carried = total - (rest * r + add(at))
@@ -336,7 +374,7 @@ def checked_steps(
         yield from planes
         step, total = steps[-1], planes[-1].total
     for flag, (lo, hi, offsets, part) in zip(plan.clean, plan.blocks):
-        if flag and step is not None:
+        if flag:
             _settle(amps[lo:hi], offsets, part, step)
 
 

@@ -7,8 +7,8 @@ the textbook forms: explicit 2x2 matrices, the vectorized closed-form
 increment and its direct P and Q, the 2D step on `StateAngles` and
 `IterationParams` objects with the textbook a, b and c, the naive dense
 iteration (in place, on a copy and over a whole schedule), the naive target
-probability, and the checked step that makes one pass per step and sums
-every block.
+probability, the checked step that makes one pass per step and sums
+every block, and the start that measures a given vector.
 It also holds the helpers only tests read (the CSV header line, the [0, 2*pi)
 wrap, the angles of an amplitude pair and a trajectory's probabilities), the
 trajectory serializers that write one cell or one dict at a time, the closed
@@ -26,7 +26,7 @@ import numpy as np
 from qaa import subspace
 from qaa.engine import Trajectory
 from qaa.schedules import StepRecord
-from qaa.statevector import BlockPlan, OracleSpec, Plane, uniform_state
+from qaa.statevector import BlockPlan, OracleSpec, Plane, block_plan, measure, uniform_state
 from qaa.subspace import IterationParams, StateAngles, amplification_coefficient, diffuse
 
 #: The CSV header line: the `StepRecord` fields in order.
@@ -146,6 +146,12 @@ def apply_iteration(state: np.ndarray, params: IterationParams, oracle) -> np.nd
 def target_probability(state: np.ndarray, oracle: OracleSpec) -> float:
     """Sum of |a_t|^2 over the target amplitudes of a dense state."""
     return float(np.sum(np.abs(state[oracle.target_indices()]) ** 2))
+
+
+def measured_start(amps: np.ndarray, oracle: OracleSpec) -> tuple[np.ndarray, BlockPlan, Plane]:
+    """`statevector.uniform_start` for any start vector: its plan and one `measure` of it."""
+    plan = block_plan(amps, oracle)
+    return amps, plan, measure(amps, plan)
 
 
 def checked_step(

@@ -140,9 +140,9 @@ class TestSearch:
         # shots sample the final probability, so the analytic run builds no
         # 2^n vector at all.
         runs, vectors = [], []
-        kernel, uniform = sv.checked_steps, sv.uniform_state
+        kernel, start = sv.checked_steps, sv.uniform_start
         monkeypatch.setattr(sv, "checked_steps", lambda *a: runs.append(len(a[1])) or kernel(*a))
-        monkeypatch.setattr(sv, "uniform_state", lambda n: vectors.append(n) or uniform(n))
+        monkeypatch.setattr(sv, "uniform_start", lambda o: vectors.append(o.n) or start(o))
         code, _, _ = run_cli(
             capsys, "search", "optimal", "--n", "16", "--backend", backend, "--shots", "10"
         )

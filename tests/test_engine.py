@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +25,13 @@ from qaa.schedules import (
     build,
     fixed_point_sequence,
     generate_qaao_sequence,
+    grover_sequence,
     optimal_sequence,
 )
 from qaa.statevector import OracleSpec
 from qaa.subspace import IterationParams, advance
 
-from reference import CSV_HEADER, cellwise_csv, dict_rows_json, probabilities
+from reference import CSV_HEADER, cellwise_csv, dict_rows_json, measured_start, probabilities
 
 
 class TestRunSearch:
@@ -58,13 +62,26 @@ class TestRunSearch:
 
     @pytest.mark.parametrize("n, m", [(8, 1), (16, 3)])
     def test_empty_schedule_on_the_dense_backend(self, n, m, monkeypatch):
-        # Every block is clean from the opening read, and with no step there
-        # is no r to fill it with: the vector is left as it was.
+        # Every block of the uniform start is clean and unwritten, so with no
+        # step the closing fill writes it from the start's r and targets.
         monkeypatch.setattr(sv, "BLOCK", 2**10)
         seq = ParameterSequence(params=(), kind="optimal", n=n, m=m)
         traj = run_search(seq, OracleSpec.standard(n, m), "statevector")
         assert traj == run_search(seq, OracleSpec.standard(n, m))
         assert traj.final_probability == pytest.approx(m / 2**n, rel=1e-12)
+
+    def test_the_dense_cap_comes_before_any_vector(self, monkeypatch):
+        # The model takes n = 25; a dense start of 2^25 amplitudes would take
+        # 512 MiB, and it is refused before any array is allocated.
+        seq, oracle = grover_sequence(25), OracleSpec.standard(25)
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("a vector was allocated")
+
+        numpy = SimpleNamespace(**{**vars(np), "empty": allocate, "full": allocate})
+        monkeypatch.setattr(sv, "np", numpy)
+        with pytest.raises(ValueError, match=r"qubit count must lie in \[1, 24\], got 25"):
+            run_search(seq, oracle, "statevector")
 
     def test_rejects_mismatched_n(self):
         with pytest.raises(ValueError):
@@ -117,26 +134,22 @@ class TestDenseGuards:
     """The three checks of every dense step raise, each on its own defect."""
 
     def test_leakage_out_of_the_plane_raises(self, monkeypatch):
-        fresh = sv.uniform_state
-
-        def perturbed(n):
+        def perturbed(oracle):
             # Amplitude 5 is a non-target; the leakage reads about 1e-10.
-            state = fresh(n)
+            state = sv.uniform_state(oracle.n)
             state[5] += 1e-5
-            return state
+            return measured_start(state, oracle)
 
-        monkeypatch.setattr(sv, "uniform_state", perturbed)
+        monkeypatch.setattr(sv, "uniform_start", perturbed)
         with pytest.raises(BackendMismatchError, match="leakage .* at step 1$"):
             run_search(optimal_sequence(8), OracleSpec.standard(8), "statevector")
 
     def test_norm_defect_raises(self, monkeypatch):
-        fresh = sv.uniform_state
-
-        def scaled(n):
+        def scaled(oracle):
             # In the plane, with norm defect 2e-11: neither other check sees it.
-            return fresh(n) * (1.0 + 1e-11)
+            return measured_start(sv.uniform_state(oracle.n) * (1.0 + 1e-11), oracle)
 
-        monkeypatch.setattr(sv, "uniform_state", scaled)
+        monkeypatch.setattr(sv, "uniform_start", scaled)
         with pytest.raises(BackendMismatchError, match="norm defect .* at step 1$"):
             run_search(optimal_sequence(10), OracleSpec.standard(10), "statevector")
 
@@ -157,7 +170,8 @@ class TestDenseGuards:
     )
     def test_nan_plane_raises(self, monkeypatch, cell, message):
         # The third Plane of a two-window run is poisoned: the run draws no
-        # later Plane and never sweeps its second window.
+        # later Plane and never sweeps its second window.  The uniform start
+        # takes no sweep at all.
         exact, sweep = sv.checked_steps, sv._sweep
         drawn, swept = [], []
 
@@ -174,7 +188,7 @@ class TestDenseGuards:
             run_search(seq, OracleSpec.standard(12), "statevector")
         assert "at step 3" in str(raised.value)
         assert len(drawn) == 3
-        assert swept == [1, sv.WINDOW]
+        assert swept == [sv.WINDOW]
 
 
 #: The adaptive kinds, whose generators walk the 2D model to choose each step.

@@ -129,16 +129,16 @@ DENSE_SHA256 = "03aca327964ddc299a2ee53d7e71c90209f78e9e39e781ef36e7863cf91d5271
 
 def dense_sweep_digest() -> str:
     """sha256 over the final amplitudes and JSON of a sweep of statevector runs."""
-    # A run steps the vector its `uniform_state` built in place; keep the last.
+    # A run steps the vector its `uniform_start` built in place; keep the last.
     built = []
-    uniform = statevector.uniform_state
+    start = statevector.uniform_start
 
-    def keep(n):
-        built[:] = [uniform(n)]
-        return built[0]
+    def keep(oracle):
+        built[:] = start(oracle)
+        return tuple(built)
 
     digest = hashlib.sha256()
-    with mock.patch.object(statevector, "uniform_state", keep):
+    with mock.patch.object(statevector, "uniform_start", keep):
         for kind in schedules.BUILDERS:
             # The optimal builders need 4m <= 2^n; every other kind needs m < 2^n.
             quarter = kind in (schedules.OPTIMAL, schedules.NOISY_OPTIMAL)

@@ -9,19 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaa import qasm, statevector
+from qaa import qasm, schedules, statevector
 from qaa.qasm import CHUNK, export_circuit, replay_circuit, roundtrip_deviation
 from qaa.schedules import (
     BUILDERS,
     MAX_ITERATIONS,
     RANDOM_QAAO,
+    ParameterSequence,
     build,
     fixed_point_sequence,
     grover_sequence,
     optimal_sequence,
 )
 from qaa.statevector import MAX_QUBITS, OracleSpec, uniform_state
-from qaa.subspace import IterationParams
+from qaa.subspace import IterationParams, advance
 
 from reference import apply_iteration, evolve
 
@@ -431,12 +432,39 @@ class TestRoundTrip:
         # The preparation alone leaves the uniform state, far from where the schedule ends.
         assert roundtrip_deviation(seq, spec, source.split("// iteration")[0]) > 0.1
 
+    @pytest.mark.parametrize(
+        "kind, settings",
+        [
+            ("optimal", {}),
+            ("noisy-optimal", {"delta": 0.2, "seed": 3}),
+            ("random-qaao", {"seed": 3}),
+        ],
+    )
+    def test_a_walked_schedule_is_not_walked_again(self, monkeypatch, kind, settings):
+        # The reference takes the generator's last record and one `advance`.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return advance(*args)
+
+        for module in (schedules, qasm):
+            monkeypatch.setattr(module, "advance", counted)
+        seq = build(kind, 8, **settings)
+        assert roundtrip_deviation(seq, OracleSpec.standard(8)) <= 1e-12
+        assert len(calls) == len(seq) + 1
+
+    def test_an_empty_schedule_is_the_uniform_state(self):
+        seq = ParameterSequence((), "optimal", 6)
+        assert roundtrip_deviation(seq, OracleSpec.standard(6)) <= 1e-15
+
     def test_reference_is_the_2d_model(self, monkeypatch):
         # No dense simulation: the replay is compared with the target-plane state.
         def dense(*args):
             raise AssertionError("roundtrip_deviation ran a dense simulation")
 
         monkeypatch.setattr(statevector, "uniform_state", dense)
+        monkeypatch.setattr(statevector, "uniform_start", dense)
         monkeypatch.setattr(statevector, "checked_steps", dense)
         assert roundtrip_deviation(optimal_sequence(8), OracleSpec.single("01101001")) <= 1e-12
 

@@ -20,6 +20,7 @@ from qaa.statevector import (
     checked_steps,
     measure,
     sample_measurements,
+    uniform_start,
     uniform_state,
 )
 from qaa.subspace import MAX_QUBITS, IterationParams, advance, initial_angles
@@ -30,6 +31,7 @@ from reference import (
     evolve,
     from_amplitudes,
     iterate_in_place,
+    measured_start,
     norm_defect,
     target_probability,
 )
@@ -388,7 +390,9 @@ class TestCheckedStep:
         assert plane.total == 4e160
         for plane in checked_steps(state, optimal_sequence(4).params, plan, plane.total):
             assert not math.isfinite(plane.norm_defect)
-        monkeypatch.setattr(statevector, "uniform_state", lambda n: np.full(2**n, 1e160j))
+        monkeypatch.setattr(
+            statevector, "uniform_start", lambda o: measured_start(np.full(2**o.n, 1e160j), o)
+        )
         with pytest.raises(BackendMismatchError, match="norm defect inf at step 1"):
             run_search(optimal_sequence(4), spec, "statevector")
 
@@ -433,7 +437,8 @@ class TestBlockSkip:
 
     def test_a_nan_in_a_later_block_fails_the_run(self, monkeypatch):
         monkeypatch.setattr(statevector, "BLOCK", 2**10)
-        monkeypatch.setattr(statevector, "uniform_state", lambda n: self._with_defect(n, math.nan))
+        start = lambda oracle: measured_start(self._with_defect(oracle.n, math.nan), oracle)
+        monkeypatch.setattr(statevector, "uniform_start", start)
         with pytest.raises(BackendMismatchError, match="leakage nan"):
             run_search(optimal_sequence(12, 3), OracleSpec.standard(12, 3), "statevector")
 
@@ -497,6 +502,32 @@ class TestCleanBlocks:
         spec = OracleSpec(n, frozenset({format(target, f"0{n}b")}))
         defects = [defect(n, [target])]
         assert_one_pass_per_step_bits(n, spec, self._params(3 * WINDOW + 3), defects)
+
+    @pytest.mark.parametrize(
+        "value",
+        [complex(math.nan, 1.0), math.inf + 0j, complex(-0.0, -0.0), complex(1e160, -1e160)],
+        ids=["nan", "inf", "zero", "overflow"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_one_target_planes_take_the_array_bits(self, value, monkeypatch):
+        # `_planes` takes one target's norms from its Python complex, and those
+        # of a one-element array in numpy: the Planes agree to the bit, even
+        # where the squares overflow (1e160), as `_square_abs` also gives inf.
+        r, rest = complex(2.0**-6, 0.0), 2**12 - 1
+        sums = [[0j, 0.0], [1e-9 - 2e-9j, 5e-18]]
+        for t_sum in (value, 0j + value):
+            held = [(None, 0j, r, value, t_sum)] * 2
+            array = [(None, 0j, r, np.array([value]), t_sum)] * 2
+            want = statevector._planes(array, sums, rest)
+            assert repr(statevector._planes(held, sums, rest)) == repr(want)
+        # A run with beta = 0 shifts nothing, and gamma = -0.0 keeps a -0.0
+        # target; its sum is 0 + x, as numpy sums one element.
+        monkeypatch.setattr(statevector, "BLOCK", 2**10)
+        n, target = 12, 5
+        spec = OracleSpec(n, frozenset({format(target, f"0{n}b")}))
+        params = [IterationParams(0.0, -0.0)] * (WINDOW + 3)
+        assert_one_pass_per_step_bits(n, spec, params, [(target, value)])
 
     @pytest.mark.parametrize("step", [WINDOW, WINDOW + 1, 2 * WINDOW])
     @pytest.mark.parametrize("kind", ["nan", "inf", "ulp"])
@@ -632,6 +663,32 @@ class TestCleanBlocks:
         assert plane_bits(measure(state, plan)) == plane_bits(planes[-1])
 
 
+class TestUniformStart:
+    """`uniform_start` is the measured uniform state, but neither fills nor reads the vector."""
+
+    @pytest.mark.parametrize("size", [2**10, BLOCK])
+    def test_matches_the_measured_uniform_state(self, size, monkeypatch):
+        # Standard targets and, so that they straddle block edges, targets on
+        # the first and last amplitudes of blocks.
+        monkeypatch.setattr(statevector, "BLOCK", size)
+        params = TestCleanBlocks._params(WINDOW + 3)
+        for n in range(1, 18):
+            for m in [m for m in (1, 2, 3, 5, 64, 1000) if m < 2**n]:
+                edges = edge_targets(n, min(size, 2**n), m, seed=n)
+                for spec in (OracleSpec.standard(n, m), edges):
+                    for schedule in ([], params):
+                        amps, plan, plane = uniform_start(spec)
+                        state = uniform_state(n)
+                        want_plan = block_plan(state, spec)
+                        want = measure(state, want_plan)
+                        assert repr(plane) == repr(want)
+                        assert plan.clean == want_plan.clean == [True] * len(plan.blocks)
+                        planes = checked_steps(amps, schedule, plan, plane.total)
+                        want_planes = checked_steps(state, schedule, want_plan, want.total)
+                        assert repr(list(planes)) == repr(list(want_planes))
+                        assert amps.tobytes() == state.tobytes()
+
+
 class TestClosingRead:
     """`run_search` ends with one `measure`, which must give the last step's `Plane` bit for bit."""
 
@@ -650,8 +707,9 @@ class TestClosingRead:
         run_search(seq, spec, "statevector")
         state = uniform_state(12)
         want = windowed_run(state, seq.params, block_plan(state, spec))
-        assert list(map(plane_bits, closing)) == list(map(plane_bits, [want[0], want[-1]]))
-        assert closing[1].leakage == 0.0
+        # The uniform start takes no `measure`; the closing read is the only one.
+        assert list(map(plane_bits, closing)) == [plane_bits(want[-1])]
+        assert closing[0].leakage == 0.0
 
     @staticmethod
     def _fill_one_ulp_high(m, monkeypatch):
@@ -835,9 +893,9 @@ class TestSampling:
 
     def test_matches_the_dense_distribution(self, monkeypatch):
         states = []
-        uniform = statevector.uniform_state
+        start = statevector.uniform_start
         monkeypatch.setattr(
-            statevector, "uniform_state", lambda n: states.append(uniform(n)) or states[-1]
+            statevector, "uniform_start", lambda o: states.append(start(o)) or states[-1]
         )
         spec = OracleSpec.standard(3, 2)
         seq = schedules.build(schedules.FIXED_POINT, 3, 2, length=3, delta=0.5)
@@ -845,7 +903,7 @@ class TestSampling:
         assert 0.1 < traj.final_probability < 0.9
         shots = 200_000
         counts = sample_measurements(traj.final_probability, spec, shots, seed=4)
-        dense = np.abs(states[-1]) ** 2
+        dense = np.abs(states[-1][0]) ** 2
         sampled = [counts.get(format(i, "03b"), 0) / shots for i in range(8)]
         assert sampled == pytest.approx(dense, abs=0.005)
 
